@@ -17,19 +17,21 @@ from .errors import (
     InconsistentTorsion,
     InternalError,
     NotIntegrable,
+    NotQuaternionic,
 )
-from .exterior import Form, LieAlgebra, Vec, require_rational, dot
+from .exterior import Form, LieAlgebra, Vec, dot, require_rational, substitute_form
 from .qc import (
     Matrix4,
     QCFrame,
     apply_endo,
     check_bi1,
-    derive_complex_structures,
+    check_compatibility,
     from_hcomps,
+    hcolumn,
     hcomps,
     restrict_h,
 )
-from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
+from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, variable
 
 S_NAME = "S"
 
@@ -87,25 +89,17 @@ def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Form, Form, Form]) -> 
     because the horizontal torsion is completely trace-free; the three r give
     one linear equation each and must agree.
     """
-    i_mats = derive_complex_structures(frame)
     s_sym = variable(S_NAME)
     values = []
-    for rho, m in zip(rhos, i_mats):
+    for rho, m in zip(rhos, frame.complex_structures):
         contraction: Scalar = Fraction(0)
         for a in range(4):
-            ia = from_hcomps(frame, apply_endo(m, [Fraction(1 if b == a else 0) for b in range(4)]))
-            contraction = contraction + rho.evaluate([frame.hvec(a), ia])
+            contraction = contraction + rho.evaluate([frame.hvec(a), hcolumn(frame, m, a)])
         a_coef, b_coef = linear_coeffs(contraction + 4 * s_sym, S_NAME)
         values.append(solve_linear(a_coef, b_coef))
     if len(set(values)) != 1:
         raise InconsistentCurvature(f"contractions disagree: {values}")
     return values[0]
-
-
-def _sub_form(f: Form, value: Fraction) -> Form:
-    return Form.make(
-        f.dim, f.degree, {k: substitute(c, value) for k, c in f.terms.items()}
-    )
 
 
 def t0_tensor(
@@ -116,16 +110,13 @@ def t0_tensor(
     T0(X, Y) = Sum_r rho_r(X, -I_r Y) - 3 S g(X, Y); the result has to come
     out symmetric and trace-free, which is audited here.
     """
-    i_mats = derive_complex_structures(frame)
-    rhos_n = [_sub_form(r, s_value) for r in rhos]
+    rhos_n = [substitute_form(r, s_value) for r in rhos]
     t0: Matrix4 = [[Fraction(0)] * 4 for _ in range(4)]
     for a in range(4):
         for b in range(4):
             acc: Scalar = Fraction(0)
-            for rho, m in zip(rhos_n, i_mats):
-                unit = [Fraction(1 if c == b else 0) for c in range(4)]
-                iy = from_hcomps(frame, apply_endo(m, unit))
-                acc = acc + rho.evaluate([frame.hvec(a), -iy])
+            for rho, m in zip(rhos_n, frame.complex_structures):
+                acc = acc + rho.evaluate([frame.hvec(a), -hcolumn(frame, m, b)])
             if a == b:
                 acc = acc - 3 * s_value
             t0[a][b] = acc
@@ -138,9 +129,8 @@ def t0_tensor(
 
 def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4, Matrix4]:
     """g(T_r Z, Y) = (T0(-I_r Z, Y) - T0(Z, I_r Y)) / 4, as matrices on H."""
-    i_mats = derive_complex_structures(frame)
     endos = []
-    for m in i_mats:
+    for m in frame.complex_structures:
         endo = [[Fraction(0)] * 4 for _ in range(4)]
         for a in range(4):  # component along e_a
             for b in range(4):  # argument e_b
@@ -166,19 +156,6 @@ class Torsion:
         if a < b:
             return self.slots[(a, b)]
         return -self.slots[(b, a)]
-
-    def value_vec(self, u: Vec, v: Vec) -> Vec:
-        out = Vec.zero(self.dim)
-        for a in range(1, self.dim + 1):
-            ca = u.comp(a)
-            if is_zero(ca):
-                continue
-            for b in range(1, self.dim + 1):
-                cb = v.comp(b)
-                if is_zero(cb) or a == b:
-                    continue
-                out = out + (ca * cb) * self.value(a, b)
-        return out
 
 
 def assemble_torsion(
@@ -218,9 +195,7 @@ def assemble_torsion(
             else:
                 h, v = (a, b) if a in hset else (b, a)
                 r = frame.vertical.index(v)
-                hpos = frame.horizontal.index(h)
-                unit = [Fraction(1 if c == hpos else 0) for c in range(4)]
-                t_of_h = from_hcomps(frame, apply_endo(endos[r], unit))
+                t_of_h = hcolumn(frame, endos[r], frame.horizontal.index(h))
                 slots[(a, b)] = t_of_h if a in vset else -t_of_h
     return Torsion(g.dim, slots)
 
@@ -362,6 +337,10 @@ def normalize_scale(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]
 
 def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
     require_rational(g)
+    if not check_compatibility(g, frame):
+        raise NotQuaternionic(
+            f"{g.name}: d eta_r restricted to H is not {frame.scale} * omega_r"
+        )
     g, frame = normalize_scale(g, frame)
     alphas = sp1_connection_forms(g, frame)
     rhos = ricci_forms(g, frame, alphas)
@@ -398,8 +377,8 @@ def audit(p: Pipeline) -> list[dict]:
                 ok = False
     checks.append({"name": "preserves_splitting", "passed": ok})
 
-    i_mats = derive_complex_structures(frame)
-    alphas_n = [_sub_form(al, p.s_value) for al in p.alphas]
+    i_mats = frame.complex_structures
+    alphas_n = [substitute_form(al, p.s_value) for al in p.alphas]
     ok = True
     for (i, j, k) in CYCLES:
         for a in range(1, g.dim + 1):
@@ -407,15 +386,10 @@ def audit(p: Pipeline) -> list[dict]:
             aj = alphas_n[j].evaluate([ea])
             ak = alphas_n[k].evaluate([ea])
             for bpos in range(4):
-                x = frame.hvec(bpos)
-                unit = [Fraction(1 if c == bpos else 0) for c in range(4)]
-                ix = from_hcomps(frame, apply_endo(i_mats[i], unit))
-                lhs = p.conn.nabla_vec(ea, ix) - from_hcomps(
+                lhs = p.conn.nabla_vec(ea, hcolumn(frame, i_mats[i], bpos)) - from_hcomps(
                     frame, apply_endo(i_mats[i], hcomps(frame, p.conn.nabla(a, frame.horizontal[bpos])))
                 )
-                rhs = -aj * from_hcomps(frame, apply_endo(i_mats[k], unit)) + ak * from_hcomps(
-                    frame, apply_endo(i_mats[j], unit)
-                )
+                rhs = -aj * hcolumn(frame, i_mats[k], bpos) + ak * hcolumn(frame, i_mats[j], bpos)
                 if lhs != rhs:
                     ok = False
     checks.append({"name": "rotates_complex_structures", "passed": ok})
@@ -435,7 +409,7 @@ def audit(p: Pipeline) -> list[dict]:
                 ok = False
     checks.append({"name": "torsion_endo_properties", "passed": ok})
 
-    rhos_n = [_sub_form(r, p.s_value) for r in p.rhos]
+    rhos_n = [substitute_form(r, p.s_value) for r in p.rhos]
     ok = True
     for rho, m in zip(rhos_n, i_mats):
         for xpos in range(4):
@@ -443,11 +417,10 @@ def audit(p: Pipeline) -> list[dict]:
                 x_idx, y_idx = frame.horizontal[xpos], frame.horizontal[ypos]
                 total: Scalar = Fraction(0)
                 for a in range(4):
-                    ia = apply_endo(m, [Fraction(1 if c == a else 0) for c in range(4)])
                     for bpos in range(4):
-                        if is_zero(ia[bpos]):
+                        if is_zero(m[bpos][a]):
                             continue
-                        total = total + ia[bpos] * p.riem[
+                        total = total + m[bpos][a] * p.riem[
                             (x_idx, y_idx, frame.horizontal[a], frame.horizontal[bpos])
                         ]
                 if total != 4 * rho.evaluate([Vec.basis(g.dim, x_idx), Vec.basis(g.dim, y_idx)]):

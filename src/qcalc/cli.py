@@ -30,7 +30,7 @@ from .exterior import (
 from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, form_text, parse
 from .qc import QCFrame
-from .report import SAMPLE_TUPLES, build_report
+from .report import _wqc_samples, build_report
 from .scalars import Poly, scalar_str, substitute
 
 
@@ -300,15 +300,10 @@ def _cmd_wqc(args, fmt: str) -> int:
         raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
     p = run_pipeline(g, frame)
     w = wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
-    samples = []
-    for a, b, c, dd in SAMPLE_TUPLES:
-        samples.append(
-            {"idx": [a, b, c, dd], "value": scalar_str(w[a - 1][b - 1][c - 1][dd - 1])}
-        )
     out = {
         "name": g.name,
         "conformally_flat": is_qc_conformally_flat(w),
-        "samples": samples,
+        "samples": _wqc_samples(w),
     }
 
     def lines(o):

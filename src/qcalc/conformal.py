@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qc import Matrix4, QCFrame, derive_complex_structures
+from .qc import Matrix4, QCFrame, matmul
 from .scalars import Scalar, is_zero
 
 Tensor4H = list  # [a][b][c][d] -> Scalar
@@ -38,57 +38,31 @@ def kulkarni_nomizu(mu: Matrix4, nu: Matrix4) -> Tensor4H:
     return out
 
 
-def _omega_matrices(frame: QCFrame) -> list[Matrix4]:
-    mats = []
-    for om in frame.omegas:
-        mats.append(
-            [
-                [om.evaluate([frame.hvec(a), frame.hvec(b)]) for b in range(4)]
-                for a in range(4)
-            ]
-        )
-    return mats
-
-
 def wqc_tensor(
     riem: dict[tuple[int, int, int, int], Scalar],
     t0: Matrix4,
     s_value: Fraction,
     frame: QCFrame,
 ) -> Tensor4H:
-    """Literal term-by-term assembly of the conformal curvature on H."""
-    i_mats = derive_complex_structures(frame)
-    om_mats = _omega_matrices(frame)
-    h = frame.horizontal
+    """The conformal curvature on H, assembled from R, T0 and S.
 
+    W = R + g @ L0 + Sum_s [omega_s @ I_s L0 - (omega_s x D_s + D_s x omega_s) / 2
+    + S/4 (omega_s @ omega_s + 4 omega_s x omega_s)] + S/4 g @ g, with @ the
+    Kulkarni-Nomizu product, L0 = T0 / 2, omega_s = -I_s and
+    D_s(X, Y) = T0(X, I_s Y) - T0(I_s X, Y).
+    """
+    i_mats = frame.complex_structures
+    h = frame.horizontal
     gm = [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]
     l0 = [[t0[a][b] / 2 for b in range(4)] for a in range(4)]
+    om_mats = [[[-x for x in row] for row in m] for m in i_mats]
     # (I_s L0)(X, Y) = -L0(X, I_s Y), i.e. the matrix -L0 . I_s
-    isl0 = [
-        [
-            [-sum((l0[a][c] * m[c][b] for c in range(4)), Fraction(0)) for b in range(4)]
-            for a in range(4)
-        ]
-        for m in i_mats
-    ]
-
-    def t0_pair(mat_left: Matrix4 | None, a: int, b: int, mat_right: Matrix4 | None) -> Scalar:
-        """T0 with an optional complex structure applied to either slot."""
-        left = (
-            [mat_left[c][a] for c in range(4)]
-            if mat_left is not None
-            else [Fraction(1 if c == a else 0) for c in range(4)]
-        )
-        right = (
-            [mat_right[c][b] for c in range(4)]
-            if mat_right is not None
-            else [Fraction(1 if c == b else 0) for c in range(4)]
-        )
-        total: Scalar = Fraction(0)
-        for x in range(4):
-            for y in range(4):
-                total = total + left[x] * t0[x][y] * right[y]
-        return total
+    isl0 = [[[-x for x in row] for row in matmul(l0, m)] for m in i_mats]
+    d_mats = []
+    for m in i_mats:
+        t0_i = matmul(t0, m)
+        it_t0 = matmul([list(col) for col in zip(*m)], t0)
+        d_mats.append([[t0_i[a][b] - it_t0[a][b] for b in range(4)] for a in range(4)])
 
     w = _zero4()
     gg = kulkarni_nomizu(gm, gm)
@@ -103,16 +77,12 @@ def wqc_tensor(
                     val: Scalar = riem[(h[a], h[b], h[c], h[d])]
                     val = val + g_l0[a][b][c][d]
                     for s in range(3):
+                        om, dm = om_mats[s], d_mats[s]
                         val = val + om_knp[s][a][b][c][d]
-                        cross = om_mats[s][a][b] * (
-                            t0_pair(None, c, d, i_mats[s]) - t0_pair(i_mats[s], c, d, None)
-                        ) + om_mats[s][c][d] * (
-                            t0_pair(None, a, b, i_mats[s]) - t0_pair(i_mats[s], a, b, None)
-                        )
+                        cross = om[a][b] * dm[c][d] + om[c][d] * dm[a][b]
                         val = val - cross / 2
                         val = val + quarter_s * (
-                            omom[s][a][b][c][d]
-                            + 4 * om_mats[s][a][b] * om_mats[s][c][d]
+                            omom[s][a][b][c][d] + 4 * om[a][b] * om[c][d]
                         )
                     val = val + quarter_s * gg[a][b][c][d]
                     w[a][b][c][d] = val

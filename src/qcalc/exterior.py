@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InternalError, InvalidFlag, ParametricNotSupported
-from .scalars import Poly, Scalar, is_zero
+from .scalars import Poly, Scalar, is_zero, substitute
 
 Index = tuple[int, ...]
 
@@ -288,48 +288,13 @@ class LieAlgebra:
 
     def substitute(self, value: Fraction) -> LieAlgebra:
         """Specialize the parameter; the result is parameter-free."""
-        subs = tuple(
-            Form.make(
-                self.dim,
-                2,
-                {k: c.substitute(value) if isinstance(c, Poly) else c for k, c in f.terms.items()},
-            )
-            for f in self.differentials
-        )
+        subs = tuple(substitute_form(f, value) for f in self.differentials)
         return LieAlgebra(self.name, self.dim, subs, None)
-
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def d(g: LieAlgebra, f: Form) -> Form:
-    return g.d(f)
-
-
-def jacobi_check(g: LieAlgebra) -> list[Form]:
-    return g.jacobi_check()
-
-
-def bracket(g: LieAlgebra, i: int, j: int) -> Vec:
-    return g.bracket(i, j)
-
-
-def evaluate(f: Form, vectors: list[Vec]) -> Scalar:
-    return f.evaluate(vectors)
-
-
-def interior(v: Vec, f: Form) -> Form:
-    return f.interior(v)
 
 
 def substitute_form(f: Form, value: Fraction) -> Form:
     """Specialize every parametric coefficient of the form."""
-    return Form.make(
-        f.dim,
-        f.degree,
-        {k: c.substitute(value) if isinstance(c, Poly) else c for k, c in f.terms.items()},
-    )
+    return Form.make(f.dim, f.degree, {k: substitute(c, value) for k, c in f.terms.items()})
 
 
 def monomials(dim: int, degree: int) -> list[Index]:

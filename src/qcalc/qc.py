@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotQuaternionic
-from .exterior import Form, LieAlgebra, Vec, dot
+from .exterior import Form, LieAlgebra, Vec
 from .scalars import Scalar, is_zero
 
 Matrix4 = list[list[Scalar]]
@@ -31,6 +32,15 @@ class QCFrame:
     def hvec(self, pos: int) -> Vec:
         """Horizontal basis vector by position 0..3."""
         return Vec.basis(self.dim, self.horizontal[pos])
+
+    @cached_property
+    def complex_structures(self) -> tuple[Matrix4, Matrix4, Matrix4]:
+        """The matrices of I_1, I_2, I_3, derived once per frame; read-only.
+
+        omega_r(e_a, e_b) = -I_r[a][b].  Raises NotQuaternionic (on every
+        read) when the omegas do not form a quaternionic triple.
+        """
+        return derive_complex_structures(self)
 
 
 def standard_omegas(dim: int, h: tuple[int, int, int, int]) -> tuple[Form, Form, Form]:
@@ -76,24 +86,24 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
         ]
         mats.append(m)
     m1, m2, m3 = mats
-
-    def mul(x: Matrix4, y: Matrix4) -> Matrix4:
-        return [
-            [sum((x[a][c] * y[c][b] for c in range(4)), Fraction(0)) for b in range(4)]
-            for a in range(4)
-        ]
-
     minus_id = [[Fraction(-1 if a == b else 0) for b in range(4)] for a in range(4)]
     for r, m in enumerate(mats):
-        if mul(m, m) != minus_id:
+        if matmul(m, m) != minus_id:
             raise NotQuaternionic(f"I_{r + 1}^2 != -id")
-    if mul(m1, m2) != m3:
+    if matmul(m1, m2) != m3:
         raise NotQuaternionic("I_1 I_2 != I_3")
     for m in mats:
         mt = [[m[b][a] for b in range(4)] for a in range(4)]
-        if mul(mt, m) != [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]:
+        if matmul(mt, m) != [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]:
             raise NotQuaternionic("I_r is not orthogonal")
     return m1, m2, m3
+
+
+def matmul(x: Matrix4, y: Matrix4) -> Matrix4:
+    return [
+        [sum((x[a][c] * y[c][b] for c in range(4)), Fraction(0)) for b in range(4)]
+        for a in range(4)
+    ]
 
 
 def apply_endo(m: Matrix4, comps: list[Scalar]) -> list[Scalar]:
@@ -107,15 +117,16 @@ def hcomps(frame: QCFrame, v: Vec) -> list[Scalar]:
     return [v.comp(i) for i in frame.horizontal]
 
 
-def vcomps(frame: QCFrame, v: Vec) -> list[Scalar]:
-    return [v.comp(i) for i in frame.vertical]
-
-
 def from_hcomps(frame: QCFrame, comps: list[Scalar]) -> Vec:
     out = Vec.zero(frame.dim)
     for pos, c in enumerate(comps):
         out = out + c * frame.hvec(pos)
     return out
+
+
+def hcolumn(frame: QCFrame, m: Matrix4, b: int) -> Vec:
+    """Column b of a horizontal matrix: the image of e_b as a vector."""
+    return from_hcomps(frame, [row[b] for row in m])
 
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:

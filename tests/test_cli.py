@@ -290,3 +290,16 @@ def test_wqc():
 
 def test_wqc_needs_qc_block(so3_r4):
     assert run("wqc", so3_r4).returncode == 2
+
+
+def test_wqc_rejects_incompatible_frame(tmp_path):
+    # heisenberg declared with scale 2 where d eta_r|_H = 1 * omega_r
+    path = tmp_path / "heis2.alg"
+    path.write_text(source("heisenberg").replace("scale 1", "scale 2"))
+    r = run("report", str(path), "--format", "json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["qc_valid"] is False
+    r = run("wqc", str(path), "--format", "json")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "omega" in json.loads(r.stderr)["error"]["message"]

@@ -9,9 +9,28 @@ from qcalc.biquard import run_pipeline
 from qcalc.catalog import document
 from qcalc.conformal import is_qc_conformally_flat, kulkarni_nomizu, wqc_tensor
 from qcalc.family import specialize
+from qcalc.parser import parse
 from qcalc.qc import standard_omegas
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+# g2 in a dense orthonormal coframe, as written by perfbench/gen.py's
+# rotated_input(random.Random(3), "g2", 1, "g2_rot"): 121 nonzero structure
+# constants and dense I_r, where every catalog frame has signed-permutation I_r.
+G2_ROTATED = """\
+algebra g2_rot dim 7
+d e1 = (35/324)e12 + (38/81)e13 + (103/324)e14 - (65/972)e15 - (8/243)e16 - (1/243)e17 - (85/324)e23 + (31/162)e24 + (1/108)e26 - (2/27)e27 + (1/324)e34 - (91/972)e35 - (13/243)e36 + (13/243)e37 - (13/243)e45 - (13/972)e46 - (26/243)e47
+d e2 = (233/324)e12 - (41/162)e13 + (175/324)e14 + (1/108)e16 - (2/27)e17 - (85/324)e23 - (16/81)e24 + (65/972)e25 + (8/243)e26 + (1/243)e27 - (125/324)e34 - (13/243)e35 - (13/972)e36 - (26/243)e37 + (91/972)e45 + (13/243)e46 - (13/243)e47
+d e3 = (13/108)e12 - (8/27)e13 - (7/108)e14 + (35/972)e15 + (5/243)e16 - (5/243)e17 + (13/108)e23 - (7/54)e24 + (5/243)e25 + (5/972)e26 + (10/243)e27 - (25/108)e34 + (11/324)e35 + (2/81)e36 - (5/81)e37 + (14/243)e45 + (23/972)e46 + (10/243)e47
+d e4 = -(67/324)e12 - (29/162)e13 - (29/324)e14 + (5/243)e15 + (5/972)e16 + (10/243)e17 - (25/324)e23 - (10/81)e24 - (35/972)e25 - (5/243)e26 + (5/243)e27 + (247/324)e34 + (14/243)e35 + (23/972)e36 + (10/243)e37 - (11/324)e45 - (2/81)e46 + (5/81)e47
+d e5 = (8/9)e12 + (14/9)e13 + (8/9)e14 - (1/54)e16 + (4/27)e17 + (8/9)e23 - (14/9)e24 - (1/18)e26 + (4/9)e27 + (8/9)e34 + (1/54)e36 - (4/27)e37 - (5/54)e46 + (20/27)e47 + (2/243)e56 - (16/243)e57 - (8/243)e67
+d e6 = -(16/9)e12 + (8/9)e13 + (2/9)e14 + (1/54)e15 + (2/27)e17 + (2/9)e23 - (8/9)e24 + (1/18)e25 + (2/9)e27 - (16/9)e34 - (1/54)e35 - (2/27)e37 + (5/54)e45 + (10/27)e47 - (4/243)e56 + (32/243)e57 + (16/243)e67
+d e7 = -(2/9)e12 - (8/9)e13 + (16/9)e14 - (4/27)e15 - (2/27)e16 + (16/9)e23 + (8/9)e24 - (4/9)e25 - (2/9)e26 - (2/9)e34 + (4/27)e35 + (2/27)e36 - (20/27)e45 - (10/27)e46 - (1/486)e56 + (4/243)e57 + (2/243)e67
+qc horizontal 1 2 3 4 vertical 5 6 7 scale 2
+omega1 = (4/9)e12 + (7/9)e13 + (4/9)e14 + (4/9)e23 - (7/9)e24 + (4/9)e34
+omega2 = -(8/9)e12 + (4/9)e13 + (1/9)e14 + (1/9)e23 - (4/9)e24 - (8/9)e34
+omega3 = -(1/9)e12 - (4/9)e13 + (8/9)e14 + (8/9)e23 + (4/9)e24 - (1/9)e34
+"""
 
 PIPELINE_CASES = (
     ("g1", None),
@@ -19,6 +38,7 @@ PIPELINE_CASES = (
     ("heisenberg", None),
     ("prop31_family", "-1"),
     ("prop31_family", "-1/3"),
+    ("g2_rot", None),
 )
 
 
@@ -38,7 +58,7 @@ def _unpack_symmetric(vals):
 
 
 def pipeline(name, mu=None):
-    doc = document(name)
+    doc = parse(G2_ROTATED) if name == "g2_rot" else document(name)
     g = doc.to_algebra()
     if mu is not None:
         g = specialize(g, Fraction(mu))
@@ -142,6 +162,13 @@ def test_wqc_pair_antisymmetries(name):
     for a, b, c, d in itertools.product(range(4), repeat=4):
         assert w[a][b][c][d] == -w[b][a][c][d]
         assert w[a][b][c][d] == -w[a][b][d][c]
+
+
+def test_wqc_dense_frame():
+    w, p = wqc("g2_rot")
+    assert p.s_value == Fraction(-1, 6)
+    assert w[0][1][0][1] == Fraction(55, 486)
+    assert not is_qc_conformally_flat(w)
 
 
 def test_wqc_decomposition_slot_identity_g1():

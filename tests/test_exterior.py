@@ -18,7 +18,6 @@ from qcalc.exterior import (
     form_coords,
     monomials,
     substitute_form,
-    wedge,
 )
 from qcalc.scalars import variable
 
