@@ -29,6 +29,7 @@ from .qc import (
     from_hcomps,
     hcolumn,
     hcomps,
+    matmul,
     restrict_h,
 )
 from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, variable
@@ -131,15 +132,9 @@ def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4
     """g(T_r Z, Y) = (T0(-I_r Z, Y) - T0(Z, I_r Y)) / 4, as matrices on H."""
     endos = []
     for m in frame.complex_structures:
-        endo = [[Fraction(0)] * 4 for _ in range(4)]
-        for a in range(4):  # component along e_a
-            for b in range(4):  # argument e_b
-                first = -sum(
-                    (m[c][b] * t0[c][a] for c in range(4)), Fraction(0)
-                )
-                second = sum((t0[b][c] * m[c][a] for c in range(4)), Fraction(0))
-                endo[a][b] = (first - second) / 4
-        endos.append(endo)
+        # p[x][y] = T0(e_x, I_r e_y); T0 is symmetric, so T0(I_r e_b, e_a) = p[a][b]
+        p = matmul(t0, m)
+        endos.append([[-(p[a][b] + p[b][a]) / 4 for b in range(4)] for a in range(4)])
     return endos[0], endos[1], endos[2]
 
 

@@ -22,6 +22,7 @@ from .exterior import (
     Flag,
     Form,
     LieAlgebra,
+    betti_numbers,
     cohomology_dim,
     search_flag,
     substitute_form,
@@ -331,7 +332,7 @@ def _cmd_cohomology(args, fmt: str) -> int:
 
         _emit(out, fmt, lines)
         return 0
-    out = {"name": g.name, "betti": [cohomology_dim(g, k) for k in range(g.dim + 1)]}
+    out = {"name": g.name, "betti": betti_numbers(g)}
 
     def lines(o):
         for k, b in enumerate(o["betti"]):

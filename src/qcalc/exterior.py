@@ -8,12 +8,14 @@ is recovered through the convention d(alpha)(X, Y) = -alpha([X, Y]).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 
 from . import linalg
 from .errors import InternalError, InvalidFlag, ParametricNotSupported
-from .scalars import Poly, Scalar, is_zero, substitute
+from .scalars import Poly, Scalar, is_zero, rational_roots, substitute
 
 Index = tuple[int, ...]
 
@@ -368,25 +370,31 @@ def derived_and_central_series(g: LieAlgebra) -> dict:
     }
 
 
+def _rank_d(g: LieAlgebra, j: int) -> int:
+    """Rank of the differential d_j from j-forms to (j+1)-forms."""
+    if j < 0 or j >= g.dim:
+        return 0
+    target = monomials(g.dim, j + 1)
+    rows = [
+        form_coords(g.d(Form.make(g.dim, j, {key: Fraction(1)})), target)
+        for key in monomials(g.dim, j)
+    ]
+    return linalg.rank(rows)
+
+
 def cohomology_dim(g: LieAlgebra, k: int) -> int:
     """dim H^k = dim ker(d_k) - rank(d_{k-1}), over the rationals."""
     require_rational(g)
-
-    def rank_d(j: int) -> int:
-        if j < 0 or j >= g.dim:
-            return 0
-        source = monomials(g.dim, j)
-        target = monomials(g.dim, j + 1)
-        rows = [
-            form_coords(g.d(Form.make(g.dim, j, {key: Fraction(1)})), target)
-            for key in source
-        ]
-        return linalg.rank(rows)
-
     if k < 0 or k > g.dim:
         return 0
-    n_k = len(monomials(g.dim, k))
-    return n_k - rank_d(k) - rank_d(k - 1)
+    return len(monomials(g.dim, k)) - _rank_d(g, k) - _rank_d(g, k - 1)
+
+
+def betti_numbers(g: LieAlgebra) -> list[int]:
+    """dim H^k for k = 0..n, building and ranking each differential once."""
+    require_rational(g)
+    ranks = [_rank_d(g, j) for j in range(-1, g.dim + 1)]  # ranks[j + 1] = rank d_j
+    return [len(monomials(g.dim, k)) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -471,42 +479,40 @@ def _table_bracket(table, u: list[Fraction], v: list[Fraction]) -> list[Fraction
     return out
 
 
-def _common_eigenvectors(table) -> list[list[list[Fraction]]]:
+def _common_eigenvectors(table) -> Iterator[list[list[Fraction]]]:
     """Candidate subspaces of simultaneous rational eigenvectors of all ad maps.
 
-    Backtracks over the rational-eigenvalue choice per adjoint map; each yielded
-    subspace is nonzero and every vector in it is a common eigenvector.
+    Backtracks over the rational-eigenvalue choice per adjoint map, depth
+    first in ascending eigenvalue order; each yielded subspace is nonzero and
+    every vector in it is a common eigenvector.  Each map's eigenvalues are
+    computed once per call, however many branches reach it.
     """
-    from .scalars import rational_roots
-
     n = len(table)
-    maps = []
-    for i in range(n):
-        maps.append([[table[i][j][r] for j in range(n)] for r in range(n)])
     # maps[i][r][j] = r-component of [e_i, e_j]
+    maps = [[[table[i][j][r] for j in range(n)] for r in range(n)] for i in range(n)]
 
-    results: list[list[list[Fraction]]] = []
+    @cache
+    def eigenvalues(i: int) -> list[Fraction]:
+        d, cp = linalg.char_poly(maps[i])
+        return sorted(Fraction(y, d) for y in rational_roots(cp))
 
-    def refine(space: list[list[Fraction]], remaining: list) -> None:
-        if not space:
+    def refine(perp: list[list[Fraction]], i: int) -> Iterator[list[list[Fraction]]]:
+        # the current subspace is the annihilator of the rows in perp
+        if linalg.rank(perp) == n:
             return
-        if not remaining:
-            results.append(space)
+        if i == n:
+            yield linalg.kernel(perp, n)
             return
-        m = remaining[0]
+        m = maps[i]
         if all(all(c == 0 for c in row) for row in m):
-            refine(space, remaining[1:])
+            yield from refine(perp, i + 1)
             return
-        for lam in sorted(rational_roots(linalg.char_poly(m))):
-            shifted = [
-                [m[r][c] - (lam if r == c else Fraction(0)) for c in range(n)]
-                for r in range(n)
-            ]
-            eig = linalg.kernel(shifted, n)
-            refine(linalg.intersect_rowspaces(space, eig, n), remaining[1:])
+        for lam in eigenvalues(i):
+            # the rows of M - lam I annihilate exactly the lam-eigenspace of M
+            shifted = [[m[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
+            yield from refine(perp + shifted, i + 1)
 
-    refine(linalg.identity(n), maps)
-    return results
+    yield from refine([], 0)
 
 
 def _find_ideal_chain(table) -> list[list[list[Fraction]]] | None:

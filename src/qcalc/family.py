@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotALieAlgebra
-from .exterior import Form, LieAlgebra, cohomology_dim, derived_and_central_series
-from .scalars import Poly, Scalar, rational_roots
+from .exterior import Form, LieAlgebra, betti_numbers, derived_and_central_series
+from .scalars import Poly, Scalar, poly_gcd, rational_roots
 
 
 class AllValues:
@@ -42,20 +42,17 @@ def jacobi_constraints(fam: LieAlgebra) -> list[Scalar]:
 
 
 def solve_family(fam: LieAlgebra) -> set[Fraction] | AllValues:
-    """Common rational roots of all constraints; AllValues when there are none."""
+    """Common rational roots of all constraints; AllValues when there are none.
+
+    The common roots are the roots of the constraints' gcd, found once.
+    """
     constraints = jacobi_constraints(fam)
     if not constraints:
         return ALL_VALUES
-    roots: set[Fraction] | None = None
-    for c in constraints:
-        if isinstance(c, Poly):
-            here = rational_roots(c)
-        else:
-            here = set()  # a nonzero constant constraint admits nothing
-        roots = here if roots is None else roots & here
-        if not roots:
-            return set()
-    return roots
+    if not all(isinstance(c, Poly) for c in constraints):
+        return set()  # a nonzero constant constraint admits nothing
+    common = poly_gcd(constraints)
+    return rational_roots(common) if isinstance(common, Poly) else set()
 
 
 def specialize(fam: LieAlgebra, value: Fraction) -> LieAlgebra:
@@ -92,7 +89,7 @@ def fingerprint(g: LieAlgebra) -> dict:
     """Basis-invariant distinguishing data: Betti numbers plus series flags."""
     series = derived_and_central_series(g)
     return {
-        "betti": [cohomology_dim(g, k) for k in range(g.dim + 1)],
+        "betti": betti_numbers(g),
         "nilpotent": series["is_nilpotent"],
         "solvable": series["is_solvable"],
     }

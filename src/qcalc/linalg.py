@@ -45,7 +45,7 @@ def _cleared(row: Row) -> list[int]:
     den = 1
     for c in row:
         den = lcm(den, c.denominator)
-    return [int(c * den) for c in row]
+    return [c.numerator * (den // c.denominator) for c in row]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -95,35 +95,31 @@ def in_rowspace(rows: Matrix, vec: Row) -> bool:
     return rank(base + [vec]) == rank(base)
 
 
-def intersect_rowspaces(a: Matrix, b: Matrix, ncols: int) -> Matrix:
-    """Basis of rowspace(a) ∩ rowspace(b) via double orthogonal complement."""
-    perp = kernel(a, ncols) + kernel(b, ncols)
-    return kernel(perp, ncols)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def char_poly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M), coefficients lowest degree first.
+def char_poly(m: Matrix) -> tuple[int, list[int]]:
+    """(d, c) with d*M integral and c = det(xI - d*M), lowest degree first.
 
-    Faddeev-LeVerrier: exact in Fraction arithmetic, no pivoting worries.
+    Denominators are cleared once, and Faddeev-LeVerrier runs on the integer
+    matrix A = d*M in plain ints: every division by k is exact, since A's
+    characteristic polynomial is monic with integer coefficients.  That of M
+    is the sum of c[k] x^k / d^(n-k), and its rational eigenvalues are y / d
+    for the integer roots y of c.
     """
     n = len(m)
-    coeffs_high = [ONE]  # leading coefficient of x^n
-    mk = identity(n)
+    d = 1
+    for row in m:
+        for c in row:
+            d = lcm(d, c.denominator)
+    a = [[c.numerator * (d // c.denominator) for c in row] for row in m]
+    coeffs_high = [1]  # leading coefficient of x^n
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        ck = -Fraction(sum(mk[i][i] for i in range(n)), k)
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs_high.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    return list(reversed(coeffs_high))
+    return d, list(reversed(coeffs_high))

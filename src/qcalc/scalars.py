@@ -187,66 +187,156 @@ def linear_coeffs(x: Scalar, var: str) -> tuple[Fraction, Fraction]:
     return x.coeff(1), x.coeff(0)
 
 
-def rational_roots(p: Poly | list[Fraction]) -> set[Fraction]:
-    """All rational roots, by content extraction + root theorem + deflation.
+def rational_roots(p: Poly | list[Fraction] | list[int]) -> set[Fraction]:
+    """All rational roots, without multiplicity.
 
-    Accepts a Poly or a raw low-first coefficient list.  Multiplicities are
-    discarded.  The zero polynomial is rejected with ZeroPolynomial since
-    every value would qualify.
+    Accepts a Poly or a raw low-first coefficient list.  The coefficients are
+    cleared to a primitive integer polynomial a_n x^n + ... + a_0, and
+    y = a_n x turns it into the monic a_n^(n-1) p(y / a_n), whose rational
+    roots are integers (``integer_roots``).  The zero polynomial is rejected
+    with ZeroPolynomial since every value would qualify.
     """
     coeffs = list(p.coeffs) if isinstance(p, Poly) else list(p)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         raise ZeroPolynomial("every value is a root of 0")
-    roots: set[Fraction] = set()
-    lo = 0
-    while coeffs[lo] == 0:
-        lo += 1
-    if lo > 0:
-        roots.add(ZERO)
-        coeffs = coeffs[lo:]
-    while len(coeffs) > 1:
-        ints = _primitive(coeffs)
-        r = _find_root(ints)
-        if r is None:
-            break
-        roots.add(r)
-        coeffs = _deflate(coeffs, r)
-    return roots
+    ints = _primitive(coeffs)
+    lead, n = ints[-1], len(ints) - 1
+    monic = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    return {Fraction(y, lead) for y in integer_roots(monic)}
 
 
-def _primitive(coeffs: list[Fraction]) -> list[int]:
+def integer_roots(coeffs: list[int]) -> list[int]:
+    """Distinct integer roots of an integer polynomial (low-first), ascending.
+
+    Polynomial in the bit size of the coefficients.  The squarefree part's
+    Sturm sequence counts the real roots in any interval (lo, hi]; bisection
+    on integers narrows each interval that holds a root down to width 1, and
+    its one integer hi is a root if the polynomial vanishes there exactly.
+    Every integer root divides the lowest nonzero coefficient, which bounds
+    the search.
+    """
+    f = _trim(list(coeffs))
+    if not f:
+        raise ZeroPolynomial("every value is a root of 0")
+    low = next(k for k, c in enumerate(f) if c != 0)
+    roots = [0] if low else []
+    if len(f) - low == 1:
+        return roots
+    f = _squarefree(f[low:])
+    seq = _sturm(f)
+    bound = abs(f[0])
+    stack = [(-bound - 1, bound, _variations(seq, -bound - 1), _variations(seq, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _eval(f, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _variations(seq, mid)
+        stack.append((mid, hi, v_mid, v_hi))
+        stack.append((lo, mid, v_lo, v_mid))
+    return sorted(roots)
+
+
+def poly_gcd(polys: list[Poly]) -> Scalar:
+    """Monic greatest common divisor of nonempty Polys in one indeterminate;
+    a plain 1 when they share no factor."""
+    var = polys[0].var
+    g = _primitive(list(polys[0].coeffs))
+    for p in polys[1:]:
+        g = _int_gcd(g, _primitive(list(_coerce(p, var).coeffs)))
+    return _make(var, [Fraction(c, g[-1]) for c in g])
+
+
+# Integer polynomials below are low-first lists of ints without trailing
+# zeros; the empty list is the zero polynomial.
+
+
+def _primitive(coeffs: list[Fraction] | list[int]) -> list[int]:
+    """Integer multiple with coprime entries and a positive leading one."""
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [v // content for v in ints]
 
 
-def _find_root(ints: list[int]) -> Fraction | None:
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = ZERO
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return cand
-    return None
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _deflate(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Exact synthetic division of a low-first polynomial by (x - r)."""
-    high = list(reversed(coeffs))
-    out = [high[0]]
-    for c in high[1:-1]:
-        out.append(c + r * out[-1])
-    return list(reversed(out))
+def _eval(p: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a modulo b."""
+    r = list(a)
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead = b[-1]
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        _trim(r)
+    return r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd by the primitive remainder sequence."""
+    while b:
+        r = _prem(a, b)
+        a, b = b, (_primitive(r) if r else r)
+    return _primitive(a)
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f'): the same roots, each simple; primitive."""
+    g = _int_gcd(_primitive(f), _primitive(_derivative(f)))
+    q = [0] * (len(f) - len(g) + 1)
+    r = list(f)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for i, c in enumerate(g):
+            r[k + i] -= q[k] * c
+    return _primitive(q)
+
+
+def _sturm(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of a squarefree f, each entry a positive multiple of the
+    classical one, so sign variations are unchanged."""
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        content = gcd(*r)
+        seq.append([-c // content for c in r])
+    return seq
+
+
+def _variations(seq: list[list[int]], x: int) -> int:
+    """Sign changes along the sequence at x, zeros skipped."""
+    count, prev = 0, 0
+    for p in seq:
+        v = _eval(p, x)
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                count += 1
+            prev = v
+    return count

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from qcalc.catalog import names, source
+from qcalc.exterior import verify_flag
+from qcalc.parser import parse
 
 REPORT_KEYS = [
     "name",
@@ -26,7 +28,7 @@ REPORT_KEYS = [
 ]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("QCALC_FORMAT", None)
     if env_extra:
@@ -36,6 +38,7 @@ def run(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -277,6 +280,20 @@ def test_flag_search(so3_r4):
     out = jout(run("flag", "search", so3_r4, "--format", "json"))
     assert out["found"] is False
     assert out["flag"] is None
+
+
+def test_flag_search_large_coefficients_finishes(tmp_path):
+    # ad(e1) has characteristic polynomial x (x + 1000)^3 = x^4 + ... + 10^9 x;
+    # trying every divisor of 10^9 as a root took over a minute
+    text = "algebra big dim 4\nd e1 = 0\nd e2 = 1000 e12\nd e3 = 1000 e13\nd e4 = 1000 e14\n"
+    path = tmp_path / "big.alg"
+    path.write_text(text)
+    out = jout(run("flag", "search", str(path), "--format", "json", timeout=20))
+    assert out["found"] is True
+    flag_line = "flag = " + " | ".join(", ".join(level) for level in out["flag"])
+    doc = parse(text + flag_line + "\n")
+    ok, reason = verify_flag(doc.to_algebra(), doc.to_flag())
+    assert ok, reason
 
 
 def test_wqc():

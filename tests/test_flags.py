@@ -6,6 +6,25 @@ import pytest
 from qcalc.catalog import document
 from qcalc.errors import InvalidFlag
 from qcalc.exterior import Flag, Form, LieAlgebra, search_flag, verify_flag
+from qcalc.parser import parse
+
+# g1 in a dense orthonormal coframe of height 3, as written by perfbench/gen.py's
+# rotated_input(random.Random(3), "g1", 3, "g1_rot"): the characteristic
+# polynomials of its adjoint maps have integer coefficients of up to 220 bits.
+G1_ROTATED_H3 = """\
+algebra g1_rot dim 7
+d e1 = (4529520324/45284661475)e12 - (1304054136/9056932295)e13 - (5361117132/45284661475)e14 - (200628366/2682159605)e15 - (34087155/536431921)e16 - (10384812/2682159605)e17 + (27881600472/45284661475)e23 - (128746254/1811386459)e24 + (1099940778/2682159605)e25 - (137443392/536431921)e26 - (105679944/2682159605)e27 + (37633794396/45284661475)e34 + (586888488/2682159605)e35 + (148398750/536431921)e36 + (54788616/2682159605)e37 - (360156129/2682159605)e45 - (162128694/536431921)e46 - (69251508/2682159605)e47
+d e2 = -(8456592132/45284661475)e12 - (676939686/9056932295)e13 + (959676786/45284661475)e14 - (2955593/233231270)e15 + (2933574/536431921)e16 + (2607006/2682159605)e17 - (23008079586/45284661475)e23 + (4580918424/9056932295)e24 - (19807122/2682159605)e25 - (181382601/2682159605)e26 - (17526708/2682159605)e27 + (6556401947/45284661475)e34 + (130373391/2682159605)e35 - (5550186/536431921)e36 - (7140708/2682159605)e37 - (125175054/2682159605)e45 - (442793/233231270)e46 + (3673494/2682159605)e47
+d e3 = -(150275562/45284661475)e12 + (4522434048/9056932295)e13 - (22955220984/45284661475)e14 + (88262898/2682159605)e15 - (65156195/1072863842)e16 - (19284714/2682159605)e17 - (42737963136/45284661475)e23 + (1731845737/1811386459)e24 + (642313641/2682159605)e25 + (131439126/536431921)e26 + (44432532/2682159605)e27 + (13572548352/45284661475)e34 - (427249614/2682159605)e35 + (102379875/536431921)e36 + (65613852/2682159605)e37 + (1017894799/5364319210)e45 - (73162518/536431921)e46 - (53695326/2682159605)e47
+d e4 = (22277338116/45284661475)e12 + (4501184748/9056932295)e13 - (15656398718/45284661475)e14 + (151784121/2682159605)e15 - (25139382/536431921)e16 - (17678268/2682159605)e17 + (35238920868/45284661475)e23 - (7165491132/9056932295)e24 + (373450536/2682159605)e25 + (899792118/2682159605)e26 + (77746824/2682159605)e27 - (11429345286/45284661475)e34 - (624982698/2682159605)e35 + (67214448/536431921)e36 + (54591624/2682159605)e37 + (647685102/2682159605)e45 - (160080999/2682159605)e46 - (37702332/2682159605)e47
+d e5 = -(322078/190969)e12 - (133944/190969)e13 + (155568/190969)e14 + (437262/2200295)e16 + (43848/2200295)e17 + (155568/190969)e23 + (133944/190969)e24 - (816366/2200295)e26 - (81864/2200295)e27 - (322078/190969)e34 - (1516416/2200295)e36 - (152064/2200295)e37 + (1276963/2200295)e46 + (128052/2200295)e47 - (2154/130321)e56 - (216/130321)e57 - (72/130321)e67
+d e6 = (197304/190969)e12 - (281902/190969)e13 + (165768/190969)e14 - (437262/2200295)e15 + (14616/2200295)e17 + (165768/190969)e23 + (281902/190969)e24 + (816366/2200295)e25 - (27288/2200295)e27 + (197304/190969)e34 + (1516416/2200295)e35 - (50688/2200295)e37 - (1276963/2200295)e45 + (42684/2200295)e47 + (6462/130321)e56 + (648/130321)e57 + (216/130321)e67
+d e7 = (56688/190969)e12 + (220152/190969)e13 + (306914/190969)e14 - (43848/2200295)e15 - (14616/2200295)e16 + (306914/190969)e23 - (220152/190969)e24 + (81864/2200295)e25 + (27288/2200295)e26 + (56688/190969)e34 + (152064/2200295)e35 + (50688/2200295)e36 - (128052/2200295)e45 - (42684/2200295)e46 - (128881/260642)e56 - (6462/130321)e57 - (2154/130321)e67
+qc horizontal 1 2 3 4 vertical 5 6 7 scale 2
+omega1 = -(161039/190969)e12 - (66972/190969)e13 + (77784/190969)e14 + (77784/190969)e23 + (66972/190969)e24 - (161039/190969)e34
+omega2 = (98652/190969)e12 - (140951/190969)e13 + (82884/190969)e14 + (82884/190969)e23 + (140951/190969)e24 + (98652/190969)e34
+omega3 = (28344/190969)e12 + (110076/190969)e13 + (153457/190969)e14 + (153457/190969)e23 - (110076/190969)e24 + (28344/190969)e34
+"""
 
 
 def alg(name, mu=None):
@@ -119,6 +138,14 @@ def test_search_heisenberg_finds_flag():
 @pytest.mark.parametrize("name,mu", [("g1", None), ("g2", None), ("prop31_family", "-1"), ("prop31_family", "-1/3")])
 def test_search_solvable_catalog(name, mu):
     g = alg(name, mu)
+    flag = search_flag(g)
+    assert flag is not None
+    ok, reason = verify_flag(g, flag)
+    assert ok, reason
+
+
+def test_search_dense_height3_finds_flag():
+    g = parse(G1_ROTATED_H3).to_algebra()
     flag = search_flag(g)
     assert flag is not None
     ok, reason = verify_flag(g, flag)

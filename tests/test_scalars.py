@@ -1,15 +1,19 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc.errors import IndeterminateMismatch, Inconsistent, Underdetermined, ZeroPolynomial
+from qcalc.linalg import char_poly
 from qcalc.scalars import (
     Poly,
+    integer_roots,
     is_zero,
     linear_coeffs,
     poly,
+    poly_gcd,
     rat,
     rational_roots,
     scalar_str,
@@ -151,3 +155,124 @@ def test_rational_roots_rejects_zero_polynomial():
         rational_roots([Fraction(0), Fraction(0)])
     with pytest.raises(ZeroPolynomial):
         rational_roots([])
+    with pytest.raises(ZeroPolynomial):
+        integer_roots([0])
+
+
+def times(a, b):
+    """Product of two low-first coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_integer_roots_specific():
+    assert integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
+    # (2x - 1)(x - 3): only the integer root
+    assert integer_roots([3, -7, 2]) == [3]
+    # x^2 (x + 4)^3: zero and a repeated root, each once
+    assert integer_roots(times([0, 0, 1], times([4, 1], times([4, 1], [4, 1])))) == [-4, 0]
+    assert integer_roots([5]) == []
+    # char polynomial sized coefficients: roots near 10^9 and a large gap
+    assert integer_roots(times([-(10**9), 1], [10**9 + 7, 1])) == [-(10**9) - 7, 10**9]
+
+
+def test_rational_roots_repeated_factor_keeps_every_root():
+    # (x + 1)^2 (2x + 1)(x + 6): the repeated factor must not hide -1/2
+    coeffs = times(times([1, 1], [1, 1]), times([1, 2], [6, 1]))
+    assert rational_roots(coeffs) == {Fraction(-1), Fraction(-1, 2), Fraction(-6)}
+
+
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+)
+
+
+def is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+# (c, b, a) for a x^2 + b x + c, whose discriminant is not a square
+irreducible_quadratics = st.tuples(
+    st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+).filter(lambda t: not is_square(t[1] ** 2 - 4 * t[0] * t[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(big_rationals, st.integers(1, 3), max_size=4),
+    st.lists(irreducible_quadratics, max_size=1),
+)
+def test_rational_roots_recovers_planted_roots(planted, quadratics):
+    # integer polynomial prod (q x - p)^m [* irreducible quadratic]
+    coeffs = [1]
+    for r, mult in planted.items():
+        for _ in range(mult):
+            coeffs = times(coeffs, [-r.numerator, r.denominator])
+    for q in quadratics:
+        coeffs = times(coeffs, list(q))
+    assert rational_roots(coeffs) == set(planted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=3),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(lambda c: c[-1] != 0),
+)
+def test_rational_roots_match_sympy(linear, rest):
+    sympy = pytest.importorskip("sympy")
+    coeffs = list(rest)
+    for p, q in linear:
+        coeffs = times(coeffs, [-p, q])
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+    expected = set()
+    for f, _ in factors:
+        if f.degree() == 1:
+            a, b = f.all_coeffs()
+            expected.add(Fraction(int(-b), int(a)))
+    assert rational_roots(coeffs) == expected
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination in Fractions."""
+    m = [list(r) for r in m]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_char_poly_matches_fraction_determinant(m):
+    # det(tI - M) at n + 1 points pins the monic degree-n polynomial down
+    n = len(m)
+    d, c = char_poly(m)
+    assert all((d * x).denominator == 1 for row in m for x in row)
+    assert len(c) == n + 1 and c[-1] == 1
+    for t in range(n + 1):
+        t = Fraction(t, 3)
+        shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+        value = sum((Fraction(ck, d ** (n - k)) * t**k for k, ck in enumerate(c)), Fraction(0))
+        assert value == fraction_det(shifted)
+
+
+def test_poly_gcd():
+    mu = variable("mu")
+    a = (3 * mu + 1) * (mu + 1) * (mu - 2)
+    b = 5 * (mu + 1) * (3 * mu + 1) * (mu * mu + 1)
+    assert poly_gcd([a, b]) == mu * mu + Fraction(4, 3) * mu + Fraction(1, 3)
+    assert poly_gcd([a, mu * mu + 1]) == Fraction(1)
+    assert poly_gcd([a]) == a / 3
