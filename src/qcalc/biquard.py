@@ -9,6 +9,7 @@ curvature, and a self-consistency audit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,20 +20,26 @@ from .errors import (
     NotIntegrable,
     NotQuaternionic,
 )
-from .exterior import Form, LieAlgebra, Vec, dot, require_rational, substitute_form
+from .exterior import (
+    Form,
+    LieAlgebra,
+    Vec,
+    _bracket_table,
+    dot,
+    require_rational,
+    substitute_form,
+)
+from .linalg import common_denominator, scaled
 from .qc import (
     Matrix4,
     QCFrame,
-    apply_endo,
     check_bi1,
     check_compatibility,
-    from_hcomps,
     hcolumn,
-    hcomps,
     matmul,
     restrict_h,
 )
-from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, variable
+from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
 
 S_NAME = "S"
 
@@ -220,42 +227,53 @@ class Connection:
         return out
 
 
+def _dense(*tables) -> tuple[int, list]:
+    """Clear [a][b] -> vector tables of Fractions to one denominator E: (E, int tables)."""
+    den = common_denominator(x for t in tables for row in t for vec in row for x in vec)
+    return den, [[scaled(row, den) for row in t] for t in tables]
+
+
+def _gamma_table(conn: Connection) -> list:
+    n = conn.dim
+    return [[conn.gamma[(a, b)].comps for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+
+def _torsion_table(torsion: Torsion) -> list:
+    n = torsion.dim
+    return [[torsion.value(a, b).comps for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+
+def _koszul(k: list) -> list:
+    """k_abc - k_bca + k_cab for every a, b, c of a dense table."""
+    r = range(len(k))
+    return [[[k[a][b][c] - k[b][c][a] + k[c][a][b] for c in r] for b in r] for a in r]
+
+
+def _connection(table: list, den: int) -> Connection:
+    n = len(table)
+    return Connection(n, {
+        (a + 1, b + 1): Vec(tuple(Fraction(x, den) for x in table[a][b]))
+        for a in range(n)
+        for b in range(n)
+    })
+
+
 def levi_civita(g: LieAlgebra) -> Connection:
-    """Koszul formula for a left-invariant metric (identity in this basis)."""
-    br = {
-        (a, b): g.bracket(a, b)
-        for a in range(1, g.dim + 1)
-        for b in range(1, g.dim + 1)
-    }
-    gamma = {}
-    for a in range(1, g.dim + 1):
-        for b in range(1, g.dim + 1):
-            comps = []
-            for c in range(1, g.dim + 1):
-                val = br[(a, b)].comp(c) - br[(b, c)].comp(a) + br[(c, a)].comp(b)
-                comps.append(val / 2)
-            gamma[(a, b)] = Vec(tuple(comps))
-    return Connection(g.dim, gamma)
+    """Koszul formula for a left-invariant metric (identity in this basis):
+    Gamma_abc = (C_abc - C_bca + C_cab) / 2 with C_abc = [e_a, e_b]_c."""
+    den, (c,) = _dense(_bracket_table(g))
+    return _connection(_koszul(c), 2 * den)
 
 
 def biquard_connection(g: LieAlgebra, lc: Connection, torsion: Torsion) -> Connection:
-    """Add the standard torsion correction to the Levi-Civita coefficients."""
-    gamma = {}
-    for a in range(1, g.dim + 1):
-        ea = Vec.basis(g.dim, a)
-        for b in range(1, g.dim + 1):
-            eb = Vec.basis(g.dim, b)
-            comps = []
-            for c in range(1, g.dim + 1):
-                ec = Vec.basis(g.dim, c)
-                corr = (
-                    dot(torsion.value(a, b), ec)
-                    - dot(torsion.value(b, c), ea)
-                    + dot(torsion.value(c, a), eb)
-                )
-                comps.append(lc.nabla(a, b).comp(c) + corr / 2)
-            gamma[(a, b)] = Vec(tuple(comps))
-    return Connection(g.dim, gamma)
+    """Add the standard torsion correction (T_abc - T_bca + T_cab) / 2 to the
+    Levi-Civita coefficients, with T_abc = T(e_a, e_b)_c."""
+    den, (lci, t) = _dense(_gamma_table(lc), _torsion_table(torsion))
+    corr = _koszul(t)
+    return _connection(
+        [[[2 * x + y for x, y in zip(u, v)] for u, v in zip(ua, va)] for ua, va in zip(lci, corr)],
+        2 * den,
+    )
 
 
 def connection_torsion(g: LieAlgebra, conn: Connection) -> Torsion:
@@ -268,23 +286,39 @@ def connection_torsion(g: LieAlgebra, conn: Connection) -> Torsion:
 
 
 def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int], Scalar]:
-    """(0,4) curvature on all basis 4-tuples, first-pair antisymmetric."""
-    riem: dict[tuple[int, int, int, int], Scalar] = {}
-    for a in range(1, g.dim + 1):
-        ea = Vec.basis(g.dim, a)
-        for b in range(1, g.dim + 1):
-            eb = Vec.basis(g.dim, b)
-            br = g.bracket(a, b)
-            for c in range(1, g.dim + 1):
-                ec = Vec.basis(g.dim, c)
-                vec = (
-                    conn.nabla_vec(ea, conn.nabla(b, c))
-                    - conn.nabla_vec(eb, conn.nabla(a, c))
-                    - conn.nabla_vec(br, ec)
-                )
-                for dd in range(1, g.dim + 1):
-                    riem[(a, b, c, dd)] = vec.comp(dd)
-    return riem
+    """(0,4) curvature on all basis 4-tuples, first-pair antisymmetric.
+
+    R(a,b,c,d) = Sum_m (Gamma_bcm Gamma_amd - Gamma_acm Gamma_bmd - C_abm Gamma_mcd):
+    with A_x the matrix A_x[c][d] = Gamma_xcd, the block of (a, b) is
+    A_b A_a - A_a A_b - Sum_m C_abm A_m.  Gamma and C are cleared to one
+    denominator E, so each block is an integer matrix over E^2; the blocks
+    with a < b are computed and the others follow by antisymmetry.
+    """
+    n = g.dim
+    e, (gam, br) = _dense(_gamma_table(conn), _bracket_table(g))
+    blocks = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            r = [
+                [x - y for x, y in zip(u, v)]
+                for u, v in zip(matmul(gam[b], gam[a]), matmul(gam[a], gam[b]))
+            ]
+            for m, k in enumerate(br[a][b]):
+                if k:
+                    r = [[x - k * y for x, y in zip(u, v)] for u, v in zip(r, gam[m])]
+            blocks[(a, b)] = r
+            blocks[(b, a)] = [[-x for x in row] for row in r]
+    zero = [[0] * n] * n
+    # one Fraction per distinct value: R is antisymmetric in (c, d) as well
+    fracs = {x: Fraction(x, e * e) for r in blocks.values() for row in r for x in row}
+    fracs[0] = Fraction(0)
+    return {
+        (a + 1, b + 1, c + 1, d + 1): fracs[x]
+        for a in range(n)
+        for b in range(n)
+        for c, row in enumerate(blocks.get((a, b), zero))
+        for d, x in enumerate(row)
+    }
 
 
 @dataclass(frozen=True)
@@ -350,43 +384,50 @@ def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
 
 
 def audit(p: Pipeline) -> list[dict]:
-    """Named self-consistency checks; all must pass for a trustworthy report."""
-    g, frame = p.g, p.frame
-    checks: list[dict] = []
+    """Named self-consistency checks; all must pass for a trustworthy report.
 
-    ok = all(
-        is_zero(p.conn.nabla(a, b).comp(c) + p.conn.nabla(a, c).comp(b))
-        for a in range(1, g.dim + 1)
-        for b in range(1, g.dim + 1)
-        for c in range(1, g.dim + 1)
+    The connection and curvature checks compare plain ints: Gamma, the
+    structure constants and the torsion are cleared to one denominator E,
+    and each side of an equation is scaled by the same positive integer.
+    """
+    g, frame = p.g, p.frame
+    n = g.dim
+    checks: list[dict] = []
+    e, (gam, br, t) = _dense(
+        _gamma_table(p.conn), _bracket_table(g), _torsion_table(p.torsion)
     )
+    hor, ver = [i - 1 for i in frame.horizontal], [i - 1 for i in frame.vertical]
+    span = range(n)
+
+    ok = all(gam[a][b][x] + gam[a][x][b] == 0 for a in span for b in span for x in span)
     checks.append({"name": "metric_compatibility", "passed": ok})
 
-    hset, vset = set(frame.horizontal), set(frame.vertical)
-    ok = True
-    for a in range(1, g.dim + 1):
-        for b in range(1, g.dim + 1):
-            vec = p.conn.nabla(a, b)
-            wrong = vset if b in hset else hset
-            if any(not is_zero(vec.comp(i)) for i in wrong):
-                ok = False
+    ok = not any(gam[a][b][i] for a in span for b in span for i in (ver if b in hor else hor))
     checks.append({"name": "preserves_splitting", "passed": ok})
 
+    # nabla_a (I_i e_b) - I_i (nabla_a e_b)|_H == -alpha_j(e_a) I_k e_b + alpha_k(e_a) I_j e_b,
+    # as full vectors, both sides times E q f (I_r = J_r / q, alpha_r(e_a) = al[r][a] / f)
     i_mats = frame.complex_structures
-    alphas_n = [substitute_form(al, p.s_value) for al in p.alphas]
+    q = common_denominator(x for m in i_mats for row in m for x in row)
+    js = [scaled(m, q) for m in i_mats]
+    alpha = [[substitute(al.coeff((a,)), p.s_value) for a in range(1, n + 1)] for al in p.alphas]
+    f = common_denominator(x for row in alpha for x in row)
+    al = scaled(alpha, f)
     ok = True
-    for (i, j, k) in CYCLES:
-        for a in range(1, g.dim + 1):
-            ea = Vec.basis(g.dim, a)
-            aj = alphas_n[j].evaluate([ea])
-            ak = alphas_n[k].evaluate([ea])
-            for bpos in range(4):
-                lhs = p.conn.nabla_vec(ea, hcolumn(frame, i_mats[i], bpos)) - from_hcomps(
-                    frame, apply_endo(i_mats[i], hcomps(frame, p.conn.nabla(a, frame.horizontal[bpos])))
-                )
-                rhs = -aj * hcolumn(frame, i_mats[k], bpos) + ak * hcolumn(frame, i_mats[j], bpos)
-                if lhs != rhs:
-                    ok = False
+    for i, j, k in CYCLES:
+        ji_t = [list(col) for col in zip(*js[i])]
+        for a in span:
+            # row b: E q nabla_a (I_i e_b) and E q I_i (nabla_a e_b)|_H
+            rows = [gam[a][x] for x in hor]
+            moved = matmul(ji_t, rows)
+            turned = matmul([[row[y] for y in hor] for row in rows], ji_t)
+            for b in range(4):
+                lhs = [f * x for x in moved[b]]
+                rhs = [0] * n
+                for x in range(4):
+                    lhs[hor[x]] -= f * turned[b][x]
+                    rhs[hor[x]] = e * (al[k][a] * js[j][x][b] - al[j][a] * js[k][x][b])
+                ok = ok and lhs == rhs
     checks.append({"name": "rotates_complex_structures", "passed": ok})
 
     ok = True
@@ -404,30 +445,22 @@ def audit(p: Pipeline) -> list[dict]:
                 ok = False
     checks.append({"name": "torsion_endo_properties", "passed": ok})
 
+    # Sum_ab I_r[b][a] R(x, y, e_a, e_b) == 4 rho_r(x, y), with R on H cleared to r_den
+    h, span4 = frame.horizontal, range(4)
+    keys = list(itertools.product(h, repeat=4))
+    r_den = common_denominator(p.riem[key] for key in keys)
+    ri = dict(zip(keys, scaled([[p.riem[key] for key in keys]], r_den)[0]))
     rhos_n = [substitute_form(r, p.s_value) for r in p.rhos]
-    ok = True
-    for rho, m in zip(rhos_n, i_mats):
-        for xpos in range(4):
-            for ypos in range(4):
-                x_idx, y_idx = frame.horizontal[xpos], frame.horizontal[ypos]
-                total: Scalar = Fraction(0)
-                for a in range(4):
-                    for bpos in range(4):
-                        if is_zero(m[bpos][a]):
-                            continue
-                        total = total + m[bpos][a] * p.riem[
-                            (x_idx, y_idx, frame.horizontal[a], frame.horizontal[bpos])
-                        ]
-                if total != 4 * rho.evaluate([Vec.basis(g.dim, x_idx), Vec.basis(g.dim, y_idx)]):
-                    ok = False
-        if not ok:
-            break
+    ok = all(
+        Fraction(sum(m[b][a] * ri[(x, y, h[a], h[b])] for a in span4 for b in span4), q * r_den)
+        == 4 * (rho.coeff((x, y)) if x < y else -rho.coeff((y, x)))
+        for rho, m in zip(rhos_n, js)
+        for x in h
+        for y in h
+    )
     checks.append({"name": "ricci_from_curvature", "passed": ok})
 
-    total = Fraction(0)
-    for a_idx in frame.horizontal:
-        for b_idx in frame.horizontal:
-            total += p.riem[(b_idx, a_idx, a_idx, b_idx)]
+    total = Fraction(sum(ri[(b, a, a, b)] for a in h for b in h), r_den)
     checks.append({"name": "scalar_from_curvature", "passed": total == 24 * p.s_value})
 
     t12 = p.torsion.value(frame.vertical[0], frame.vertical[1])
@@ -435,11 +468,12 @@ def audit(p: Pipeline) -> list[dict]:
         {"name": "scalar_from_torsion", "passed": -dot(t12, frame.xis[2]) == p.s_value}
     )
 
-    recomputed = connection_torsion(g, p.conn)
+    # T(e_a, e_b) == nabla_a e_b - nabla_b e_a - [e_a, e_b], all over E
     ok = all(
-        recomputed.value(a, b) == p.torsion.value(a, b)
-        for a in range(1, g.dim + 1)
-        for b in range(a + 1, g.dim + 1)
+        gam[a][b][x] - gam[b][a][x] - br[a][b][x] == t[a][b][x]
+        for a in span
+        for b in range(a + 1, n)
+        for x in span
     )
     checks.append({"name": "torsion_roundtrip", "passed": ok})
 

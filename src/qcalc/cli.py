@@ -231,8 +231,8 @@ def _cmd_check(args, fmt: str) -> int:
     from .qc import check_bi1, check_compatibility
 
     _, g, frame = _load_specialized(args)
-    out: dict = {"name": g.name, "jacobi": g.is_valid, "qc_valid": None, "bi1": None}
     ok = g.is_valid
+    out: dict = {"name": g.name, "jacobi": ok, "qc_valid": None, "bi1": None}
     if ok and frame is not None:
         out["qc_valid"] = check_compatibility(g, frame)
         if out["qc_valid"]:

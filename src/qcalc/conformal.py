@@ -9,33 +9,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import common_denominator, scaled
 from .qc import Matrix4, QCFrame, matmul
 from .scalars import Scalar, is_zero
 
 Tensor4H = list  # [a][b][c][d] -> Scalar
 
 
-def _zero4() -> Tensor4H:
-    return [
-        [[[Fraction(0) for _ in range(4)] for _ in range(4)] for _ in range(4)]
-        for _ in range(4)
-    ]
-
-
 def kulkarni_nomizu(mu: Matrix4, nu: Matrix4) -> Tensor4H:
     """(mu @ nu)(X,Y,Z,V) = mu(X,Z)nu(Y,V) + mu(Y,V)nu(X,Z) - mu(Y,Z)nu(X,V) - mu(X,V)nu(Y,Z)."""
-    out = _zero4()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    out[a][b][c][d] = (
-                        mu[a][c] * nu[b][d]
-                        + mu[b][d] * nu[a][c]
-                        - mu[b][c] * nu[a][d]
-                        - mu[a][d] * nu[b][c]
-                    )
-    return out
+    r = range(4)
+    return [
+        [
+            [
+                [
+                    mu[a][c] * nu[b][d] + mu[b][d] * nu[a][c] - mu[b][c] * nu[a][d] - mu[a][d] * nu[b][c]
+                    for d in r
+                ]
+                for c in r
+            ]
+            for b in r
+        ]
+        for a in r
+    ]
 
 
 def wqc_tensor(
@@ -50,43 +46,35 @@ def wqc_tensor(
     + S/4 (omega_s @ omega_s + 4 omega_s x omega_s)] + S/4 g @ g, with @ the
     Kulkarni-Nomizu product, L0 = T0 / 2, omega_s = -I_s and
     D_s(X, Y) = T0(X, I_s Y) - T0(I_s X, Y).
+
+    It is evaluated in integers: with T0 = T/q, I_s = J_s/q and S = sigma/q
+    over one q, and D_s = (T J_s - J_s^t T)/q^2,
+    4 q^3 (W - R) = g @ (2 q^2 T + sigma q^2 g) + Sum_s [J_s @ (2 T J_s + sigma J_s)
+    + 2 (J_s x D_s + D_s x J_s) + 4 sigma J_s x J_s].
     """
     i_mats = frame.complex_structures
-    h = frame.horizontal
-    gm = [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]
-    l0 = [[t0[a][b] / 2 for b in range(4)] for a in range(4)]
-    om_mats = [[[-x for x in row] for row in m] for m in i_mats]
-    # (I_s L0)(X, Y) = -L0(X, I_s Y), i.e. the matrix -L0 . I_s
-    isl0 = [[[-x for x in row] for row in matmul(l0, m)] for m in i_mats]
-    d_mats = []
-    for m in i_mats:
-        t0_i = matmul(t0, m)
-        it_t0 = matmul([list(col) for col in zip(*m)], t0)
-        d_mats.append([[t0_i[a][b] - it_t0[a][b] for b in range(4)] for a in range(4)])
+    h, r = frame.horizontal, range(4)
+    q = common_denominator([s_value, *(x for m in (t0, *i_mats) for row in m for x in row)])
+    t, js = scaled(t0, q), [scaled(m, q) for m in i_mats]
+    sigma, qq, den = s_value.numerator * (q // s_value.denominator), q * q, 4 * q**3
+    delta = [[int(a == b) for b in r] for a in r]
+    base = kulkarni_nomizu(delta, [[2 * qq * t[a][b] + sigma * qq * delta[a][b] for b in r] for a in r])
+    terms = []
+    for j in js:
+        tj, jt_t = matmul(t, j), matmul([list(col) for col in zip(*j)], t)
+        dm = [[tj[a][b] - jt_t[a][b] for b in r] for a in r]
+        kn = kulkarni_nomizu(j, [[2 * tj[a][b] + sigma * j[a][b] for b in r] for a in r])
+        terms.append((j, dm, kn))
 
-    w = _zero4()
-    gg = kulkarni_nomizu(gm, gm)
-    g_l0 = kulkarni_nomizu(gm, l0)
-    om_knp = [kulkarni_nomizu(om_mats[s], isl0[s]) for s in range(3)]
-    omom = [kulkarni_nomizu(om_mats[s], om_mats[s]) for s in range(3)]
-    quarter_s = s_value / 4
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    val: Scalar = riem[(h[a], h[b], h[c], h[d])]
-                    val = val + g_l0[a][b][c][d]
-                    for s in range(3):
-                        om, dm = om_mats[s], d_mats[s]
-                        val = val + om_knp[s][a][b][c][d]
-                        cross = om[a][b] * dm[c][d] + om[c][d] * dm[a][b]
-                        val = val - cross / 2
-                        val = val + quarter_s * (
-                            omom[s][a][b][c][d] + 4 * om[a][b] * om[c][d]
-                        )
-                    val = val + quarter_s * gg[a][b][c][d]
-                    w[a][b][c][d] = val
-    return w
+    def entry(a: int, b: int, c: int, d: int) -> Fraction:
+        x = base[a][b][c][d]
+        for j, dm, kn in terms:
+            x += kn[a][b][c][d] + 2 * (j[a][b] * dm[c][d] + dm[a][b] * j[c][d])
+            x += 4 * sigma * j[a][b] * j[c][d]
+        rv = riem[(h[a], h[b], h[c], h[d])]
+        return Fraction(rv.numerator * den + x * rv.denominator, rv.denominator * den)
+
+    return [[[[entry(a, b, c, d) for d in r] for c in r] for b in r] for a in r]
 
 
 def is_qc_conformally_flat(w: Tensor4H) -> bool:

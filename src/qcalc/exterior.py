@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InternalError, InvalidFlag, ParametricNotSupported
-from .scalars import Poly, Scalar, is_zero, rational_roots, substitute
+from .scalars import ZERO, Poly, Scalar, is_zero, rational_roots, substitute
 
 Index = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class Form:
         return Form.make(dim, 1, {(i,): Fraction(1)})
 
     def coeff(self, idx: Index) -> Scalar:
-        return self.terms.get(idx, Fraction(0))
+        return self.terms.get(idx, ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -245,15 +245,18 @@ class LieAlgebra:
 
     def d(self, f: Form) -> Form:
         """Chevalley-Eilenberg differential, extended as an antiderivation."""
-        out = Form.zero(self.dim, f.degree + 1)
+        out: dict[Index, Scalar] = {}
         for key, c in f.terms.items():
             for pos, i in enumerate(key):
-                rest = Form.make(
-                    self.dim, len(key) - 1, {key[:pos] + key[pos + 1 :]: c}
-                )
-                piece = self.differential(i).wedge(rest)
-                out = out + (piece if pos % 2 == 0 else -piece)
-        return out
+                rest = key[:pos] + key[pos + 1 :]
+                for k2, c2 in self.differential(i).terms.items():
+                    srt = _sort_with_sign(k2 + rest)
+                    if srt is None:
+                        continue
+                    idx, sign = srt
+                    term = sign * c2 * c
+                    out[idx] = out.get(idx, ZERO) + (term if pos % 2 == 0 else -term)
+        return Form.make(self.dim, f.degree + 1, out)
 
     def jacobi_check(self) -> list[Form]:
         """d(d e^k) for every k with nonzero result; empty means Lie algebra."""
@@ -427,15 +430,17 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
     n = g.dim
     if flag.dim != n or len(flag.levels) != n:
         raise InvalidFlag(f"flag must have {n} levels over dimension {n}")
+    rank_here = None  # rank of level i, when level i - 1's containment check computed it
     for i in range(1, n + 1):
         rows = flag.level_rows(i)
         if len(rows) != i or any(len(r) != n for r in rows):
             raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
-        if linalg.rank(rows) != i:
+        if (linalg.rank(rows) if rank_here is None else rank_here) != i:
             raise InvalidFlag(f"level {i} covectors are linearly dependent")
         if i < n:
             above = flag.level_rows(i + 1)
-            if any(not linalg.in_rowspace(above, r) for r in rows):
+            rank_here = linalg.rank(above)
+            if linalg.rank(above + rows) != rank_here:
                 raise InvalidFlag(f"level {i} is not contained in level {i + 1}")
 
     basis2 = monomials(n, 2)
@@ -449,18 +454,23 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
             for s in range(i)
             for t in range(s + 1, i)
         ]
+        wedge_rank = linalg.rank(wedge_rows)
         for t, alpha in enumerate(one_forms):
             da = form_coords(g.d(alpha), basis2)
-            if any(c != 0 for c in da) and not linalg.in_rowspace(wedge_rows, da):
+            if any(c != 0 for c in da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
                 return False, f"d of covector {t + 1} in level {i} leaves Lambda^2 V^{i}"
     return True, None
 
 
-def _bracket_table(g: LieAlgebra) -> list[list[list[Fraction]]]:
-    return [
-        [list(g.bracket(i + 1, j + 1).comps) for j in range(g.dim)]
-        for i in range(g.dim)
-    ]
+def _bracket_table(g: LieAlgebra) -> list[list[list[Scalar]]]:
+    """table[i][j][k] = [e_i, e_j]_k (0-based), read off the nonzero terms of each d e^k."""
+    n = g.dim
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for k, form in enumerate(g.differentials):
+        for (i, j), c in form.terms.items():
+            table[i - 1][j - 1][k] = -c
+            table[j - 1][i - 1][k] = c
+    return table
 
 
 def _table_bracket(table, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:

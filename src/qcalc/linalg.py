@@ -19,7 +19,7 @@ ONE = Fraction(1)
 
 def rank(rows: Matrix) -> int:
     """Rank via Bareiss fraction-free elimination on cleared integers."""
-    m = [_cleared(r) for r in rows if any(c != 0 for c in r)]
+    m = [scaled([r], common_denominator(r))[0] for r in rows if any(c != 0 for c in r)]
     if not m:
         return 0
     ncols = len(m[0])
@@ -41,11 +41,14 @@ def rank(rows: Matrix) -> int:
     return r
 
 
-def _cleared(row: Row) -> list[int]:
-    den = 1
-    for c in row:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in row]
+def common_denominator(values) -> int:
+    """The least common denominator of an iterable of Fractions (1 if empty)."""
+    return lcm(*(c.denominator for c in values))
+
+
+def scaled(rows: Matrix, den: int) -> list[list[int]]:
+    """den * rows in plain ints; den must be a common denominator of the entries."""
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -90,11 +93,6 @@ def kernel(rows: Matrix, ncols: int) -> Matrix:
     return basis
 
 
-def in_rowspace(rows: Matrix, vec: Row) -> bool:
-    base = [r for r in rows if any(c != 0 for c in r)]
-    return rank(base + [vec]) == rank(base)
-
-
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -109,11 +107,8 @@ def char_poly(m: Matrix) -> tuple[int, list[int]]:
     for the integer roots y of c.
     """
     n = len(m)
-    d = 1
-    for row in m:
-        for c in row:
-            d = lcm(d, c.denominator)
-    a = [[c.numerator * (d // c.denominator) for c in row] for row in m]
+    d = common_denominator(c for row in m for c in row)
+    a = scaled(m, d)
     coeffs_high = [1]  # leading coefficient of x^n
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import NotQuaternionic
 from .exterior import Form, LieAlgebra, Vec
@@ -100,10 +101,9 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
 
 
 def matmul(x: Matrix4, y: Matrix4) -> Matrix4:
-    return [
-        [sum((x[a][c] * y[c][b] for c in range(4)), Fraction(0)) for b in range(4)]
-        for a in range(4)
-    ]
+    """Product of square matrices of any size, over Fractions or plain ints."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
 def apply_endo(m: Matrix4, comps: list[Scalar]) -> list[Scalar]:
@@ -118,10 +118,10 @@ def hcomps(frame: QCFrame, v: Vec) -> list[Scalar]:
 
 
 def from_hcomps(frame: QCFrame, comps: list[Scalar]) -> Vec:
-    out = Vec.zero(frame.dim)
-    for pos, c in enumerate(comps):
-        out = out + c * frame.hvec(pos)
-    return out
+    out = [Fraction(0)] * frame.dim
+    for i, c in zip(frame.horizontal, comps):
+        out[i - 1] = c
+    return Vec(tuple(out))
 
 
 def hcolumn(frame: QCFrame, m: Matrix4, b: int) -> Vec:

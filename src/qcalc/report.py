@@ -47,9 +47,10 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     audit check fails.  The closedness of the fundamental 4-form, vertical
     integrability, and conformal flatness are reported as findings only.
     """
+    jacobi = g.is_valid
     report: dict = {
         "name": g.name,
-        "jacobi": g.is_valid,
+        "jacobi": jacobi,
         "qc_valid": None,
         "bi1": None,
         "S": None,
@@ -64,7 +65,7 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
         "audit": None,
         "fingerprint": None,
     }
-    if not g.is_valid:
+    if not jacobi:
         return report, False
     report["fingerprint"] = fingerprint(g)
     if frame is None:

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from qcalc.biquard import (
+    Connection,
     connection_torsion,
     levi_civita,
     normalize_scale,
@@ -16,8 +18,11 @@ from qcalc.biquard import (
 from qcalc.catalog import document
 from qcalc.errors import NotIntegrable
 from qcalc.exterior import Form, LieAlgebra, Vec, dot
+from qcalc.parser import parse
 from qcalc.qc import apply_endo, derive_complex_structures, standard_frame
 from qcalc.scalars import is_zero, variable
+from test_conformal import PIPELINE_CASES, pipeline as case_pipeline
+from test_flags import G1_ROTATED_H3
 
 S = variable("S")
 
@@ -328,3 +333,102 @@ def test_family_pipeline_equals_rescaled_twin(mu, twin):
     assert pf.t0 == pt.t0
     assert pf.endos == pt.endos
     assert pf.riem == pt.riem
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction definitions they replaced
+
+def reference_levi_civita(g):
+    """Koszul formula over g.bracket, one Fraction entry at a time."""
+    n = g.dim
+    br = {(a, b): g.bracket(a, b) for a in range(1, n + 1) for b in range(1, n + 1)}
+    return {
+        (a, b): Vec(tuple(
+            (br[(a, b)].comp(c) - br[(b, c)].comp(a) + br[(c, a)].comp(b)) / 2
+            for c in range(1, n + 1)
+        ))
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+    }
+
+
+def reference_canonical(g, lc_gamma, torsion):
+    """The torsion correction through dot, added to the Levi-Civita table."""
+    n = g.dim
+    e = [None] + [Vec.basis(n, i) for i in range(1, n + 1)]
+    return {
+        (a, b): Vec(tuple(
+            lc_gamma[(a, b)].comp(c)
+            + (dot(torsion.value(a, b), e[c]) - dot(torsion.value(b, c), e[a]) + dot(torsion.value(c, a), e[b])) / 2
+            for c in range(1, n + 1)
+        ))
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+    }
+
+
+def reference_curvature(g, conn):
+    """R(a,b,c,.) = nabla_a nabla_b e_c - nabla_b nabla_a e_c - nabla_[a,b] e_c via nabla_vec."""
+    n = g.dim
+    riem = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                vec = (
+                    conn.nabla_vec(Vec.basis(n, a), conn.nabla(b, c))
+                    - conn.nabla_vec(Vec.basis(n, b), conn.nabla(a, c))
+                    - conn.nabla_vec(g.bracket(a, b), Vec.basis(n, c))
+                )
+                for d in range(1, n + 1):
+                    riem[(a, b, c, d)] = vec.comp(d)
+    return riem
+
+
+def rotated_h3_pipeline():
+    doc = parse(G1_ROTATED_H3)
+    return run_pipeline(doc.to_algebra(), doc.to_frame())
+
+
+@pytest.mark.parametrize("name,mu", [*PIPELINE_CASES, ("g1_rot_h3", None)])
+def test_integer_kernels_match_fraction_definitions(name, mu):
+    p = rotated_h3_pipeline() if name == "g1_rot_h3" else case_pipeline(name, mu)
+    lc = reference_levi_civita(p.g)
+    assert p.lc.gamma == lc
+    assert levi_civita(p.g).gamma == lc
+    gamma = reference_canonical(p.g, lc, p.torsion)
+    assert p.conn.gamma == gamma
+    assert list(p.conn.gamma) == list(gamma)
+    assert all(isinstance(x, Fraction) for v in p.conn.gamma.values() for x in v.comps)
+    riem = reference_curvature(p.g, Connection(p.g.dim, gamma))
+    assert p.riem == riem
+    assert list(p.riem) == list(riem)
+    assert all(isinstance(x, Fraction) for x in p.riem.values())
+
+
+def _audit_results(p):
+    return {c["name"]: c["passed"] for c in audit(p)}
+
+
+@pytest.mark.parametrize("name", ["g2", "g2_rot"])
+def test_audit_fails_on_a_changed_christoffel_symbol(name):
+    p = case_pipeline(name)
+    gamma = dict(p.conn.gamma)
+    comps = list(gamma[(1, 2)].comps)
+    comps[2] += Fraction(1, 7)
+    gamma[(1, 2)] = Vec(tuple(comps))
+    results = _audit_results(dataclasses.replace(p, conn=Connection(p.conn.dim, gamma)))
+    assert results["metric_compatibility"] is False
+    assert results["torsion_roundtrip"] is False
+    assert results["ricci_from_curvature"] and results["scalar_from_curvature"]
+
+
+@pytest.mark.parametrize("name", ["g2", "g2_rot"])
+def test_audit_fails_on_a_changed_horizontal_curvature_entry(name):
+    p = case_pipeline(name)
+    h = p.frame.horizontal
+    key = (h[0], h[1], h[1], h[0])
+    riem = {**p.riem, key: p.riem[key] + Fraction(1, 5)}
+    results = _audit_results(dataclasses.replace(p, riem=riem))
+    assert results["ricci_from_curvature"] is False
+    assert results["scalar_from_curvature"] is False
+    assert results["metric_compatibility"] and results["torsion_roundtrip"]

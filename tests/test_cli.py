@@ -320,3 +320,11 @@ def test_wqc_rejects_incompatible_frame(tmp_path):
     assert r.returncode == 1
     assert r.stdout == ""
     assert "omega" in json.loads(r.stderr)["error"]["message"]
+
+
+def test_cli_import_loads_no_heavy_package():
+    # every qcalc process pays for its imports; the exact kernels need none of these
+    code = "import qcalc.cli, sys; print(sorted(m for m in ('numpy', 'sympy', 'hypothesis') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

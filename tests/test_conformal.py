@@ -214,3 +214,46 @@ def test_wqc_omega_traces_vanish(name, mu):
                 for a, b in itertools.product(range(4), repeat=2)
             )
             assert total == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer evaluation of W^qc against its docstring formula in Fractions
+
+
+def reference_wqc(p):
+    """W = R + g @ L0 + Sum_s [omega_s @ I_s L0 - (omega_s x D_s + D_s x omega_s) / 2
+    + S/4 (omega_s @ omega_s + 4 omega_s x omega_s)] + S/4 g @ g, entry by entry."""
+
+    def kn(mu, nu, a, b, c, d):
+        return mu[a][c] * nu[b][d] + mu[b][d] * nu[a][c] - mu[b][c] * nu[a][d] - mu[a][d] * nu[b][c]
+
+    r4 = range(4)
+    s = p.s_value
+    gm = [[Fraction(int(a == b)) for b in r4] for a in r4]
+    l0 = [[p.t0[a][b] / 2 for b in r4] for a in r4]
+    per_s = []
+    for m in p.frame.complex_structures:
+        om = [[-m[a][b] for b in r4] for a in r4]
+        # (I_s L0)(X, Y) = -L0(X, I_s Y); D_s(X, Y) = T0(X, I_s Y) - T0(I_s X, Y)
+        il0 = [[-sum(l0[a][x] * m[x][b] for x in r4) for b in r4] for a in r4]
+        dm = [[sum(p.t0[a][x] * m[x][b] - m[x][a] * p.t0[x][b] for x in r4) for b in r4] for a in r4]
+        per_s.append((om, il0, dm))
+    h = p.frame.horizontal
+    out = {}
+    for a, b, c, d in itertools.product(r4, repeat=4):
+        val = p.riem[(h[a], h[b], h[c], h[d])] + kn(gm, l0, a, b, c, d) + s / 4 * kn(gm, gm, a, b, c, d)
+        for om, il0, dm in per_s:
+            val += kn(om, il0, a, b, c, d)
+            val -= (om[a][b] * dm[c][d] + dm[a][b] * om[c][d]) / 2
+            val += s / 4 * (kn(om, om, a, b, c, d) + 4 * om[a][b] * om[c][d])
+        out[(a, b, c, d)] = val
+    return out
+
+
+@pytest.mark.parametrize("name,mu", [("g2_rot", None), ("prop31_family", "-1/3"), ("g1", None)])
+def test_wqc_matches_fraction_formula(name, mu):
+    w, p = wqc(name, mu)
+    ref = reference_wqc(p)
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        assert isinstance(w[a][b][c][d], Fraction)
+        assert w[a][b][c][d] == ref[(a, b, c, d)], (a, b, c, d)

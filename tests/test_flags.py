@@ -104,6 +104,28 @@ def test_broken_flag_rejected():
     assert reason
 
 
+def test_flag_violation_messages_are_exact():
+    g = alg("heisenberg")
+
+    def row(j):
+        return tuple(Fraction(1) if i == j else Fraction(0) for i in range(1, 8))
+
+    def levels(orders):
+        return tuple(tuple(row(j) for j in order) for order in orders)
+
+    # every level independent, but e2 in level 2 is missing from level 3
+    chain = [[1], [1, 2], [1, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6], list(range(1, 8))]
+    with pytest.raises(InvalidFlag) as err:
+        verify_flag(g, Flag(7, levels(chain)))
+    assert str(err.value) == "level 2 is not contained in level 3"
+    # nested chain; d(e5) = e12 + e34 leaves Lambda^2 <e1, e2, e5>, the first
+    # violation, and later levels break the condition again
+    order = [1, 2, 5, 3, 4, 6, 7]
+    ok, reason = verify_flag(g, Flag(7, levels([order[:i] for i in range(1, 8)])))
+    assert not ok
+    assert reason == "d of covector 3 in level 3 leaves Lambda^2 V^3"
+
+
 def test_malformed_flag_raises():
     g = alg("heisenberg")
     flag = catalog_flag("heisenberg")
