@@ -10,8 +10,9 @@ curvature, and a self-consistency audit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InconsistentCurvature,
@@ -24,9 +25,9 @@ from .exterior import (
     Form,
     LieAlgebra,
     Vec,
-    _bracket_table,
     dot,
     require_rational,
+    scaled_bracket,
     substitute_form,
 )
 from .linalg import common_denominator, scaled
@@ -39,7 +40,7 @@ from .qc import (
     matmul,
     restrict_h,
 )
-from .scalars import Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
+from .scalars import ZERO, Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
 
 S_NAME = "S"
 
@@ -90,19 +91,30 @@ def ricci_forms(
     return rhos[0], rhos[1], rhos[2]
 
 
+def _horizontal_matrix(rho: Form, frame: QCFrame) -> Matrix4:
+    """R[a][b] = rho(e_a, e_b) on horizontal positions."""
+    h = frame.horizontal
+    return [
+        [
+            rho.coeff((x, y)) if x < y else -rho.coeff((y, x)) if x > y else ZERO
+            for y in h
+        ]
+        for x in h
+    ]
+
+
 def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Form, Form, Form]) -> Fraction:
     """Contract each rho_r against I_r and solve the affine equation for the scalar.
 
-    The trace identity Sum_a rho_r(e_a, I_r e_a) = -4S holds in dimension 7
-    because the horizontal torsion is completely trace-free; the three r give
-    one linear equation each and must agree.
+    The trace identity Sum_a rho_r(e_a, I_r e_a) = Sum_ab R_r[a][b] I_r[b][a]
+    = -4S holds in dimension 7 because the horizontal torsion is completely
+    trace-free; the three r give one linear equation each and must agree.
     """
     s_sym = variable(S_NAME)
     values = []
     for rho, m in zip(rhos, frame.complex_structures):
-        contraction: Scalar = Fraction(0)
-        for a in range(4):
-            contraction = contraction + rho.evaluate([frame.hvec(a), hcolumn(frame, m, a)])
+        r = _horizontal_matrix(rho, frame)
+        contraction: Scalar = sum((r[a][b] * m[b][a] for a in range(4) for b in range(4)), ZERO)
         a_coef, b_coef = linear_coeffs(contraction + 4 * s_sym, S_NAME)
         values.append(solve_linear(a_coef, b_coef))
     if len(set(values)) != 1:
@@ -115,19 +127,18 @@ def t0_tensor(
 ) -> Matrix4:
     """Reconstruct the horizontal torsion 2-tensor from the Ricci 2-forms.
 
-    T0(X, Y) = Sum_r rho_r(X, -I_r Y) - 3 S g(X, Y); the result has to come
-    out symmetric and trace-free, which is audited here.
+    T0(X, Y) = Sum_r rho_r(X, -I_r Y) - 3 S g(X, Y), that is
+    T0 = -Sum_r R_r I_r - 3 S g with R_r the matrix of rho_r; the result has
+    to come out symmetric and trace-free, which is audited here.
     """
-    rhos_n = [substitute_form(r, s_value) for r in rhos]
-    t0: Matrix4 = [[Fraction(0)] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            acc: Scalar = Fraction(0)
-            for rho, m in zip(rhos_n, frame.complex_structures):
-                acc = acc + rho.evaluate([frame.hvec(a), -hcolumn(frame, m, b)])
-            if a == b:
-                acc = acc - 3 * s_value
-            t0[a][b] = acc
+    prods = [
+        matmul([[substitute(x, s_value) for x in row] for row in _horizontal_matrix(rho, frame)], m)
+        for rho, m in zip(rhos, frame.complex_structures)
+    ]
+    t0: Matrix4 = [
+        [-sum(p[a][b] for p in prods) - (3 * s_value if a == b else 0) for b in range(4)]
+        for a in range(4)
+    ]
     if any(t0[a][b] != t0[b][a] for a in range(4) for b in range(4)):
         raise InconsistentTorsion("reconstructed tensor is not symmetric")
     if sum(t0[a][a] for a in range(4)) != 0:
@@ -170,30 +181,24 @@ def assemble_torsion(
     endomorphisms, vertical pairs from the scalar and the bracket."""
     slots: dict[tuple[int, int], Vec] = {}
     hset, vset = set(frame.horizontal), set(frame.vertical)
-
-    def vertical_part(v: Vec) -> Vec:
-        out = Vec.zero(g.dim)
-        for i in frame.vertical:
-            out = out + v.comp(i) * Vec.basis(g.dim, i)
-        return out
-
-    def horizontal_part(v: Vec) -> Vec:
-        out = Vec.zero(g.dim)
-        for i in frame.horizontal:
-            out = out + v.comp(i) * Vec.basis(g.dim, i)
-        return out
+    e, table = g.structure_table
 
     for a in range(1, g.dim + 1):
         for b in range(a + 1, g.dim + 1):
             if a in hset and b in hset:
-                slots[(a, b)] = -vertical_part(g.bracket(a, b))
+                br = table[a - 1][b - 1]
+                slots[(a, b)] = Vec(tuple(
+                    Fraction(-x, e) if x and k in vset else ZERO for k, x in enumerate(br, 1)
+                ))
             elif a in vset and b in vset:
                 i, j = frame.vertical.index(a), frame.vertical.index(b)
                 k = 3 - i - j
                 sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
-                slots[(a, b)] = (-sign * s_value) * frame.xis[k] - horizontal_part(
-                    g.bracket_vec(frame.xis[i], frame.xis[j])
-                )
+                br = scaled_bracket(table, frame.xis[i].comps, frame.xis[j].comps)
+                slots[(a, b)] = Vec(tuple(
+                    -sign * s_value * x - (y / e if y and m in hset else 0)
+                    for m, (x, y) in enumerate(zip(frame.xis[k].comps, br), 1)
+                ))
             else:
                 h, v = (a, b) if a in hset else (b, a)
                 r = frame.vertical.index(v)
@@ -227,10 +232,17 @@ class Connection:
         return out
 
 
-def _dense(*tables) -> tuple[int, list]:
-    """Clear [a][b] -> vector tables of Fractions to one denominator E: (E, int tables)."""
-    den = common_denominator(x for t in tables for row in t for vec in row for x in vec)
-    return den, [[scaled(row, den) for row in t] for t in tables]
+def _dense(*tables, brackets: LieAlgebra | None = None) -> tuple[int, list]:
+    """Clear [a][b] -> vector tables of Fractions to one denominator E: (E, int tables).
+
+    With `brackets`, that algebra's structure table comes last, over E too.
+    """
+    e, c = brackets.structure_table if brackets else (1, None)
+    den = lcm(e, common_denominator(x for t in tables for row in t for vec in row for x in vec))
+    out = [[scaled(row, den) for row in t] for t in tables]
+    if c is not None:
+        out.append([[[den // e * x for x in vec] for vec in row] for row in c])
+    return den, out
 
 
 def _gamma_table(conn: Connection) -> list:
@@ -261,7 +273,7 @@ def _connection(table: list, den: int) -> Connection:
 def levi_civita(g: LieAlgebra) -> Connection:
     """Koszul formula for a left-invariant metric (identity in this basis):
     Gamma_abc = (C_abc - C_bca + C_cab) / 2 with C_abc = [e_a, e_b]_c."""
-    den, (c,) = _dense(_bracket_table(g))
+    den, c = g.structure_table
     return _connection(_koszul(c), 2 * den)
 
 
@@ -295,7 +307,7 @@ def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int]
     with a < b are computed and the others follow by antisymmetry.
     """
     n = g.dim
-    e, (gam, br) = _dense(_gamma_table(conn), _bracket_table(g))
+    e, (gam, br) = _dense(_gamma_table(conn), brackets=g)
     blocks = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -353,15 +365,7 @@ def normalize_scale(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]
 
     factor = Fraction(2) / frame.scale
     rescaled = rescale_covectors(g, {v: factor for v in frame.vertical})
-    return rescaled, QCFrame(
-        frame.dim,
-        frame.horizontal,
-        frame.vertical,
-        frame.etas,
-        frame.xis,
-        frame.omegas,
-        Fraction(2),
-    )
+    return rescaled, replace(frame, scale=Fraction(2))
 
 
 def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
@@ -393,9 +397,7 @@ def audit(p: Pipeline) -> list[dict]:
     g, frame = p.g, p.frame
     n = g.dim
     checks: list[dict] = []
-    e, (gam, br, t) = _dense(
-        _gamma_table(p.conn), _bracket_table(g), _torsion_table(p.torsion)
-    )
+    e, (gam, t, br) = _dense(_gamma_table(p.conn), _torsion_table(p.torsion), brackets=g)
     hor, ver = [i - 1 for i in frame.horizontal], [i - 1 for i in frame.vertical]
     span = range(n)
 
@@ -430,23 +432,17 @@ def audit(p: Pipeline) -> list[dict]:
                 ok = ok and lhs == rhs
     checks.append({"name": "rotates_complex_structures", "passed": ok})
 
-    ok = True
-    for endo in p.endos:
-        if any(endo[a][b] != endo[b][a] for a in range(4) for b in range(4)):
-            ok = False
-        if sum(endo[a][a] for a in range(4)) != 0:
-            ok = False
-        for m in i_mats:
-            tr = sum(
-                (sum((endo[a][c] * m[c][a] for c in range(4)), Fraction(0)) for a in range(4)),
-                Fraction(0),
-            )
-            if tr != 0:
-                ok = False
+    span4 = range(4)
+    ok = all(
+        all(endo[a][b] == endo[b][a] for a in span4 for b in span4)
+        and sum(endo[a][a] for a in span4) == 0
+        and all(sum(endo[a][c] * m[c][a] for a in span4 for c in span4) == 0 for m in i_mats)
+        for endo in p.endos
+    )
     checks.append({"name": "torsion_endo_properties", "passed": ok})
 
     # Sum_ab I_r[b][a] R(x, y, e_a, e_b) == 4 rho_r(x, y), with R on H cleared to r_den
-    h, span4 = frame.horizontal, range(4)
+    h = frame.horizontal
     keys = list(itertools.product(h, repeat=4))
     r_den = common_denominator(p.riem[key] for key in keys)
     ri = dict(zip(keys, scaled([[p.riem[key] for key in keys]], r_den)[0]))

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog
@@ -191,16 +192,13 @@ def _load_specialized(args) -> tuple[AlgebraDocument, LieAlgebra, QCFrame | None
     return doc, g, frame
 
 
+def _require_lie(g: LieAlgebra) -> None:
+    if not g.is_valid:
+        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+
+
 def _substitute_frame(frame: QCFrame, value: Fraction) -> QCFrame:
-    return QCFrame(
-        frame.dim,
-        frame.horizontal,
-        frame.vertical,
-        frame.etas,
-        frame.xis,
-        tuple(substitute_form(o, value) for o in frame.omegas),
-        frame.scale,
-    )
+    return replace(frame, omegas=tuple(substitute_form(o, value) for o in frame.omegas))
 
 
 def _substitute_flag(flag: Flag, value: Fraction) -> Flag:
@@ -297,8 +295,7 @@ def _cmd_wqc(args, fmt: str) -> int:
     _, g, frame = _load_specialized(args)
     if frame is None:
         raise _InputError(f"{g.name} has no qc block")
-    if not g.is_valid:
-        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+    _require_lie(g)
     p = run_pipeline(g, frame)
     w = wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
     out = {
@@ -320,8 +317,7 @@ def _cmd_wqc(args, fmt: str) -> int:
 
 def _cmd_cohomology(args, fmt: str) -> int:
     _, g, frame = _load_specialized(args)
-    if not g.is_valid:
-        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+    _require_lie(g)
     if args.k is not None:
         if not 0 <= args.k <= g.dim:
             raise _InputError(f"degree {args.k} outside 0..{g.dim}")
@@ -356,8 +352,7 @@ def _cmd_flag_verify(args, fmt: str) -> int:
         raise ParametricNotSupported(
             f"{g.name} is parametric; specialize it with --param {doc.param}=VALUE"
         )
-    if not g.is_valid:
-        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+    _require_lie(g)
     verified, reason = verify_flag(g, flag)
     out = {"name": g.name, "verified": verified, "reason": reason}
 
@@ -384,8 +379,7 @@ def _flag_level_texts(flag: Flag) -> list[list[str]]:
 
 def _cmd_flag_search(args, fmt: str) -> int:
     _, g, _ = _load_specialized(args)
-    if not g.is_valid:
-        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+    _require_lie(g)
     found = search_flag(g)
     out = {
         "name": g.name,

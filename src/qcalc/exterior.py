@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from operator import mul
 from fractions import Fraction
 
 from . import linalg
@@ -26,14 +27,8 @@ def _sort_with_sign(idx: tuple[int, ...]) -> tuple[Index, int] | None:
     """Sort an index tuple, tracking permutation parity; None if repeated."""
     if len(set(idx)) != len(idx):
         return None
-    perm = list(idx)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1 - i):
-            if perm[j] > perm[j + 1]:
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-                sign = -sign
-    return tuple(perm), sign
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -262,34 +257,47 @@ class LieAlgebra:
         """d(d e^k) for every k with nonzero result; empty means Lie algebra."""
         return [dd for k in range(1, self.dim + 1) if not (dd := self.d(self.differential(k))).is_zero]
 
+    @cached_property
+    def structure_table(self) -> tuple[int, list[list[list[int]]]]:
+        """(E, C) with C[a][b][c] = E * [e_a, e_b]_c in plain ints, 0-based.
+
+        E is the least common denominator of the structure constants; the
+        table is read off the nonzero terms of each d e^c once per algebra
+        and is read-only.  Parametric algebras have none.
+        """
+        require_rational(self)
+        n = self.dim
+        e = linalg.common_denominator(c for f in self.differentials for c in f.terms.values())
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for k, form in enumerate(self.differentials):
+            for (i, j), c in form.terms.items():
+                x = c.numerator * (e // c.denominator)
+                table[i - 1][j - 1][k] = -x
+                table[j - 1][i - 1][k] = x
+        return e, table
+
     @property
     def is_valid(self) -> bool:
-        return not self.jacobi_check()
+        """The Jacobi identity, as cyclic sums of products of structure constants.
+
+        [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b] = 0 for every
+        a < b < c, which is d^2 = 0; the algebra must be rational.
+        """
+        _, t = self.structure_table
+        for a, b, c in itertools.combinations(range(self.dim), 3):
+            acc = [0] * self.dim
+            for u, w in ((t[a][b], c), (t[b][c], a), (t[c][a], b)):
+                for m, x in enumerate(u):
+                    if x:
+                        acc = [s + x * y for s, y in zip(acc, t[m][w])]
+            if any(acc):
+                return False
+        return True
 
     def bracket(self, i: int, j: int) -> Vec:
         """[e_i, e_j]; k-component is -(d e^k)(e_i, e_j)."""
-        comps = []
-        for k in range(1, self.dim + 1):
-            if i == j:
-                comps.append(Fraction(0))
-            elif i < j:
-                comps.append(-self.differential(k).coeff((i, j)))
-            else:
-                comps.append(self.differential(k).coeff((j, i)))
-        return Vec(tuple(comps))
-
-    def bracket_vec(self, u: Vec, v: Vec) -> Vec:
-        out = Vec.zero(self.dim)
-        for i in range(1, self.dim + 1):
-            ci = u.comp(i)
-            if is_zero(ci):
-                continue
-            for j in range(1, self.dim + 1):
-                cj = v.comp(j)
-                if is_zero(cj) or i == j:
-                    continue
-                out = out + (ci * cj) * self.bracket(i, j)
-        return out
+        key, sign = ((i, j), -1) if i < j else ((j, i), 1)  # no term has key (i, i)
+        return Vec(tuple(sign * f.coeff(key) for f in self.differentials))
 
     def substitute(self, value: Fraction) -> LieAlgebra:
         """Specialize the parameter; the result is parameter-free."""
@@ -329,42 +337,43 @@ def require_rational(g: LieAlgebra) -> None:
 # series and cohomology
 
 
-def _span_rows(vectors: list[Vec]) -> list[list[Fraction]]:
-    rows = [list(v.comps) for v in vectors if not v.is_zero]
-    red, _ = linalg.rref(rows)
-    return red
-
-
-def _span_bracket(g: LieAlgebra, a_rows: list[list[Fraction]], b_rows) -> list[list[Fraction]]:
-    prods = [
-        g.bracket_vec(Vec(tuple(u)), Vec(tuple(v)))
-        for u in a_rows
-        for v in b_rows
-    ]
-    return _span_rows(prods)
+def scaled_bracket(table, u, v) -> list:
+    """Sum_ab u_a v_b C[a][b]: E * [u, v] for coordinate rows u, v of the
+    structure table (E, C); the entries have the type of the u_a v_b."""
+    out = [0] * len(table)
+    for a, x in enumerate(u):
+        if not x:
+            continue
+        row = table[a]
+        for b, y in enumerate(v):
+            if y and b != a:
+                f = x * y
+                out = [s + f * t for s, t in zip(out, row[b])]
+    return out
 
 
 def derived_and_central_series(g: LieAlgebra) -> dict:
-    """Dimension sequences of the derived and lower central series."""
-    require_rational(g)
-    full = linalg.identity(g.dim)
+    """Dimension sequences of the derived and lower central series.
+
+    Each term is spanned by integer rows; brackets go through the structure
+    table and spans through fraction-free elimination, so no Fraction is built.
+    """
+    _, table = g.structure_table
+    full = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+
+    def span(pairs) -> list[list[int]]:
+        return linalg.echelon([scaled_bracket(table, u, v) for u, v in pairs])[0]
 
     def run(next_term) -> list[int]:
-        dims = [g.dim]
-        current = full
-        while True:
-            new = next_term(current)
-            ndim = len(new)
-            if ndim == len(current):
-                break
-            dims.append(ndim)
+        # each term lies in the one before; stop when it is zero or stabilizes
+        dims, current = [g.dim], full
+        while dims[-1] and len(new := next_term(current)) < len(current):
+            dims.append(len(new))
             current = new
-            if ndim == 0:
-                break
         return dims
 
-    derived = run(lambda cur: _span_bracket(g, cur, cur))
-    lower_central = run(lambda cur: _span_bracket(g, full, cur))
+    derived = run(lambda cur: span(itertools.combinations(cur, 2)))
+    lower_central = run(lambda cur: span(itertools.product(full, cur)))
     return {
         "derived": derived,
         "lower_central": lower_central,
@@ -373,16 +382,41 @@ def derived_and_central_series(g: LieAlgebra) -> dict:
     }
 
 
+def differential_matrix(g: LieAlgebra, j: int) -> list[list[int]]:
+    """E * d_j in plain ints: one row per j-monomial, one column per (j+1)-monomial.
+
+    d e^k = -Sum_{a<b} [e_a, e_b]_k e^{ab} is read off the structure table
+    (E, C) and extended as an antiderivation on index tuples:
+    d e^I = Sum_pos (-1)^pos d e^{I[pos]} ^ e^{rest}.  Sorting e^{ab} ^ e^{rest}
+    costs one sign per index of the rest below a and below b.
+    """
+    _, table = g.structure_table
+    n = g.dim
+    row_of = {key: pos for pos, key in enumerate(monomials(n, j))}
+    col_of = {key: pos for pos, key in enumerate(monomials(n, j + 1))}
+    rows = [[0] * len(col_of) for _ in row_of]
+    for rest in monomials(n, j - 1) if j else []:
+        free = [t for t in range(1, n + 1) if t not in rest]
+        wedges = [
+            (table[a - 1][b - 1], col_of[tuple(sorted(rest + (a, b)))],
+             sum(t < a for t in rest) + sum(t < b for t in rest))
+            for a, b in itertools.combinations(free, 2)
+        ]
+        for i in free:
+            pos = sum(t < i for t in rest)
+            row = rows[row_of[tuple(sorted(rest + (i,)))]]
+            for br, col, flips in wedges:
+                x = br[i - 1]
+                if x:
+                    row[col] += x if (pos + flips) % 2 else -x
+    return rows
+
+
 def _rank_d(g: LieAlgebra, j: int) -> int:
     """Rank of the differential d_j from j-forms to (j+1)-forms."""
     if j < 0 or j >= g.dim:
         return 0
-    target = monomials(g.dim, j + 1)
-    rows = [
-        form_coords(g.d(Form.make(g.dim, j, {key: Fraction(1)})), target)
-        for key in monomials(g.dim, j)
-    ]
-    return linalg.rank(rows)
+    return linalg.rank(differential_matrix(g, j))
 
 
 def cohomology_dim(g: LieAlgebra, k: int) -> int:
@@ -416,17 +450,11 @@ class Flag:
         return [list(r) for r in self.levels[i - 1]]
 
 
-def _flag_rational_rows(flag: Flag) -> None:
-    for lev in flag.levels:
-        for row in lev:
-            if any(isinstance(c, Poly) for c in row):
-                raise ParametricNotSupported("flag has parametric covectors")
-
-
 def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
     """Check dV^i subset of Lambda^2 V^i for every level; first violation if any."""
     require_rational(g)
-    _flag_rational_rows(flag)
+    if any(isinstance(c, Poly) for lev in flag.levels for row in lev for c in row):
+        raise ParametricNotSupported("flag has parametric covectors")
     n = g.dim
     if flag.dim != n or len(flag.levels) != n:
         raise InvalidFlag(f"flag must have {n} levels over dimension {n}")
@@ -443,50 +471,23 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
             if linalg.rank(above + rows) != rank_here:
                 raise InvalidFlag(f"level {i} is not contained in level {i + 1}")
 
-    basis2 = monomials(n, 2)
+    # the rows of alpha ^ beta and of -E d alpha over the 2-monomials a < b
+    _, table = g.structure_table
+    pairs = list(itertools.combinations(range(n), 2))
     for i in range(1, n + 1):
+        # scaling the covectors changes neither span tested below
         rows = flag.level_rows(i)
-        one_forms = [
-            Form.make(n, 1, {(j + 1,): r[j] for j in range(n)}) for r in rows
-        ]
+        rows = linalg.scaled(rows, linalg.common_denominator(x for r in rows for x in r))
         wedge_rows = [
-            form_coords(one_forms[s].wedge(one_forms[t]), basis2)
-            for s in range(i)
-            for t in range(s + 1, i)
+            [r[a] * s[b] - r[b] * s[a] for a, b in pairs]
+            for r, s in itertools.combinations(rows, 2)
         ]
         wedge_rank = linalg.rank(wedge_rows)
-        for t, alpha in enumerate(one_forms):
-            da = form_coords(g.d(alpha), basis2)
-            if any(c != 0 for c in da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
+        for t, r in enumerate(rows):
+            da = [sum(map(mul, r, table[a][b])) for a, b in pairs]
+            if any(da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
                 return False, f"d of covector {t + 1} in level {i} leaves Lambda^2 V^{i}"
     return True, None
-
-
-def _bracket_table(g: LieAlgebra) -> list[list[list[Scalar]]]:
-    """table[i][j][k] = [e_i, e_j]_k (0-based), read off the nonzero terms of each d e^k."""
-    n = g.dim
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k, form in enumerate(g.differentials):
-        for (i, j), c in form.terms.items():
-            table[i - 1][j - 1][k] = -c
-            table[j - 1][i - 1][k] = c
-    return table
-
-
-def _table_bracket(table, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    n = len(table)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        for j in range(n):
-            if v[j] == 0:
-                continue
-            w = table[i][j]
-            f = u[i] * v[j]
-            for k in range(n):
-                out[k] += f * w[k]
-    return out
 
 
 def _common_eigenvectors(table) -> Iterator[list[list[Fraction]]]:
@@ -564,7 +565,9 @@ def _find_ideal_chain(table) -> list[list[list[Fraction]]] | None:
 def search_flag(g: LieAlgebra) -> Flag | None:
     """Best-effort rational flag search through 1-dimensional ideal quotients."""
     require_rational(g)
-    chain = _find_ideal_chain(_bracket_table(g))
+    # the integer table is E times the bracket table: the same eigenspaces,
+    # in the same order, and the same ideals
+    chain = _find_ideal_chain(g.structure_table[1])
     if chain is None:
         return None
     n = g.dim

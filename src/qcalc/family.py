@@ -58,8 +58,7 @@ def solve_family(fam: LieAlgebra) -> set[Fraction] | AllValues:
 def specialize(fam: LieAlgebra, value: Fraction) -> LieAlgebra:
     """Substitute the parameter and insist the result is a Lie algebra."""
     g = fam.substitute(Fraction(value))
-    bad = g.jacobi_check()
-    if bad:
+    if not g.is_valid:
         raise NotALieAlgebra(
             f"{fam.name} at {fam.param or 'parameter'}={value}: d^2 != 0"
         )
@@ -69,20 +68,11 @@ def specialize(fam: LieAlgebra, value: Fraction) -> LieAlgebra:
 def rescale_covectors(g: LieAlgebra, factors: dict[int, Fraction]) -> LieAlgebra:
     """Pass to the coframe f^k = c_k e^k; structure constants pick up c_k/(c_i c_j)."""
     c = {i: Fraction(factors.get(i, 1)) for i in range(1, g.dim + 1)}
-    diffs = []
-    for k in range(1, g.dim + 1):
-        old = g.differential(k)
-        diffs.append(
-            Form.make(
-                g.dim,
-                2,
-                {
-                    (i, j): coeff * c[k] / (c[i] * c[j])
-                    for (i, j), coeff in old.terms.items()
-                },
-            )
-        )
-    return LieAlgebra(g.name, g.dim, tuple(diffs), g.param)
+    diffs = tuple(
+        Form.make(g.dim, 2, {(i, j): x * c[k] / (c[i] * c[j]) for (i, j), x in f.terms.items()})
+        for k, f in enumerate(g.differentials, 1)
+    )
+    return LieAlgebra(g.name, g.dim, diffs, g.param)
 
 
 def fingerprint(g: LieAlgebra) -> dict:

@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of rows of Fractions.  Ranks go through fraction-free
-(Bareiss) elimination on a denominator-cleared integer copy; reduced echelon
-form and kernels stay in Fraction arithmetic where exactness is free anyway.
+Matrices are plain lists of rows of Fractions (or ints).  Rank, reduced echelon
+form and kernels all go through one fraction-free (Bareiss) elimination on a
+denominator-cleared integer copy; Fractions are built only for the rows a
+function returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -17,32 +19,69 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rank(rows: Matrix) -> int:
-    """Rank via Bareiss fraction-free elimination on cleared integers."""
-    m = [scaled([r], common_denominator(r))[0] for r in rows if any(c != 0 for c in r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
+def echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form: (integer rows, pivot columns).
+
+    Each nonzero row is cleared to coprime integers first, so the rows span
+    the same space as the input; zero rows are dropped, and the result has
+    one row per pivot.  Every division is exact, since each entry is a minor.
+    """
+    m = [_primitive(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    ncols = len(m[0]) if m else 0
     prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        p = m[r][col]
+        # rows below the pivot are zero left of col; only their tails change
+        lead = [0] * (col + 1)
+        tail = m[r][col + 1 :]
         for i in range(r + 1, len(m)):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][col] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == len(m):
-            break
-    return r
+            row = m[i]
+            f = row[col]
+            if f:
+                m[i] = lead + [(x * p - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+            elif p != prev:
+                m[i] = lead + [x * p // prev for x in row[col + 1 :]]
+        prev = p
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def _primitive(row) -> list[int]:
+    """The nonzero row cleared of denominators and divided by its content."""
+    ints = scaled([row], common_denominator(row))[0]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _reduced(rows) -> tuple[list[list[int]], list[int]]:
+    """Integer rows, each a multiple of the matching reduced echelon row."""
+    m, pivots = echelon(rows)
+    for i in reversed(range(len(m))):
+        row = m[i]
+        for k in range(i + 1, len(m)):
+            f, below = row[pivots[k]], m[k]
+            if f:
+                p = below[pivots[k]]
+                row = [x * p - f * y for x, y in zip(row, below)]
+        m[i] = _primitive(row)
+    return m, pivots
+
+
+def rank(rows: Matrix) -> int:
+    """Rank, by fraction-free elimination on cleared integers."""
+    return len(echelon(rows)[1])
 
 
 def common_denominator(values) -> int:
-    """The least common denominator of an iterable of Fractions (1 if empty)."""
+    """The least common denominator of an iterable of Fractions or ints (1 if empty)."""
     return lcm(*(c.denominator for c in values))
 
 
@@ -52,34 +91,16 @@ def scaled(rows: Matrix, den: int) -> list[list[int]]:
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col]
-        m[r] = [c / inv for c in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
+    """Reduced row echelon form (nonzero rows, as Fractions) and pivot columns."""
+    m, pivots = _reduced(rows)
+    return [
+        [Fraction(x, row[p]) if x else ZERO for x in row] for row, p in zip(m, pivots)
+    ], pivots
 
 
 def kernel(rows: Matrix, ncols: int) -> Matrix:
     """Basis of {x : A x = 0}, one vector per free column of the RREF."""
-    if not rows:
-        return [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
-    red, pivots = rref(rows)
+    m, pivots = _reduced(rows)
     basis: Matrix = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -87,8 +108,9 @@ def kernel(rows: Matrix, ncols: int) -> Matrix:
             continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for row, pcol in zip(red, pivots):
-            vec[pcol] = -row[free]
+        for row, pcol in zip(m, pivots):
+            if row[free]:
+                vec[pcol] = Fraction(-row[free], row[pcol])
         basis.append(vec)
     return basis
 
@@ -112,7 +134,8 @@ def char_poly(m: Matrix) -> tuple[int, list[int]]:
     coeffs_high = [1]  # leading coefficient of x^n
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
         ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs_high.append(ck)
         for i in range(n):

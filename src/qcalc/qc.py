@@ -14,8 +14,8 @@ from functools import cached_property
 from operator import mul
 
 from .errors import NotQuaternionic
-from .exterior import Form, LieAlgebra, Vec
-from .scalars import Scalar, is_zero
+from .exterior import Form, LieAlgebra, Vec, scaled_bracket
+from .scalars import Scalar
 
 Matrix4 = list[list[Scalar]]
 
@@ -213,9 +213,10 @@ def d_fundamental_form(g: LieAlgebra, frame: QCFrame) -> Form:
 
 def vertical_integrable(g: LieAlgebra, frame: QCFrame) -> bool:
     """True when vertical brackets stay vertical."""
+    _, table = g.structure_table
     for i in range(3):
         for j in range(i + 1, 3):
-            br = g.bracket_vec(frame.xis[i], frame.xis[j])
-            if any(not is_zero(c) for c in hcomps(frame, br)):
+            br = scaled_bracket(table, frame.xis[i].comps, frame.xis[j].comps)
+            if any(br[h - 1] for h in frame.horizontal):
                 return False
     return True

@@ -15,6 +15,11 @@ from .qc import (
 )
 from .scalars import scalar_str
 
+# the keys after "name" and "jacobi", in output order; each starts as None
+REPORT_KEYS = (
+    "qc_valid", "bi1", "S", "T0", "torsion_endos", "torsion_nonzero", "dOmega_zero",
+    "vertical_integrable", "R_samples", "wqc_samples", "conformally_flat", "audit", "fingerprint",
+)
 SAMPLE_TUPLES = ((1, 2, 1, 2), (1, 3, 1, 3), (1, 4, 1, 4), (3, 4, 3, 4))
 
 
@@ -48,23 +53,7 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     integrability, and conformal flatness are reported as findings only.
     """
     jacobi = g.is_valid
-    report: dict = {
-        "name": g.name,
-        "jacobi": jacobi,
-        "qc_valid": None,
-        "bi1": None,
-        "S": None,
-        "T0": None,
-        "torsion_endos": None,
-        "torsion_nonzero": None,
-        "dOmega_zero": None,
-        "vertical_integrable": None,
-        "R_samples": None,
-        "wqc_samples": None,
-        "conformally_flat": None,
-        "audit": None,
-        "fingerprint": None,
-    }
+    report: dict = {"name": g.name, "jacobi": jacobi, **dict.fromkeys(REPORT_KEYS)}
     if not jacobi:
         return report, False
     report["fingerprint"] = fingerprint(g)

@@ -1,0 +1,312 @@
+"""The integer structure table against the Form definitions it replaced.
+
+`LieAlgebra.structure_table` feeds the Jacobi check, the d_j matrices of the
+Betti numbers, the derived and lower central series and every bracket of a
+rational algebra.  The references here are the Form-based definitions:
+d_j through `g.d` on unit forms, Jacobi as d(d e^k) = 0, brackets as sums of
+`g.bracket(i, j)`, and the series through those brackets and a Fraction
+elimination written in the test.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcalc.biquard import assemble_torsion
+from qcalc.catalog import document
+from qcalc.errors import ParametricNotSupported
+from qcalc.exterior import (
+    Form,
+    LieAlgebra,
+    Vec,
+    betti_numbers,
+    cohomology_dim,
+    derived_and_central_series,
+    differential_matrix,
+    form_coords,
+    monomials,
+    scaled_bracket,
+)
+from qcalc.family import rescale_covectors
+from qcalc.parser import parse
+from qcalc.qc import standard_frame
+from test_conformal import G2_ROTATED, PIPELINE_CASES
+from test_exterior import bracket_vec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator; it never imports qcalc)
+
+NON_LIE = """\
+algebra nonlie dim 7
+d e1 = 0
+d e2 = 0
+d e3 = 0
+d e4 = 0
+d e5 = e12 + e34
+d e6 = e13 + e42
+d e7 = e14 + e23 + e56
+"""
+
+
+def case_algebra(name, mu=None):
+    g = parse(G2_ROTATED).to_algebra() if name == "g2_rot" else document(name).to_algebra()
+    return g.substitute(Fraction(mu)) if mu is not None else g
+
+
+def rotated_algebra(source, h):
+    text, _ = gen.rotated_input(random.Random(100 * h + len(source)), source, h, f"{source}_h{h}")
+    g = parse(text).to_algebra()
+    return g.substitute(Fraction(-1)) if g.parametric else g
+
+
+CASES = [*(f"{n}@{mu}" for n, mu in PIPELINE_CASES)] + [
+    f"rot:{src}:{h}" for h in (1, 2, 3) for src in ("g1", "g2", "heisenberg", "prop31_family")
+]
+
+
+def algebra(case):
+    if case.startswith("rot:"):
+        _, src, h = case.split(":")
+        return rotated_algebra(src, int(h))
+    name, mu = case.split("@")
+    return case_algebra(name, None if mu == "None" else mu)
+
+
+def non_lie():
+    return parse(NON_LIE).to_algebra()
+
+
+# ---------------------------------------------------------------------------
+# Form-based references
+
+
+def reference_d_matrix(g, j):
+    """Rows of d(e^I) over the (j+1)-monomials, through the Form antiderivation g.d."""
+    target = monomials(g.dim, j + 1)
+    return [
+        form_coords(g.d(Form.make(g.dim, j, {key: Fraction(1)})), target)
+        for key in monomials(g.dim, j)
+    ]
+
+
+def fraction_rank(rows):
+    """Rank by plain Fraction Gaussian elimination."""
+    m = [list(r) for r in rows if any(c != 0 for c in r)]
+    rank, ncols = 0, len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_basis(rows):
+    """A basis of the span of rows, by Fraction elimination."""
+    basis = []
+    for r in rows:
+        if fraction_rank(basis + [r]) > len(basis):
+            basis.append(r)
+    return basis
+
+
+def reference_series(g):
+    """The derived and lower central series through bracket_vec and Fraction spans."""
+    n = g.dim
+    full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def span_bracket(a_rows, b_rows):
+        prods = [bracket_vec(g, Vec(tuple(u)), Vec(tuple(v))).comps for u in a_rows for v in b_rows]
+        return fraction_basis([list(p) for p in prods])
+
+    def run(next_term):
+        dims, current = [n], full
+        while True:
+            new = next_term(current)
+            if len(new) == len(current):
+                return dims
+            dims.append(len(new))
+            current = new
+            if not new:
+                return dims
+
+    derived = run(lambda cur: span_bracket(cur, cur))
+    lower = run(lambda cur: span_bracket(full, cur))
+    return {
+        "derived": derived,
+        "lower_central": lower,
+        "is_solvable": derived[-1] == 0,
+        "is_nilpotent": lower[-1] == 0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# entry by entry
+
+
+@pytest.mark.parametrize("case", CASES + ["non-lie"])
+def test_structure_table_matches_basis_brackets(case):
+    g = non_lie() if case == "non-lie" else algebra(case)
+    e, table = g.structure_table
+    assert e > 0 and all(isinstance(x, int) for a in table for b in a for x in b)
+    n = g.dim
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            want = bracket_vec(g, Vec.basis(n, a), Vec.basis(n, b))
+            assert [Fraction(x, e) for x in table[a - 1][b - 1]] == list(want.comps)
+
+
+@pytest.mark.parametrize("case", CASES[:6] + CASES[-4:] + ["non-lie"])
+def test_scaled_bracket_matches_bracket_vec(case):
+    g = non_lie() if case == "non-lie" else algebra(case)
+    e, table = g.structure_table
+    rng = random.Random(7)
+    for _ in range(5):
+        u, v = (
+            Vec(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(g.dim)))
+            for _ in range(2)
+        )
+        got = [x / e for x in scaled_bracket(table, u.comps, v.comps)]
+        assert got == list(bracket_vec(g, u, v).comps)
+
+
+@pytest.mark.parametrize("case", CASES + ["non-lie"])
+def test_differential_matrices_match_form_antiderivation(case):
+    g = non_lie() if case == "non-lie" else algebra(case)
+    e, _ = g.structure_table
+    for j in range(g.dim + 1):
+        got = differential_matrix(g, j)
+        assert [[Fraction(x, e) for x in row] for row in got] == reference_d_matrix(g, j)
+
+
+@pytest.mark.parametrize("case", CASES + ["non-lie"])
+def test_jacobi_matches_d_squared(case):
+    g = non_lie() if case == "non-lie" else algebra(case)
+    assert g.is_valid == (g.jacobi_check() == [])
+    assert g.is_valid == (case != "non-lie")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_betti_numbers_and_series_match_references(case):
+    g = algebra(case)
+    ranks = [0] + [fraction_rank(reference_d_matrix(g, j)) for j in range(g.dim)] + [0]
+    betti = [len(monomials(g.dim, k)) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
+    assert betti_numbers(g) == betti
+    assert [cohomology_dim(g, k) for k in range(g.dim + 1)] == betti
+    assert derived_and_central_series(g) == reference_series(g)
+
+
+def test_non_lie_input_is_rejected_by_both_paths():
+    g = non_lie()
+    assert g.jacobi_check() != []
+    assert not g.is_valid
+    # the differentials of a non-Lie input do not compose to zero on either path
+    d1 = differential_matrix(g, 1)
+    d2 = differential_matrix(g, 2)
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*d2)] for row in d1]
+    assert any(any(row) for row in product)
+
+
+def reference_torsion_slot(g, frame, endos, s_value, a, b):
+    """One slot of the assembled torsion, from g.bracket and bracket_vec."""
+    n = g.dim
+
+    def part(v, keep):
+        return Vec(tuple(v.comp(i) if i in keep else Fraction(0) for i in range(1, n + 1)))
+
+    h, v = frame.horizontal, frame.vertical
+    if a in h and b in h:
+        return -part(g.bracket(a, b), v)
+    if a in v and b in v:
+        i, j = v.index(a), v.index(b)
+        sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
+        return (-sign * s_value) * frame.xis[3 - i - j] - part(
+            bracket_vec(g, frame.xis[i], frame.xis[j]), h
+        )
+    hh, vv = (a, b) if a in h else (b, a)
+    col = [row[h.index(hh)] for row in endos[v.index(vv)]]
+    t_of_h = Vec(tuple(col[h.index(i)] if i in h else Fraction(0) for i in range(1, n + 1)))
+    return t_of_h if a in v else -t_of_h
+
+
+@pytest.mark.parametrize("case", ["vertical-bracket", "g2@None", "rot:g2:2"])
+def test_assembled_torsion_matches_bracket_definition(case):
+    if case == "vertical-bracket":
+        # d e1 = e56 and d e5 = 2 e12: [xi_1, xi_2] = -e1 is horizontal
+        z = Form.zero(7, 2)
+        diffs = [Form.monomial(7, Fraction(1), (5, 6))] + [z] * 6
+        diffs[4] = Form.monomial(7, Fraction(2), (1, 2))
+        g = LieAlgebra("vb", 7, tuple(diffs), None)
+    else:
+        g = algebra(case)
+    frame = standard_frame()
+    rng = random.Random(3)
+    endos = [[[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+             for _ in range(3)]
+    s_value = Fraction(-3, 7)
+    torsion = assemble_torsion(g, frame, endos, s_value)
+    for (a, b), slot in torsion.slots.items():
+        assert slot == reference_torsion_slot(g, frame, endos, s_value, a, b), (a, b)
+    if case == "vertical-bracket":
+        assert torsion.value(5, 6).comp(1) != 0
+
+
+def test_structure_table_requires_a_rational_algebra():
+    fam = document("prop31_family").to_algebra()
+    with pytest.raises(ParametricNotSupported):
+        fam.structure_table
+    with pytest.raises(ParametricNotSupported):
+        fam.is_valid
+    assert fam.jacobi_check() != []  # the Form diagnostic still works on families
+
+
+def test_structure_table_is_computed_once_per_algebra():
+    g = case_algebra("g2")
+    assert g.structure_table is g.structure_table
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: rescaling the coframe changes no invariant
+
+
+CATALOG = [("g1", None), ("g2", None), ("heisenberg", None), ("prop31_family", "-1"),
+           ("prop31_family", "-1/3")]
+
+factors = st.lists(
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4).filter(lambda x: x != 0),
+    min_size=7,
+    max_size=7,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(factors)
+def test_rescaling_covectors_preserves_the_invariants(cs):
+    scale = dict(zip(range(1, 8), cs))
+    for name, mu in CATALOG:
+        g = case_algebra(name, mu)
+        h = rescale_covectors(g, scale)
+        assert h.is_valid and g.is_valid
+        assert betti_numbers(h) == betti_numbers(g)
+        assert derived_and_central_series(h) == derived_and_central_series(g)
+    bad = rescale_covectors(non_lie(), scale)
+    assert not bad.is_valid
+    assert bad.jacobi_check() != []
+
+
+def test_rescaling_stresses_the_common_denominator():
+    # c_k / (c_i c_j) has the factor 97 in its denominator
+    g = rescale_covectors(case_algebra("g2"), {k: Fraction(97 * k, k + 1) for k in range(1, 8)})
+    e, _ = g.structure_table
+    assert e % 97 == 0
+    assert betti_numbers(g) == betti_numbers(case_algebra("g2"))
+
