@@ -1,0 +1,204 @@
+"""Compare the qcalc command line of two source trees, run by run.
+
+Run as:  python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are `src` directories holding the `qcalc` package; the
+parent commit's tree can be had with
+`git archive HEAD src | tar -x -C /tmp/parent` (then pass /tmp/parent/src).
+Each run is one `python -m qcalc.cli` process per tree, with PYTHONPATH set
+to that tree, and stdout, stderr and the exit code must be identical.
+
+Every input goes through `report`, `wqc`, `check`, `cohomology` (all degrees
+and `--k 3`), `flag search`, `flag verify` and `family solve`, in JSON and in
+text.  The inputs are the catalog (`prop31_family` at both roots and
+unspecialized), `perfbench/gen.py` rotations of all four catalog algebras at
+heights 1-3, relabelled copies (the basis permuted, the qc split moved along,
+vertical sets like (1, 2, 3) and (2, 5, 7)), a document that fails the
+vertical duality conditions, one whose omega_1 has a term off H, and one that
+is not a Lie algebra.  Only the standard library is used; gen.py is imported
+read-only.
+
+Exits 0 when every run agrees and 1 at the first difference, printing its
+argv and the differing field.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (never imports qcalc)
+
+COMMANDS = (
+    ["report"],
+    ["wqc"],
+    ["check"],
+    ["cohomology"],
+    ["cohomology", "--k", "3"],
+    ["flag", "search"],
+    ["flag", "verify"],
+    ["family", "solve"],
+)
+FORMATS = ("json", "text")
+ROOTS = ("mu=-1", "mu=-1/3")
+HEIGHTS = (1, 2, 3)
+TIMEOUT_S = 300
+JOBS = 4
+
+# old position -> new index, for positions 1..7; the qc split moves along
+RELABELLINGS = (
+    (4, 5, 6, 7, 1, 2, 3),  # vertical (1, 2, 3)
+    (1, 3, 4, 6, 2, 5, 7),  # vertical (2, 5, 7)
+    (7, 3, 1, 5, 6, 2, 4),  # neither block in increasing order
+)
+
+HEISENBERG = """\
+algebra {name} dim 7
+d e1 = 0
+d e2 = 0
+d e3 = 0
+d e4 = 0
+d e5 = e12 + e34
+d e6 = {de6}
+d e7 = e14 + e23
+qc horizontal 1 2 3 4 vertical 5 6 7 scale 1
+omega1 = {omega1}
+omega2 = e13 + e42
+omega3 = e14 + e23
+"""
+
+SPECIAL = {
+    # Lie and compatible, but (xi_1 . d eta_2)|_H and (xi_2 . d eta_3)|_H fail duality
+    "not_bi1": HEISENBERG.format(name="not_bi1", de6="e13 - e24 + e27 + e45", omega1="e12 + e34"),
+    # omega_1 has a term off H, so d eta_1|_H != omega_1
+    "off_h": HEISENBERG.format(name="off_h", de6="e13 + e42", omega1="e12 + e34 + e56"),
+    "nonlie": HEISENBERG.format(name="nonlie", de6="e13 + e42", omega1="e12 + e34").replace(
+        "d e7 = e14 + e23", "d e7 = e14 + e23 + e56"
+    ),
+}
+
+
+def relabelled_text(name: str, eqs, scale, perm, parametric: bool) -> str:
+    """The .alg text of the algebra in the basis e'_{perm[i-1]} = e_i."""
+
+    def move(terms):
+        out = {}
+        for (j, k), (c0, c1) in terms.items():
+            a, b = perm[j - 1], perm[k - 1]
+            out[(a, b) if a < b else (b, a)] = (c0, c1) if a < b else (-c0, -c1)
+        return out
+
+    new = {perm[i - 1]: move(eqs[i]) for i in range(1, gen.DIM + 1)}
+    h = [perm[i - 1] for i in gen.HORIZONTAL]
+    v = [perm[i - 1] for i in gen.VERTICAL]
+    lines = [f"algebra {name} dim {gen.DIM}" + (f" param {gen.PARAM}" if parametric else "")]
+    lines += [f"d e{i} = {gen.form_text(new[i])}" for i in range(1, gen.DIM + 1)]
+    lines.append(f"qc horizontal {' '.join(map(str, h))} vertical {' '.join(map(str, v))} scale {scale}")
+    for r, x in enumerate(v, 1):
+        omega = {key: (c0 / scale, c1 / scale) for key, (c0, c1) in new[x].items() if set(key) <= set(h)}
+        lines.append(f"omega{r} = {gen.form_text(omega)}")
+    return "\n".join(lines) + "\n"
+
+
+def documents() -> dict[str, tuple[str, bool]]:
+    """name -> (.alg text, parametric) for every generated input."""
+    docs = {}
+    for source in gen.SOURCES:
+        parametric = source == "prop31_family"
+        for h in HEIGHTS:
+            name = f"{source}_rot_h{h}"
+            docs[name] = (gen.rotated_input(random.Random(f"{source}:{h}"), source, h, name)[0], parametric)
+        scale, eqs = gen.source_equations(source)
+        for t, perm in enumerate(RELABELLINGS):
+            docs[f"{source}_relabel{t}"] = (relabelled_text(source, eqs, scale, perm, parametric), parametric)
+    scale, eqs = gen.source_equations("g2")
+    rotated = gen.change_coframe(eqs, gen.block_matrix(*gen.random_rotation(random.Random(3), 1)))
+    for t, perm in enumerate(RELABELLINGS):
+        docs[f"g2_rot_relabel{t}"] = (relabelled_text("g2_rot", rotated, scale, perm, False), False)
+    for name, text in SPECIAL.items():
+        docs[name] = (text, False)
+    return docs
+
+
+def argvs(workdir: Path) -> list[list[str]]:
+    inputs = []  # (where, param variants)
+    for source in gen.SOURCES:
+        params = [None, *ROOTS] if source == "prop31_family" else [None]
+        inputs.append((["--catalog", source], params))
+    for name, (text, parametric) in documents().items():
+        path = workdir / f"{name}.alg"
+        path.write_text(text, encoding="utf-8")
+        inputs.append(([str(path)], [None, *ROOTS] if parametric else [None]))
+    out = []
+    for where, params in inputs:
+        for param in params:
+            extra = ["--param", param] if param else []
+            for cmd in COMMANDS:
+                for fmt in FORMATS:
+                    out.append([*cmd, *where, *extra, "--format", fmt])
+    return out
+
+
+def run(src: str, argv: list[str], cwd: Path) -> tuple:
+    env = {k: v for k, v in os.environ.items() if k != "QCALC_FORMAT"}
+    env["PYTHONPATH"] = src
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qcalc.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return ("timeout", "", "")
+    return (done.returncode, done.stdout, done.stderr)
+
+
+def first_difference(old: tuple, new: tuple) -> str | None:
+    for field, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+        if a == b:
+            continue
+        if field == "exit code":
+            return f"exit code: {a} != {b}"
+        la, lb = str(a).splitlines(), str(b).splitlines()
+        for n, (x, y) in enumerate(zip(la + [""] * len(lb), lb + [""] * len(la)), 1):
+            if x != y:
+                return f"{field}, line {n}:\n  old: {x}\n  new: {y}"
+        return f"{field}: trailing whitespace differs"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    trees = [str(Path(a).resolve()) for a in argv]
+    for tree in trees:
+        if not (Path(tree) / "qcalc" / "cli.py").is_file():
+            print(f"{tree} holds no qcalc package", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        runs = argvs(workdir)
+
+        def both(args: list[str]) -> str | None:
+            return first_difference(run(trees[0], args, workdir), run(trees[1], args, workdir))
+
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            for args, diff in zip(runs, pool.map(both, runs)):
+                if diff is not None:
+                    print("qcalc " + " ".join(args))
+                    print(diff)
+                    pool.shutdown(cancel_futures=True)
+                    return 1
+    print(f"{len(runs)} runs, stdout, stderr and exit code identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

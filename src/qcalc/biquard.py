@@ -25,26 +25,24 @@ from .exterior import (
     Form,
     LieAlgebra,
     Vec,
-    dot,
     require_rational,
-    scaled_bracket,
     substitute_form,
 )
 from .linalg import common_denominator, scaled
 from .qc import (
+    CYCLES,
     Matrix4,
     QCFrame,
     check_bi1,
     check_compatibility,
     hcolumn,
+    horizontal_matrix,
     matmul,
     restrict_h,
 )
 from .scalars import ZERO, Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
 
 S_NAME = "S"
-
-CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form]:
@@ -59,20 +57,16 @@ def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, For
     if not ok:
         raise NotIntegrable("; ".join(violations))
     s_sym = variable(S_NAME)
-    d_etas = [g.d(eta) for eta in frame.etas]
-    cyc_sum: Scalar = Fraction(0)
-    for i, j, k in CYCLES:
-        cyc_sum = cyc_sum + d_etas[i].evaluate([frame.xis[j], frame.xis[k]])
+    v = frame.vertical
+    d_etas = [g.differential(x) for x in v]
+    cyc_sum: Scalar = sum((d_etas[i].pair(v[j], v[k]) for i, j, k in CYCLES), Fraction(0))
     alphas = []
     for i, j, k in CYCLES:
-        horiz = restrict_h(d_etas[k].interior(frame.xis[j]), frame)
-        total = horiz
+        values = {(x,): d_etas[k].pair(v[j], x) for x in frame.horizontal}
         for s in range(3):
-            val = d_etas[s].evaluate([frame.xis[j], frame.xis[k]])
-            if s == i:
-                val = val - (s_sym / 2 + cyc_sum / 2)
-            total = total + val * frame.etas[s]
-        alphas.append(total)
+            val = d_etas[s].pair(v[j], v[k])
+            values[(v[s],)] = val - (s_sym / 2 + cyc_sum / 2) if s == i else val
+        alphas.append(Form.make(g.dim, 1, values))
     return alphas[0], alphas[1], alphas[2]
 
 
@@ -91,18 +85,6 @@ def ricci_forms(
     return rhos[0], rhos[1], rhos[2]
 
 
-def _horizontal_matrix(rho: Form, frame: QCFrame) -> Matrix4:
-    """R[a][b] = rho(e_a, e_b) on horizontal positions."""
-    h = frame.horizontal
-    return [
-        [
-            rho.coeff((x, y)) if x < y else -rho.coeff((y, x)) if x > y else ZERO
-            for y in h
-        ]
-        for x in h
-    ]
-
-
 def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Form, Form, Form]) -> Fraction:
     """Contract each rho_r against I_r and solve the affine equation for the scalar.
 
@@ -113,7 +95,7 @@ def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Form, Form, Form]) -> 
     s_sym = variable(S_NAME)
     values = []
     for rho, m in zip(rhos, frame.complex_structures):
-        r = _horizontal_matrix(rho, frame)
+        r = horizontal_matrix(rho, frame)
         contraction: Scalar = sum((r[a][b] * m[b][a] for a in range(4) for b in range(4)), ZERO)
         a_coef, b_coef = linear_coeffs(contraction + 4 * s_sym, S_NAME)
         values.append(solve_linear(a_coef, b_coef))
@@ -132,7 +114,7 @@ def t0_tensor(
     to come out symmetric and trace-free, which is audited here.
     """
     prods = [
-        matmul([[substitute(x, s_value) for x in row] for row in _horizontal_matrix(rho, frame)], m)
+        matmul([[substitute(x, s_value) for x in row] for row in horizontal_matrix(rho, frame)], m)
         for rho, m in zip(rhos, frame.complex_structures)
     ]
     t0: Matrix4 = [
@@ -194,10 +176,11 @@ def assemble_torsion(
                 i, j = frame.vertical.index(a), frame.vertical.index(b)
                 k = 3 - i - j
                 sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
-                br = scaled_bracket(table, frame.xis[i].comps, frame.xis[j].comps)
+                # -sign * S xi_k minus the horizontal part of [xi_i, xi_j] = [e_a, e_b]
                 slots[(a, b)] = Vec(tuple(
-                    -sign * s_value * x - (y / e if y and m in hset else 0)
-                    for m, (x, y) in enumerate(zip(frame.xis[k].comps, br), 1)
+                    (-sign * s_value if m == frame.vertical[k] else ZERO)
+                    - (Fraction(y, e) if y and m in hset else 0)
+                    for m, y in enumerate(table[a - 1][b - 1], 1)
                 ))
             else:
                 h, v = (a, b) if a in hset else (b, a)
@@ -446,13 +429,13 @@ def audit(p: Pipeline) -> list[dict]:
     keys = list(itertools.product(h, repeat=4))
     r_den = common_denominator(p.riem[key] for key in keys)
     ri = dict(zip(keys, scaled([[p.riem[key] for key in keys]], r_den)[0]))
-    rhos_n = [substitute_form(r, p.s_value) for r in p.rhos]
+    rho_mats = [horizontal_matrix(substitute_form(r, p.s_value), frame) for r in p.rhos]
     ok = all(
-        Fraction(sum(m[b][a] * ri[(x, y, h[a], h[b])] for a in span4 for b in span4), q * r_den)
-        == 4 * (rho.coeff((x, y)) if x < y else -rho.coeff((y, x)))
-        for rho, m in zip(rhos_n, js)
-        for x in h
-        for y in h
+        Fraction(sum(m[b][a] * ri[(h[x], h[y], h[a], h[b])] for a in span4 for b in span4), q * r_den)
+        == 4 * rm[x][y]
+        for rm, m in zip(rho_mats, js)
+        for x in span4
+        for y in span4
     )
     checks.append({"name": "ricci_from_curvature", "passed": ok})
 
@@ -460,9 +443,7 @@ def audit(p: Pipeline) -> list[dict]:
     checks.append({"name": "scalar_from_curvature", "passed": total == 24 * p.s_value})
 
     t12 = p.torsion.value(frame.vertical[0], frame.vertical[1])
-    checks.append(
-        {"name": "scalar_from_torsion", "passed": -dot(t12, frame.xis[2]) == p.s_value}
-    )
+    checks.append({"name": "scalar_from_torsion", "passed": -t12.comp(frame.vertical[2]) == p.s_value})
 
     # T(e_a, e_b) == nabla_a e_b - nabla_b e_a - [e_a, e_b], all over E
     ok = all(

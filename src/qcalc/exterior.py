@@ -69,6 +69,12 @@ class Form:
     def coeff(self, idx: Index) -> Scalar:
         return self.terms.get(idx, ZERO)
 
+    def pair(self, a: int, b: int) -> Scalar:
+        """f(e_a, e_b) for a 2-form f, read off one coefficient."""
+        if a < b:
+            return self.terms.get((a, b), ZERO)
+        return -self.terms.get((b, a), ZERO)  # a == b has no term
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -296,8 +302,7 @@ class LieAlgebra:
 
     def bracket(self, i: int, j: int) -> Vec:
         """[e_i, e_j]; k-component is -(d e^k)(e_i, e_j)."""
-        key, sign = ((i, j), -1) if i < j else ((j, i), 1)  # no term has key (i, i)
-        return Vec(tuple(sign * f.coeff(key) for f in self.differentials))
+        return Vec(tuple(-f.pair(i, j) for f in self.differentials))
 
     def substitute(self, value: Fraction) -> LieAlgebra:
         """Specialize the parameter; the result is parameter-free."""

@@ -35,8 +35,8 @@ def _normalized(c: Scalar) -> tuple:
 def jacobi_constraints(fam: LieAlgebra) -> list[Scalar]:
     """Distinct nonzero coefficients of every d(d e^k), up to rational multiples."""
     seen: dict[tuple, Scalar] = {}
-    for k in range(1, fam.dim + 1):
-        for c in fam.d(fam.differential(k)).terms.values():
+    for dd in fam.jacobi_check():
+        for c in dd.terms.values():
             seen.setdefault(_normalized(c), c)
     return list(seen.values())
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .exterior import MAX_DIM, Flag, Form, LieAlgebra, Vec
+from .exterior import MAX_DIM, Flag, Form, LieAlgebra
 from .qc import QCFrame
 from .scalars import Poly, Scalar, is_zero, scalar_str, variable
 
@@ -84,8 +84,6 @@ class AlgebraDocument:
             self.dim,
             b.horizontal,
             b.vertical,
-            tuple(Form.covector(self.dim, v) for v in b.vertical),
-            tuple(Vec.basis(self.dim, v) for v in b.vertical),
             (b.omegas[1], b.omegas[2], b.omegas[3]),
             b.scale,
         )

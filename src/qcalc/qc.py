@@ -1,23 +1,26 @@
 """Quaternionic contact frames on 7-dimensional Lie algebras.
 
-A frame splits the basis into four horizontal and three vertical directions,
-fixes the contact forms eta_r and Reeb vectors xi_r, and carries the triple of
-fundamental 2-forms omega_r together with the normalization scale (d eta_r
-restricted to the horizontal block equals scale * omega_r).
+A frame splits the basis indices into four horizontal and three vertical
+ones v_r, with contact forms eta_r = e^{v_r} and Reeb vectors xi_r = e_{v_r},
+and carries the fundamental 2-forms omega_r and the normalization scale
+(d eta_r restricted to the horizontal block equals scale * omega_r).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .errors import NotQuaternionic
-from .exterior import Form, LieAlgebra, Vec, scaled_bracket
-from .scalars import Scalar
+from .exterior import Form, LieAlgebra, Vec
+from .scalars import Scalar, is_zero
 
 Matrix4 = list[list[Scalar]]
+
+CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,6 @@ class QCFrame:
     dim: int
     horizontal: tuple[int, int, int, int]
     vertical: tuple[int, int, int]
-    etas: tuple[Form, Form, Form]
-    xis: tuple[Vec, Vec, Vec]
     omegas: tuple[Form, Form, Form]
     scale: Fraction
 
@@ -62,11 +63,9 @@ def standard_frame(
     scale: Fraction = Fraction(2),
     omegas: tuple[Form, Form, Form] | None = None,
 ) -> QCFrame:
-    etas = tuple(Form.covector(dim, v) for v in vertical)
-    xis = tuple(Vec.basis(dim, v) for v in vertical)
     if omegas is None:
         omegas = standard_omegas(dim, horizontal)
-    return QCFrame(dim, tuple(horizontal), tuple(vertical), etas, xis, omegas, Fraction(scale))
+    return QCFrame(dim, tuple(horizontal), tuple(vertical), omegas, Fraction(scale))
 
 
 def restrict_h(f: Form, frame: QCFrame) -> Form:
@@ -77,15 +76,15 @@ def restrict_h(f: Form, frame: QCFrame) -> Form:
     )
 
 
+def horizontal_matrix(f: Form, frame: QCFrame) -> Matrix4:
+    """M[a][b] = f(e_a, e_b) for a 2-form f, on horizontal positions."""
+    h = frame.horizontal
+    return [[f.pair(x, y) for y in h] for x in h]
+
+
 def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4]:
     """4x4 matrices of I_r on horizontal positions, from g(I_r e_b, e_a) = omega_r(e_b, e_a)."""
-    mats = []
-    for om in frame.omegas:
-        m = [
-            [om.evaluate([frame.hvec(b), frame.hvec(a)]) for b in range(4)]
-            for a in range(4)
-        ]
-        mats.append(m)
+    mats = [[list(col) for col in zip(*horizontal_matrix(om, frame))] for om in frame.omegas]
     m1, m2, m3 = mats
     minus_id = [[Fraction(-1 if a == b else 0) for b in range(4)] for a in range(4)]
     for r, m in enumerate(mats):
@@ -131,29 +130,23 @@ def hcolumn(frame: QCFrame, m: Matrix4, b: int) -> Vec:
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:
     """d eta_r restricted to horizontal pairs must equal scale * omega_r."""
-    for eta, om in zip(frame.etas, frame.omegas):
-        if restrict_h(g.d(eta), frame) != frame.scale * om:
-            return False
-    return True
+    return all(
+        restrict_h(g.differential(v), frame) == frame.scale * om
+        for v, om in zip(frame.vertical, frame.omegas)
+    )
 
 
 def check_bi1(g: LieAlgebra, frame: QCFrame) -> tuple[bool, list[str]]:
-    """The three conditions making the canonical connection exist in dim 7."""
+    """The duality conditions on X -> d eta_k(xi_s, X), X horizontal, in dim 7."""
+    h, v = frame.horizontal, frame.vertical
+    d_etas = [g.differential(x) for x in v]
     violations = []
-    d_etas = [g.d(eta) for eta in frame.etas]
     for s in range(3):
-        for k in range(3):
-            val = frame.etas[s].evaluate([frame.xis[k]])
-            if val != (1 if s == k else 0):
-                violations.append(f"eta_{s + 1}(xi_{k + 1}) != {'1' if s == k else '0'}")
-    for s in range(3):
-        if not restrict_h(d_etas[s].interior(frame.xis[s]), frame).is_zero:
+        if any(not is_zero(d_etas[s].pair(v[s], x)) for x in h):
             violations.append(f"(xi_{s + 1} . d eta_{s + 1})|_H != 0")
     for s in range(3):
         for k in range(s + 1, 3):
-            lhs = restrict_h(d_etas[k].interior(frame.xis[s]), frame)
-            rhs = restrict_h(d_etas[s].interior(frame.xis[k]), frame)
-            if not (lhs + rhs).is_zero:
+            if any(not is_zero(d_etas[k].pair(v[s], x) + d_etas[s].pair(v[k], x)) for x in h):
                 violations.append(
                     f"(xi_{s + 1} . d eta_{k + 1})|_H != -(xi_{k + 1} . d eta_{s + 1})|_H"
                 )
@@ -164,40 +157,28 @@ def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | No
     """Extract the horizontal 1-forms f_1, f_2, f_3 of the adapted coframe shape.
 
     d eta_i must decompose as scale*omega_i + f_j ^ eta_k - f_k ^ eta_j modulo
-    purely vertical 2-forms, with (i, j, k) cyclic.  Returns None when the
-    pattern does not match.
+    purely vertical 2-forms, with (i, j, k) cyclic: f_j(X) = d eta_i(X, xi_k)
+    and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
+    Returns None when the pattern does not match.
     """
-    hset = set(frame.horizontal)
-    found: list[list[Form | None]] = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        dd = g.d(frame.etas[i])
-        if restrict_h(dd, frame) != frame.scale * frame.omegas[i]:
+    if not check_compatibility(g, frame):
+        return None
+    v = frame.vertical
+    d_etas = [g.differential(x) for x in v]
+
+    def along(i: int, r: int) -> Form:
+        """The horizontal 1-form X -> d eta_i(X, xi_r)."""
+        return Form.make(g.dim, 1, {(x,): d_etas[i].pair(x, v[r]) for x in frame.horizontal})
+
+    found: list[list[Form]] = [[], [], []]
+    for i, j, k in CYCLES:
+        if not along(i, i).is_zero:
             return None
-        mixed: dict[int, Form] = {}
-        for key, c in dd.terms.items():
-            a, b = key
-            if a in hset and b in frame.vertical:
-                pos, coef, h = frame.vertical.index(b), c, a
-            elif a in frame.vertical and b in hset:
-                pos, coef, h = frame.vertical.index(a), -c, b
-            else:
-                continue
-            mixed[pos] = mixed.get(pos, Form.zero(g.dim, 1)) + Form.make(
-                g.dim, 1, {(h,): coef}
-            )
-        j, k = (i + 1) % 3, (i + 2) % 3
-        zero1 = Form.zero(g.dim, 1)
-        if not mixed.get(i, zero1).is_zero:
-            return None
-        found[j][i] = mixed.get(k, zero1)
-        found[k][i] = -mixed.get(j, zero1)
-    fs = []
-    for r in range(3):
-        candidates = [f for f in found[r] if f is not None]
-        if candidates[0] != candidates[1]:
-            return None
-        fs.append(candidates[0])
-    return fs[0], fs[1], fs[2]
+        found[j].append(along(i, k))
+        found[k].append(-along(i, j))
+    if any(a != b for a, b in found):
+        return None
+    return found[0][0], found[1][0], found[2][0]
 
 
 def fundamental_form(frame: QCFrame) -> Form:
@@ -214,9 +195,8 @@ def d_fundamental_form(g: LieAlgebra, frame: QCFrame) -> Form:
 def vertical_integrable(g: LieAlgebra, frame: QCFrame) -> bool:
     """True when vertical brackets stay vertical."""
     _, table = g.structure_table
-    for i in range(3):
-        for j in range(i + 1, 3):
-            br = scaled_bracket(table, frame.xis[i].comps, frame.xis[j].comps)
-            if any(br[h - 1] for h in frame.horizontal):
-                return False
-    return True
+    return not any(
+        table[a - 1][b - 1][x - 1]
+        for a, b in itertools.combinations(frame.vertical, 2)
+        for x in frame.horizontal
+    )

@@ -249,7 +249,7 @@ def test_criterion_07():
                     total += p.riem[(b, a, a, b)]
             assert total == 24 * p.s_value
             t12 = p.torsion.value(p.frame.vertical[0], p.frame.vertical[1])
-            assert -dot(t12, p.frame.xis[2]) == p.s_value
+            assert -dot(t12, Vec.basis(7, p.frame.vertical[2])) == p.s_value
 
 
 def test_criterion_08():

@@ -74,7 +74,7 @@ def test_connection_forms_heisenberg():
     g, frame = normalize_scale(*load("heisenberg"))
     a1, a2, a3 = sp1_connection_forms(g, frame)
     for r, a in enumerate((a1, a2, a3)):
-        assert a == (-S / 2) * frame.etas[r]
+        assert a == (-S / 2) * Form.covector(7, frame.vertical[r])
 
 
 def test_connection_forms_require_duality_conditions():

@@ -322,6 +322,30 @@ def test_wqc_rejects_incompatible_frame(tmp_path):
     assert "omega" in json.loads(r.stderr)["error"]["message"]
 
 
+def test_duality_failure_reaches_stderr(tmp_path):
+    # Lie and compatible, but d e6 gains e27 + e45, which breaks two duality conditions
+    path = tmp_path / "not_bi1.alg"
+    path.write_text(source("heisenberg").replace("d e6 = e13 + e42", "d e6 = e13 - e24 + e27 + e45"))
+    r = run("wqc", str(path))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == (
+        "error: (xi_1 . d eta_2)|_H != -(xi_2 . d eta_1)|_H; "
+        "(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H\n"
+    )
+    r = run("report", str(path))
+    assert r.returncode == 1
+    assert "qc structure: true\nvertical duality conditions: false\n" in r.stdout
+
+
+def test_check_rejects_omega_off_h(tmp_path):
+    path = tmp_path / "off_h.alg"
+    path.write_text(source("heisenberg").replace("omega1 = e12 + e34", "omega1 = e12 + e34 + e56"))
+    r = run("check", str(path))
+    assert r.returncode == 1
+    assert "qc structure: false\n" in r.stdout
+
+
 def test_cli_import_loads_no_heavy_package():
     # every qcalc process pays for its imports; the exact kernels need none of these
     code = "import qcalc.cli, sys; print(sorted(m for m in ('numpy', 'sympy', 'hypothesis') if m in sys.modules))"

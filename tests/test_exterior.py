@@ -151,6 +151,40 @@ def test_evaluate_and_interior_specific():
     assert e12.interior(e2) == -1 * Form.covector(4, 1)
 
 
+MU = variable("mu")
+
+two_form_strategy = st.lists(
+    st.tuples(st.integers(min_value=-4, max_value=4), st.integers(min_value=-2, max_value=2)),
+    min_size=10,
+    max_size=10,
+).map(
+    lambda cs: Form.make(
+        DIM, 2, {idx: c0 + c1 * MU for idx, (c0, c1) in zip(itertools.combinations(range(1, DIM + 1), 2), cs)}
+    )
+)
+
+
+@given(two_form_strategy)
+def test_pair_matches_evaluate_on_basis_pairs(f):
+    # Fraction and Poly coefficients alike; evaluate is the determinant expansion
+    for a in range(1, DIM + 1):
+        for b in range(1, DIM + 1):
+            value = f.pair(a, b)
+            assert value == f.evaluate([Vec.basis(DIM, a), Vec.basis(DIM, b)])
+            assert value == -f.pair(b, a)
+            if a == b:
+                assert value == 0
+
+
+def test_pair_specific_values():
+    f = Form.make(4, 2, {(1, 2): Fraction(3), (2, 4): 1 + MU})
+    assert f.pair(1, 2) == 3
+    assert f.pair(2, 1) == -3
+    assert f.pair(4, 2) == -1 - MU
+    assert f.pair(1, 3) == 0
+    assert f.pair(2, 2) == 0
+
+
 # ---------------------------------------------------------------------------
 # differential, bracket, Jacobi
 

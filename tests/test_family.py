@@ -1,4 +1,7 @@
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,11 @@ from qcalc.family import (
     specialize,
 )
 from qcalc.exterior import Form, LieAlgebra
-from qcalc.scalars import Poly, rational_roots
+from qcalc.parser import parse
+from qcalc.scalars import Poly, rational_roots, variable
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator; it never imports qcalc)
 
 
 def family():
@@ -38,6 +45,37 @@ def test_constraints_contain_the_quadratic_obstruction():
         coeffs.add(tuple(c.coeffs))
         assert rational_roots(c) == {Fraction(-1), Fraction(-1, 3)}
     assert coeffs
+
+
+def reference_constraints(fam):
+    """Distinct nonzero coefficients of d(d e^k) for k = 1..n, in that order."""
+    seen = {}
+    for k in range(1, fam.dim + 1):
+        for c in fam.d(fam.differential(k)).terms.values():
+            key = tuple(x / c.coeffs[-1] for x in c.coeffs) if isinstance(c, Poly) else (1,)
+            seen.setdefault(key, c)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("case", ["catalog", "rot1", "rot2", "two_obstructions"])
+def test_jacobi_constraints_keep_the_d_squared_order(case):
+    if case == "catalog":
+        fam = family()
+    elif case == "two_obstructions":
+        # d(d e4) = -mu(mu - 1) e123 + mu e125: two constraints, not multiples
+        mu = variable("mu")
+        z = Form.zero(5, 2)
+        e = lambda c, *idx: Form.monomial(5, c, idx)
+        diffs = (z, z, e(Fraction(1), 1, 2), e(mu, 3, 5), e(mu - 1, 1, 2))
+        fam = LieAlgebra("two_obstructions", 5, diffs, "mu")
+        assert jacobi_constraints(fam) == [-mu * (mu - 1), mu]
+    else:
+        h = int(case[-1])
+        text, _ = gen.rotated_input(random.Random(h), "prop31_family", h, "p31_rot")
+        fam = parse(text).to_algebra()
+    constraints = jacobi_constraints(fam)
+    assert constraints
+    assert constraints == reference_constraints(fam)
 
 
 def test_solve_family_roots():

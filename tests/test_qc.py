@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qcalc.catalog import document
 from qcalc.errors import NotQuaternionic
 from qcalc.exterior import Form, LieAlgebra, Vec
+from qcalc.parser import parse
 from qcalc.qc import (
     QCFrame,
     adapted_shape,
@@ -14,10 +16,13 @@ from qcalc.qc import (
     d_fundamental_form,
     derive_complex_structures,
     fundamental_form,
+    horizontal_matrix,
     restrict_h,
     standard_frame,
+    standard_omegas,
     vertical_integrable,
 )
+from test_conformal import G2_ROTATED
 
 
 def load(name):
@@ -42,13 +47,18 @@ def abelian_with(diffs: dict) -> LieAlgebra:
 # frames and complex structures
 
 
+def test_qc_frame_is_an_index_split():
+    # eta_r = e^{v_r} and xi_r = e_{v_r} are read off the vertical indices
+    assert [f.name for f in dataclasses.fields(QCFrame)] == [
+        "dim", "horizontal", "vertical", "omegas", "scale",
+    ]
+
+
 def test_standard_frame_shape():
     frame = standard_frame()
     assert frame.horizontal == (1, 2, 3, 4)
     assert frame.vertical == (5, 6, 7)
     assert frame.scale == 2
-    assert frame.etas[0] == Form.covector(7, 5)
-    assert frame.xis[2] == Vec.basis(7, 7)
     assert frame.omegas[0] == mono(1, 2) + mono(3, 4)
     assert frame.omegas[1] == mono(1, 3) + mono(4, 2)
     assert frame.omegas[2] == mono(1, 4) + mono(2, 3)
@@ -99,6 +109,35 @@ def test_degenerate_omegas_rejected():
         derive_complex_structures(standard_frame(omegas=bad))
 
 
+def evaluated_structures(frame):
+    """The I_r matrices from omega_r(e_b, e_a), by determinant expansion."""
+    return tuple(
+        [[om.evaluate([frame.hvec(b), frame.hvec(a)]) for b in range(4)] for a in range(4)]
+        for om in frame.omegas
+    )
+
+
+@pytest.mark.parametrize("case", ["standard", "relabelled", "rotated_omegas", "g2_rot"])
+def test_horizontal_matrix_and_structures_match_evaluate(case):
+    if case == "g2_rot":
+        frame = parse(G2_ROTATED).to_frame()
+    elif case == "relabelled":
+        # neither block in increasing order
+        frame = standard_frame(horizontal=(7, 3, 1, 5), vertical=(6, 2, 4))
+    elif case == "rotated_omegas":
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        o1, o2, o3 = standard_omegas(7, (1, 2, 3, 4))
+        frame = standard_frame(omegas=(c * o1 + s * o2, -s * o1 + c * o2, o3))
+    else:
+        frame = standard_frame()
+    for om in frame.omegas:
+        m = horizontal_matrix(om, frame)
+        for a in range(4):
+            for b in range(4):
+                assert m[a][b] == om.evaluate([frame.hvec(a), frame.hvec(b)])
+    assert derive_complex_structures(frame) == evaluated_structures(frame)
+
+
 def test_apply_endo():
     frame = standard_frame()
     i1, _, _ = derive_complex_structures(frame)
@@ -130,11 +169,18 @@ def test_catalog_compatibility(name):
 
 def test_heisenberg_needs_scale_one():
     g, frame = load("heisenberg")
-    wrong = QCFrame(
-        frame.dim, frame.horizontal, frame.vertical, frame.etas, frame.xis,
-        frame.omegas, Fraction(2),
-    )
+    wrong = dataclasses.replace(frame, scale=Fraction(2))
     assert not check_compatibility(g, wrong)
+
+
+def test_omega_with_a_term_off_h_is_rejected():
+    # the whole form is compared: an omega_r with a vertical term never matches d eta_r|_H
+    g, frame = load("heisenberg")
+    o1, o2, o3 = frame.omegas
+    off = dataclasses.replace(frame, omegas=(o1 + mono(5, 6), o2, o3))
+    assert check_compatibility(g, frame)
+    assert not check_compatibility(g, off)
+    assert adapted_shape(g, off) is None
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +201,8 @@ def test_bi1_golden_contraction():
     g, frame = load("g1")
     de6 = g.differential(6)
     de5 = g.differential(5)
-    left = restrict_h(de6.interior(frame.xis[0]), frame)
-    right = restrict_h(de5.interior(frame.xis[1]), frame)
+    left = restrict_h(de6.interior(Vec.basis(7, frame.vertical[0])), frame)
+    right = restrict_h(de5.interior(Vec.basis(7, frame.vertical[1])), frame)
     assert left == -1 * Form.covector(7, 4)
     assert left == -1 * right
 
@@ -168,7 +214,24 @@ def test_bi1_violation_detected():
     frame = standard_frame(scale=Fraction(1))
     ok, violations = check_bi1(g, frame)
     assert not ok
-    assert violations
+    assert violations == ["(xi_1 . d eta_1)|_H != 0"]
+
+
+def test_bi1_cross_violations_keep_text_and_order():
+    # heisenberg with d e6 = e13 - e24 + e27 + e45: a compatible Lie algebra whose
+    # d eta_2 gains mixed terms with xi_1 and xi_3 that no other d eta_r balances
+    g = abelian_with({
+        5: mono(1, 2) + mono(3, 4),
+        6: mono(1, 3) - mono(2, 4) + mono(2, 7) + mono(4, 5),
+        7: mono(1, 4) + mono(2, 3),
+    })
+    frame = standard_frame(scale=Fraction(1))
+    assert g.is_valid
+    assert check_compatibility(g, frame)
+    assert check_bi1(g, frame) == (False, [
+        "(xi_1 . d eta_2)|_H != -(xi_2 . d eta_1)|_H",
+        "(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H",
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,8 @@ def reference_torsion_slot(g, frame, endos, s_value, a, b):
     if a in v and b in v:
         i, j = v.index(a), v.index(b)
         sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
-        return (-sign * s_value) * frame.xis[3 - i - j] - part(
-            bracket_vec(g, frame.xis[i], frame.xis[j]), h
+        return (-sign * s_value) * Vec.basis(n, v[3 - i - j]) - part(
+            bracket_vec(g, Vec.basis(n, v[i]), Vec.basis(n, v[j])), h
         )
     hh, vv = (a, b) if a in h else (b, a)
     col = [row[h.index(hh)] for row in endos[v.index(vv)]]
