@@ -14,9 +14,11 @@ text.  The inputs are the catalog (`prop31_family` at both roots and
 unspecialized), `perfbench/gen.py` rotations of all four catalog algebras at
 heights 1-3, relabelled copies (the basis permuted, the qc split moved along,
 vertical sets like (1, 2, 3) and (2, 5, 7)), a document that fails the
-vertical duality conditions, one whose omega_1 has a term off H, and one that
-is not a Lie algebra.  Only the standard library is used; gen.py is imported
-read-only.
+vertical duality conditions, one whose omega_1 has a term off H, one that
+is not a Lie algebra, and four small families whose `family solve` outcomes
+are roots of a gcd with mu^2 terms, no root from coprime obstructions, no
+root from a constant obstruction, and every value.  Only the standard
+library is used; gen.py is imported read-only.
 
 Exits 0 when every run agrees and 1 at the first difference, printing its
 argv and the differing field.
@@ -85,6 +87,25 @@ SPECIAL = {
 }
 
 
+# d e^k not listed are 0; with d e3 = e12 and d e5 = p e12, d(e35) = e125 - p e123
+FAMILIES = {
+    # mu^2 coefficients: d(d e4) = (mu^2 - 1)(e125 - (mu + 1) e123), so mu in {-1, 1}
+    "mu_squared": dict(dim=5, e3="e12", e4="(mu^2 - 1)e35", e5="(mu + 1)e12"),
+    # d(d e4) = mu (e125 - e123) and d(d e6) = (mu - 1)(e125 - e123): no common root
+    "coprime": dict(dim=6, e3="e12", e4="mu e35", e5="e12", e6="(mu - 1)e35"),
+    # d(d e4) = e125 - e123 for every mu: no value
+    "constant": dict(dim=5, e3="e12", e4="e35", e5="e12 + mu e13"),
+    # d^2 = 0 identically: every value
+    "unobstructed": dict(dim=3, e3="mu e12"),
+}
+
+
+def family_text(name: str, dim: int, **diffs: str) -> str:
+    lines = [f"algebra {name} dim {dim} param mu"]
+    lines += [f"d e{k} = {diffs.get(f'e{k}', '0')}" for k in range(1, dim + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def relabelled_text(name: str, eqs, scale, perm, parametric: bool) -> str:
     """The .alg text of the algebra in the basis e'_{perm[i-1]} = e_i."""
 
@@ -124,6 +145,8 @@ def documents() -> dict[str, tuple[str, bool]]:
         docs[f"g2_rot_relabel{t}"] = (relabelled_text("g2_rot", rotated, scale, perm, False), False)
     for name, text in SPECIAL.items():
         docs[name] = (text, False)
+    for name, diffs in FAMILIES.items():
+        docs[f"family_{name}"] = (family_text(name, **diffs), False)
     return docs
 
 

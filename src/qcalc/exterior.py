@@ -260,45 +260,44 @@ class LieAlgebra:
         return Form.make(self.dim, f.degree + 1, out)
 
     def jacobi_check(self) -> list[Form]:
-        """d(d e^k) for every k with nonzero result; empty means Lie algebra."""
+        """d(d e^k) for every k with nonzero result; a test oracle for `jacobi_sum`."""
         return [dd for k in range(1, self.dim + 1) if not (dd := self.d(self.differential(k))).is_zero]
 
     @cached_property
-    def structure_table(self) -> tuple[int, list[list[list[int]]]]:
-        """(E, C) with C[a][b][c] = E * [e_a, e_b]_c in plain ints, 0-based.
-
-        E is the least common denominator of the structure constants; the
-        table is read off the nonzero terms of each d e^c once per algebra
-        and is read-only.  Parametric algebras have none.
-        """
-        require_rational(self)
+    def coefficient_tables(self) -> tuple[int, list[list[list[list[int]]]]]:
+        """(E, [C_0, ..., C_D]), C_d[a][b][c] = E * (mu^d-coefficient of [e_a, e_b]_c)
+        in plain ints, 0-based: E clears every rational coefficient and D is the
+        highest degree in the parameter, 0 for a rational algebra.  Read-only."""
         n = self.dim
-        e = linalg.common_denominator(c for f in self.differentials for c in f.terms.values())
-        table = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for k, form in enumerate(self.differentials):
-            for (i, j), c in form.terms.items():
+        terms = [
+            (k, i, j, c.coeffs if isinstance(c, Poly) else (c,))
+            for k, form in enumerate(self.differentials)
+            for (i, j), c in form.terms.items()
+        ]
+        e = linalg.common_denominator(x for *_, cs in terms for x in cs)
+        depth = max((len(cs) for *_, cs in terms), default=1)
+        tables = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(depth)]
+        for k, i, j, cs in terms:
+            for table, c in zip(tables, cs):
                 x = c.numerator * (e // c.denominator)
                 table[i - 1][j - 1][k] = -x
                 table[j - 1][i - 1][k] = x
+        return e, tables
+
+    @cached_property
+    def structure_table(self) -> tuple[int, list[list[list[int]]]]:
+        """(E, C) with C[a][b][c] = E * [e_a, e_b]_c: the one coefficient table
+        of a rational algebra.  Parametric algebras have none."""
+        require_rational(self)
+        e, (table,) = self.coefficient_tables
         return e, table
 
     @property
     def is_valid(self) -> bool:
-        """The Jacobi identity, as cyclic sums of products of structure constants.
-
-        [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b] = 0 for every
-        a < b < c, which is d^2 = 0; the algebra must be rational.
-        """
+        """The Jacobi identity, jacobi_sum(C, C) = 0 for every a < b < c, which
+        is d^2 = 0; the algebra must be rational."""
         _, t = self.structure_table
-        for a, b, c in itertools.combinations(range(self.dim), 3):
-            acc = [0] * self.dim
-            for u, w in ((t[a][b], c), (t[b][c], a), (t[c][a], b)):
-                for m, x in enumerate(u):
-                    if x:
-                        acc = [s + x * y for s, y in zip(acc, t[m][w])]
-            if any(acc):
-                return False
-        return True
+        return not any(any(jacobi_sum(t, t, *abc)) for abc in itertools.combinations(range(self.dim), 3))
 
     def bracket(self, i: int, j: int) -> Vec:
         """[e_i, e_j]; k-component is -(d e^k)(e_i, e_j)."""
@@ -340,6 +339,20 @@ def require_rational(g: LieAlgebra) -> None:
 
 # ---------------------------------------------------------------------------
 # series and cohomology
+
+
+def jacobi_sum(s, t, a: int, b: int, c: int) -> list:
+    """Sum_m (S_abm T_mc + S_bcm T_ma + S_cam T_mb), one entry per basis index.
+
+    Bilinear in the tables S and T; for S = T = C of a structure table (E, C)
+    it is E^2 times [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b].
+    """
+    acc = [0] * len(t)
+    for u, w in ((s[a][b], c), (s[b][c], a), (s[c][a], b)):
+        for m, x in enumerate(u):
+            if x:
+                acc = [y + x * z for y, z in zip(acc, t[m][w])]
+    return acc
 
 
 def scaled_bracket(table, u, v) -> list:

@@ -7,11 +7,12 @@ resulting algebras by cohomology dimensions and series behaviour.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import NotALieAlgebra
-from .exterior import Form, LieAlgebra, betti_numbers, derived_and_central_series
-from .scalars import Poly, Scalar, poly_gcd, rational_roots
+from .exterior import Form, LieAlgebra, betti_numbers, derived_and_central_series, jacobi_sum
+from .scalars import Poly, Scalar, poly, poly_gcd, rational_roots
 
 
 class AllValues:
@@ -33,11 +34,26 @@ def _normalized(c: Scalar) -> tuple:
 
 
 def jacobi_constraints(fam: LieAlgebra) -> list[Scalar]:
-    """Distinct nonzero coefficients of every d(d e^k), up to rational multiples."""
+    """Distinct nonzero coefficients of every d(d e^k), up to rational multiples.
+
+    With the coefficient tables (E, [C_0, ..., C_D]), the e^{abc} coefficient
+    of d(d e^k) is J_k / E^2, where J = Sum_s mu^s Sum_{d+d'=s}
+    jacobi_sum(C_d, C_d', a, b, c); they are listed in d(d e^k) order.
+    """
+    e, tables = fam.coefficient_tables
+    var = next((c.var for f in fam.differentials for c in f.terms.values() if isinstance(c, Poly)), None)
+    sums = []  # per a < b < c: the mu^s coefficient of J, one entry per k
+    for abc in itertools.combinations(range(fam.dim), 3):
+        by_power = [[0] * fam.dim for _ in range(2 * len(tables) - 1)]
+        for (d, s), (d2, t) in itertools.product(enumerate(tables), repeat=2):
+            by_power[d + d2] = [x + y for x, y in zip(by_power[d + d2], jacobi_sum(s, t, *abc))]
+        sums.append(by_power)
     seen: dict[tuple, Scalar] = {}
-    for dd in fam.jacobi_check():
-        for c in dd.terms.values():
-            seen.setdefault(_normalized(c), c)
+    for k in range(fam.dim):
+        for by_power in sums:
+            if any(j[k] for j in by_power):
+                c = poly(var, *(Fraction(j[k], e * e) for j in by_power))
+                seen.setdefault(_normalized(c), c)
     return list(seen.values())
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .exterior import MAX_DIM, Flag, Form, LieAlgebra
 from .qc import QCFrame
-from .scalars import Poly, Scalar, is_zero, scalar_str, variable
+from .scalars import ZERO, Poly, Scalar, is_zero, scalar_str, variable
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=,|]|\S")
 _MONO_RE = re.compile(r"^e([1-9][0-9]*)$")
@@ -140,7 +140,8 @@ class _LineParser:
     # values are Scalars or Forms; combination rules live in the helpers below
 
     def expression(self):
-        t = self.peek()
+        """Sum of terms.  A run of same-degree form terms is summed in one
+        dict, made into a Form once at its end."""
         negate = False
         if self.at_sym("-"):
             self.next()
@@ -150,13 +151,21 @@ class _LineParser:
         value = self.term()
         if negate:
             value = self._negate(value)
+        run = None  # the terms of value, while value heads a run of forms
         while self.at_sym("+", "-"):
             op = self.next()
             rhs = self.term()
             if op.text == "-":
                 rhs = self._negate(rhs)
+            if self._is_form(value) and self._is_form(rhs) and value.degree == rhs.degree:
+                run = dict(value.terms) if run is None else run
+                for k, v in rhs.terms.items():
+                    run[k] = run.get(k, ZERO) + v
+                continue
+            if run is not None:
+                value, run = Form.make(self.dim, value.degree, run), None
             value = self._add(value, rhs, op)
-        return value
+        return value if run is None else Form.make(self.dim, value.degree, run)
 
     def term(self):
         value = self.factor()
@@ -217,17 +226,16 @@ class _LineParser:
 
     def _add(self, a, b, tok: Token):
         if self._is_form(a) and self._is_form(b):
-            if a.is_zero and a.degree != b.degree:
+            # expression() sums forms of one degree itself
+            if a.is_zero:
                 return b
-            if b.is_zero and a.degree != b.degree:
+            if b.is_zero:
                 return a
-            if a.degree != b.degree:
-                raise ParseError(
-                    f"cannot add a degree-{a.degree} and a degree-{b.degree} form",
-                    tok.line,
-                    tok.col,
-                )
-            return a + b
+            raise ParseError(
+                f"cannot add a degree-{a.degree} and a degree-{b.degree} form",
+                tok.line,
+                tok.col,
+            )
         if self._is_form(a) or self._is_form(b):
             form, scal = (a, b) if self._is_form(a) else (b, a)
             if is_zero(scal):

@@ -1,9 +1,13 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalc.catalog import document
 from qcalc.errors import NotALieAlgebra
@@ -18,7 +22,7 @@ from qcalc.family import (
 )
 from qcalc.exterior import Form, LieAlgebra
 from qcalc.parser import parse
-from qcalc.scalars import Poly, rational_roots, variable
+from qcalc.scalars import Poly, poly_gcd, rational_roots, variable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator; it never imports qcalc)
@@ -91,21 +95,49 @@ def test_solve_family_all_values_marker():
     assert repr(ALL_VALUES) == "AllValues"
 
 
-def test_solve_family_no_common_root():
-    # two differentials whose obstructions have disjoint root sets
-    from qcalc.scalars import variable
+def reference_solve(fam):
+    """Common rational roots of `reference_constraints`, as `solve_family` reports them."""
+    constraints = reference_constraints(fam)
+    if not constraints:
+        return ALL_VALUES
+    if not all(isinstance(c, Poly) for c in constraints):
+        return set()
+    common = poly_gcd(constraints)
+    return rational_roots(common) if isinstance(common, Poly) else set()
 
-    mu = variable("mu")
-    z = Form.zero(7, 2)
-    diffs = [z] * 7
-    diffs[4] = Form.monomial(7, mu, (1, 2)) + Form.monomial(7, Fraction(1), (3, 4))
-    diffs[5] = Form.monomial(7, mu - 1, (1, 3))
-    diffs[6] = Form.monomial(7, mu + 1, (1, 4))
-    # d^2 e5 != 0 unless a bracket cancellation happens; build directly and
-    # just require the solver returns a set (possibly empty) without raising
-    fam = LieAlgebra("synthetic", 7, tuple(diffs), "mu")
+
+def obstructed(dim, **diffs):
+    """A family over mu with d e^k = diffs["e<k>"], a dict {(i, j): coefficient}."""
+    forms = tuple(Form.make(dim, 2, diffs.get(f"e{k}", {})) for k in range(1, dim + 1))
+    return LieAlgebra("obstructed", dim, forms, "mu")
+
+
+MU = variable("mu")
+ONE = Fraction(1)
+# d e3 = e12 and d e5 = p e12 give d(e35) = e125 - p e123
+OBSTRUCTION_CASES = {
+    # d(d e4) = mu (e125 - e123), d(d e6) = (mu - 1)(e125 - e123): coprime
+    "coprime": (obstructed(6, e3={(1, 2): ONE}, e4={(3, 5): MU}, e5={(1, 2): ONE},
+                           e6={(3, 5): MU - 1}), [-MU, -(MU - 1)], set()),
+    # d(d e4) = e125 - e123 whatever mu is; d(d e5) = mu e1 ^ d e3 = 0
+    "constant": (obstructed(5, e3={(1, 2): ONE}, e4={(3, 5): ONE}, e5={(1, 2): ONE, (1, 3): MU}),
+                 [Fraction(-1)], set()),
+    # a constant next to a polynomial obstruction still admits nothing
+    "constant_and_poly": (obstructed(6, e3={(1, 2): ONE}, e4={(3, 5): ONE}, e5={(1, 2): ONE},
+                                     e6={(3, 5): MU}), [Fraction(-1), -MU], set()),
+    # d(d e4) = (2mu + 1)(e125 - (mu - 3) e123): the shared root -1/2
+    "shared_root": (obstructed(5, e3={(1, 2): ONE}, e4={(3, 5): 2 * MU + 1},
+                               e5={(1, 2): MU - 3}),
+                    [-(2 * MU + 1) * (MU - 3), 2 * MU + 1], {Fraction(-1, 2)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSTRUCTION_CASES))
+def test_solve_family_obstructions(case):
+    fam, constraints, roots = OBSTRUCTION_CASES[case]
+    assert jacobi_constraints(fam) == constraints == reference_constraints(fam)
     result = solve_family(fam)
-    assert result == set() or isinstance(result, (set, AllValues))
+    assert isinstance(result, set) and result == roots
 
 
 def test_specialize_at_roots_passes_jacobi():
@@ -177,3 +209,76 @@ def test_fingerprint_heisenberg():
     assert f["betti"] == [1, 4, 11, 14, 14, 11, 4, 1]
     assert f["nilpotent"] is True
     assert f["solvable"] is True
+
+
+# ---------------------------------------------------------------------------
+# the Z[mu] coefficient tables against the Poly Form definitions
+
+# coefficients are constants times up to two linear factors with small roots,
+# so drawn obstructions share roots often enough to exercise the gcd
+ROOTS = (Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(2))
+
+
+def with_roots(c, roots):
+    for r in roots:
+        c = c * (MU - r)
+    return c
+
+
+coefficients = st.builds(
+    with_roots,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda x: x != 0),
+    st.lists(st.sampled_from(ROOTS), max_size=2),
+)
+
+
+@st.composite
+def sparse_families(draw):
+    dim = draw(st.integers(4, 7))
+    pairs = list(itertools.combinations(range(1, dim + 1), 2))
+    diffs = {
+        f"e{k}": {p: draw(coefficients) for p in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))}
+        for k in range(1, dim + 1)
+    }
+    return obstructed(dim, **diffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_families())
+def test_jacobi_constraints_match_d_squared_on_drawn_families(fam):
+    assert jacobi_constraints(fam) == reference_constraints(fam)
+    assert solve_family(fam) == reference_solve(fam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_families(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_coefficient_tables_specialize_to_the_structure_table(fam, value):
+    e, tables = fam.coefficient_tables
+    assert len(tables) == 1 + max((c.degree for f in fam.differentials for c in f.terms.values()
+                                   if isinstance(c, Poly)), default=0)
+    e_value, table = fam.substitute(value).structure_table
+    for a, b, c in itertools.product(range(fam.dim), repeat=3):
+        at_value = sum(t[a][b][c] * value**d for d, t in enumerate(tables))
+        assert Fraction(at_value, e) == Fraction(table[a][b][c], e_value), (a, b, c)
+
+
+def test_a_rational_algebra_has_one_coefficient_table():
+    g = catalog_algebra("g2")
+    e, tables = g.coefficient_tables
+    assert (e, tables) == (g.structure_table[0], [g.structure_table[1]])
+
+
+@cache
+def rotated_family(h):
+    text, _ = gen.rotated_input(random.Random(f"rescale:{h}"), "prop31_family", h, "p31_rot")
+    return parse(text).to_algebra()
+
+
+nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(lambda x: x != 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.lists(nonzero, min_size=7, max_size=7))
+def test_rescaling_covectors_leaves_the_admissible_values(h, cs):
+    fam = rescale_covectors(rotated_family(h), dict(zip(range(1, 8), cs)))
+    assert solve_family(fam) == {Fraction(-1), Fraction(-1, 3)}

@@ -151,6 +151,39 @@ def test_degree_mismatch():
     assert e.line == 2
 
 
+def test_sum_errors_name_the_operator():
+    # "d e4 = " puts the first term at column 8
+    e = err(tiny(["d e4 = e12 + e13 - e1"]))
+    assert e.message == "cannot add a degree-2 and a degree-1 form"
+    assert (e.line, e.col) == (2, 18)
+    e = err(tiny(["d e4 = e12 + e13 + 1"]))
+    assert e.message == "cannot add a scalar and a form"
+    assert (e.line, e.col) == (2, 18)
+    e = err(tiny(["d e4 = e12 - e12 + e3"]))  # a zero sum gives way to e3
+    assert e.message == "d e4 must be a degree-2 form, got degree 1"
+
+
+def test_zero_sums_give_way_to_other_degrees():
+    doc = parse(tiny(["d e4 = e12 - e12 + e3 - e3 + 0 + e13 + 2 e23"]))
+    assert doc.differentials[4] == Form.make(4, 2, {(1, 3): Fraction(1), (2, 3): Fraction(2)})
+
+
+signed_terms = st.lists(
+    st.tuples(st.sampled_from([-2, -1, 1, 2]), st.sampled_from(["e12", "e13", "e21", "e34"])),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(signed_terms)
+def test_a_sum_is_the_sum_of_its_terms(terms):
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} {m}" for c, m in terms)
+    expected = Form.zero(4, 2)
+    for c, m in terms:
+        expected = expected + Form.monomial(4, Fraction(c), tuple(int(i) for i in m[1:]))
+    assert parse(tiny([f"d e4 = {text}"])).differentials[4] == expected
+
+
 def test_index_out_of_range():
     e = err(tiny(["d e4 = e15"]))
     assert "out of range" in e.message
