@@ -10,7 +10,6 @@ curvature, and a self-consistency audit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -40,7 +39,7 @@ from .qc import (
     matmul,
     restrict_h,
 )
-from .scalars import ZERO, Poly, Scalar, is_zero, linear_coeffs, solve_linear, substitute, variable
+from .scalars import ZERO, Poly, Scalar, Value, is_zero, linear_coeffs, replace, solve_linear, substitute, variable
 
 S_NAME = "S"
 
@@ -138,8 +137,7 @@ def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4
     return endos[0], endos[1], endos[2]
 
 
-@dataclass(frozen=True)
-class Torsion:
+class Torsion(Value):
     """Full torsion tensor, stored on index pairs a < b of the frame's basis."""
 
     dim: int
@@ -190,8 +188,7 @@ def assemble_torsion(
     return Torsion(g.dim, slots)
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """Christoffel table: gamma[(a, b)] = covariant derivative of e_b along e_a."""
 
     dim: int
@@ -316,8 +313,7 @@ def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int]
     }
 
 
-@dataclass(frozen=True)
-class Pipeline:
+class Pipeline(Value):
     """Everything the connection pipeline produces for one algebra + frame."""
 
     g: LieAlgebra

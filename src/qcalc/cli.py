@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog
@@ -33,7 +32,7 @@ from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, form_text, parse
 from .qc import QCFrame
 from .report import _wqc_samples, build_report
-from .scalars import Poly, scalar_str, substitute
+from .scalars import Poly, replace, scalar_str, substitute
 
 
 class _InputError(QcalcError):

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import mul
 from fractions import Fraction
 
 from . import linalg
 from .errors import InternalError, InvalidFlag, ParametricNotSupported
-from .scalars import ZERO, Poly, Scalar, is_zero, rational_roots, substitute
+from .scalars import ZERO, Poly, Scalar, Value, is_zero, rational_roots, substitute
 
 Index = tuple[int, ...]
 
@@ -31,13 +30,16 @@ def _sort_with_sign(idx: tuple[int, ...]) -> tuple[Index, int] | None:
     return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Value):
     """Sparse exterior form: strictly increasing index tuples -> coefficients."""
 
     dim: int
     degree: int
-    terms: dict[Index, Scalar] = field(default_factory=dict)
+    terms: dict[Index, Scalar]
+
+    def __init__(self, dim: int, degree: int, terms: dict[Index, Scalar] | None = None) -> None:
+        fields = self.__dict__  # set directly: one Form per arithmetic step
+        fields["dim"], fields["degree"], fields["terms"] = dim, degree, {} if terms is None else terms
 
     @staticmethod
     def zero(dim: int, degree: int) -> Form:
@@ -169,11 +171,13 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class Vec:
+class Vec(Value):
     """Vector in the e_1..e_n basis; components are Scalars."""
 
     comps: tuple[Scalar, ...]
+
+    def __init__(self, comps: tuple[Scalar, ...]) -> None:
+        self.__dict__["comps"] = comps
 
     @staticmethod
     def zero(dim: int) -> Vec:
@@ -218,8 +222,7 @@ def dot(u: Vec, v: Vec) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Value):
     """Structure equations: differentials[k-1] is d(e^k)."""
 
     name: str
@@ -227,7 +230,8 @@ class LieAlgebra:
     differentials: tuple[Form, ...]
     param: str | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dimension {self.dim} outside 1..{MAX_DIM}")
         if len(self.differentials) != self.dim:
@@ -456,8 +460,7 @@ def betti_numbers(g: LieAlgebra) -> list[int]:
 # normal ascending flags
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Value):
     """Ascending covector flag; level i holds i coordinate rows spanning V^i."""
 
     dim: int

@@ -16,24 +16,26 @@ digits are unambiguous); e1^e2 is always accepted.  '#' starts a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
 from .exterior import MAX_DIM, Flag, Form, LieAlgebra
 from .qc import QCFrame
-from .scalars import ZERO, Poly, Scalar, is_zero, scalar_str, variable
+from .scalars import ZERO, Poly, Record, Scalar, Value, is_zero, scalar_str, variable
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=,|]|\S")
+_TOKEN_RE = re.compile(r"(?P<NUMBER>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()=,|])|\S")
 _MONO_RE = re.compile(r"^e([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Value):
     kind: str  # NUMBER | IDENT | SYM | END
     text: str
     line: int
     col: int
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        fields = self.__dict__  # set directly: one Token per lexeme
+        fields["kind"], fields["text"], fields["line"], fields["col"] = kind, text, line, col
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
@@ -42,29 +44,21 @@ def _tokenize_line(text: str, lineno: int) -> list[Token]:
         t = m.group(0)
         if t == "#":
             break
-        col = m.start() + 1
-        if t.isdigit():
-            out.append(Token("NUMBER", t, lineno, col))
-        elif re.match(r"^[A-Za-z_]", t):
-            out.append(Token("IDENT", t, lineno, col))
-        elif t in "-+*/^()=,|":
-            out.append(Token("SYM", t, lineno, col))
-        else:
-            raise ParseError(f"unexpected character {t!r}", lineno, col)
+        if m.lastgroup is None:
+            raise ParseError(f"unexpected character {t!r}", lineno, m.start() + 1)
+        out.append(Token(m.lastgroup, t, lineno, m.start() + 1))
     out.append(Token("END", "", lineno, len(text) + 1))
     return out
 
 
-@dataclass
-class QCBlock:
+class QCBlock(Record):
     horizontal: tuple[int, int, int, int]
     vertical: tuple[int, int, int]
     scale: Fraction
-    omegas: dict[int, Form] = field(default_factory=dict)
+    omegas: dict[int, Form] = {}
 
 
-@dataclass
-class AlgebraDocument:
+class AlgebraDocument(Record):
     name: str
     dim: int
     param: str | None
@@ -200,7 +194,7 @@ class _LineParser:
             if m:
                 idx = tuple(int(ch) for ch in m.group(1))
                 for i in idx:
-                    if i > self.dim:
+                    if not 1 <= i <= self.dim:
                         raise ParseError(
                             f"index {i} out of range for dimension {self.dim}",
                             t.line,
@@ -257,7 +251,7 @@ class _LineParser:
             raise ParseError("can only divide by a rational", tok.line, tok.col)
         if b == 0:
             raise ParseError("division by zero", tok.line, tok.col)
-        return a / b
+        return (1 / b) * a if self._is_form(a) else a / b
 
     def _pow(self, a, b, tok: Token):
         if self._is_form(a) and self._is_form(b):

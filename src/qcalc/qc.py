@@ -9,22 +9,20 @@ and carries the fundamental 2-forms omega_r and the normalization scale
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .errors import NotQuaternionic
 from .exterior import Form, LieAlgebra, Vec
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, Value, is_zero
 
 Matrix4 = list[list[Scalar]]
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-@dataclass(frozen=True)
-class QCFrame:
+class QCFrame(Value):
     dim: int
     horizontal: tuple[int, int, int, int]
     vertical: tuple[int, int, int]

@@ -9,15 +9,12 @@ parameter" uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
 from .errors import Inconsistent, IndeterminateMismatch, Underdetermined, ZeroPolynomial
 
 Rat = Fraction
-Scalar = Union[Fraction, "Poly"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,8 +25,53 @@ def rat(p: int | str | Fraction, q: int = 1) -> Fraction:
     return Fraction(p, q) if q != 1 else Fraction(p)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Record:
+    """Base of qcalc's data classes, cheap to import (README, Start-up cost).
+
+    A subclass's annotations are its fields, in order; a class attribute of the
+    same name is a default, copied per instance if a dict.  Gives a positional
+    and keyword __init__, __eq__ and __repr__; fields sit in the instance __dict__."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = {n: dict(d) if isinstance(d, dict) else d for n, d in self._defaults.items()}
+        values.update(zip(self._fields, args), **kwargs)
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[n] for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({inner})"
+
+
+class Value(Record):
+    """A Record that hashes by value and refuses assignment."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def replace(obj: Record, **changes) -> Record:
+    """A copy of obj with the given fields changed."""
+    return type(obj)(**dict(zip(obj._fields, obj._values()), **changes))
+
+
+class Poly(Value):
     """Univariate polynomial, coefficients lowest degree first.
 
     Construct via the module helpers (``poly``, ``variable``) or arithmetic.
@@ -40,6 +82,10 @@ class Poly:
 
     var: str
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, var: str, coeffs: tuple[Fraction, ...]) -> None:
+        fields = self.__dict__  # set directly: one Poly per arithmetic step
+        fields["var"], fields["coeffs"] = var, coeffs
 
     @property
     def degree(self) -> int:
@@ -116,6 +162,9 @@ class Poly:
             else:
                 terms.append(f"+{mono}")
         return "".join(terms)
+
+
+Scalar = Fraction | Poly
 
 
 def _coerce(x: Scalar | int, var: str) -> Poly:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from qcalc.errors import NotIntegrable
 from qcalc.exterior import Form, LieAlgebra, Vec, dot
 from qcalc.parser import parse
 from qcalc.qc import apply_endo, derive_complex_structures, standard_frame
-from qcalc.scalars import is_zero, variable
+from qcalc.scalars import is_zero, replace, variable
 from test_conformal import PIPELINE_CASES, pipeline as case_pipeline
 from test_flags import G1_ROTATED_H3
 
@@ -416,7 +415,7 @@ def test_audit_fails_on_a_changed_christoffel_symbol(name):
     comps = list(gamma[(1, 2)].comps)
     comps[2] += Fraction(1, 7)
     gamma[(1, 2)] = Vec(tuple(comps))
-    results = _audit_results(dataclasses.replace(p, conn=Connection(p.conn.dim, gamma)))
+    results = _audit_results(replace(p, conn=Connection(p.conn.dim, gamma)))
     assert results["metric_compatibility"] is False
     assert results["torsion_roundtrip"] is False
     assert results["ricci_from_curvature"] and results["scalar_from_curvature"]
@@ -428,7 +427,7 @@ def test_audit_fails_on_a_changed_horizontal_curvature_entry(name):
     h = p.frame.horizontal
     key = (h[0], h[1], h[1], h[0])
     riem = {**p.riem, key: p.riem[key] + Fraction(1, 5)}
-    results = _audit_results(dataclasses.replace(p, riem=riem))
+    results = _audit_results(replace(p, riem=riem))
     assert results["ricci_from_curvature"] is False
     assert results["scalar_from_curvature"] is False
     assert results["metric_compatibility"] and results["torsion_roundtrip"]

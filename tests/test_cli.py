@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qcalc
 from qcalc.catalog import names, source
 from qcalc.exterior import verify_flag
 from qcalc.parser import parse
@@ -346,9 +347,29 @@ def test_check_rejects_omega_off_h(tmp_path):
     assert "qc structure: false\n" in r.stdout
 
 
+def test_check_reads_a_form_over_a_rational(tmp_path):
+    texts = {}
+    for name, d5 in (("over", "e12/2 + e34"), ("times", "(1/2)e12 + e34")):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(f"algebra t dim 5\nd e1 = 0\nd e2 = 0\nd e3 = 0\nd e4 = 0\nd e5 = {d5}\n")
+        r = run("check", str(path), "--format", "json")
+        assert r.returncode == 0, r.stderr
+        texts[name] = r.stdout
+    assert texts["over"] == texts["times"]
+
+
 def test_cli_import_loads_no_heavy_package():
     # every qcalc process pays for its imports; the exact kernels need none of these
     code = "import qcalc.cli, sys; print(sorted(m for m in ('numpy', 'sympy', 'hypothesis') if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_skips_dataclasses_inspect_and_typing():
+    # together they cost about as much as the rest of a fresh process's imports
+    code = "import qcalc.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qcalc.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

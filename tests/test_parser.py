@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcalc.catalog import names, source
 from qcalc.errors import ParseError
@@ -187,6 +188,10 @@ def test_a_sum_is_the_sum_of_its_terms(terms):
 def test_index_out_of_range():
     e = err(tiny(["d e4 = e15"]))
     assert "out of range" in e.message
+    for mono in ("e102", "e120"):  # a 0 after the first digit
+        e = err(tiny([f"d e4 = e13 + {mono}"]))
+        assert e.message == "index 0 out of range for dimension 4"
+        assert (e.line, e.col) == (2, 14)
 
 
 def test_unknown_identifier():
@@ -256,9 +261,45 @@ def test_division_rules():
     assert "divide by a rational" in e.message
     e = err(tiny(["d e4 = e12 / 0"]))
     assert "division by zero" in e.message
+    halved = parse(tiny(["d e4 = (1/2)e12 + e13"])).differentials[4]
+    for spelling in ("e12/2 + e13", "e12 / 2 + e13", "e1/2 e2 + e13", "e12/(4/2) + e13"):
+        assert parse(tiny([f"d e4 = {spelling}"])).differentials[4] == halved
 
 
 def test_parse_error_str_contains_position():
     e = err(tiny(["d e4 = e15"]))
     assert str(e.line) in str(e)
     assert str(e.col) in str(e)
+
+
+# ---------------------------------------------------------------------------
+# edited catalog sources parse or raise ParseError, nothing else
+
+GRAMMAR_TOKENS = ["/", "^", "e0", "e102", "mu", "(", ")", "0", "1", "2", "7"]
+# a monomial's last digit is its own piece, so an edit can land inside it (e1/2)
+PIECE_RE = re.compile(r"e\d(?=\d)|\w+|\S")
+
+
+@st.composite
+def edited_sources(draw):
+    """A catalog source with one to three edits on one line, each inserting a
+    grammar token after a piece or deleting a piece.  Few edits keep any
+    exponent the digits spell small."""
+    lines = source(draw(st.sampled_from(names()))).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        start, end = draw(st.sampled_from([m.span() for m in PIECE_RE.finditer(lines[k])] or [(0, 0)]))
+        if draw(st.booleans()):
+            lines[k] = lines[k][:end] + draw(st.sampled_from(GRAMMAR_TOKENS)) + lines[k][end:]
+        else:
+            lines[k] = lines[k][:start] + lines[k][end:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=1000)
+@given(edited_sources())
+def test_edited_sources_parse_or_raise_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass

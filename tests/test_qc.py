@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,7 @@ from qcalc.qc import (
     standard_omegas,
     vertical_integrable,
 )
+from qcalc.scalars import replace
 from test_conformal import G2_ROTATED
 
 
@@ -49,7 +49,7 @@ def abelian_with(diffs: dict) -> LieAlgebra:
 
 def test_qc_frame_is_an_index_split():
     # eta_r = e^{v_r} and xi_r = e_{v_r} are read off the vertical indices
-    assert [f.name for f in dataclasses.fields(QCFrame)] == [
+    assert list(QCFrame._fields) == [
         "dim", "horizontal", "vertical", "omegas", "scale",
     ]
 
@@ -169,7 +169,7 @@ def test_catalog_compatibility(name):
 
 def test_heisenberg_needs_scale_one():
     g, frame = load("heisenberg")
-    wrong = dataclasses.replace(frame, scale=Fraction(2))
+    wrong = replace(frame, scale=Fraction(2))
     assert not check_compatibility(g, wrong)
 
 
@@ -177,7 +177,7 @@ def test_omega_with_a_term_off_h_is_rejected():
     # the whole form is compared: an omega_r with a vertical term never matches d eta_r|_H
     g, frame = load("heisenberg")
     o1, o2, o3 = frame.omegas
-    off = dataclasses.replace(frame, omegas=(o1 + mono(5, 6), o2, o3))
+    off = replace(frame, omegas=(o1 + mono(5, 6), o2, o3))
     assert check_compatibility(g, frame)
     assert not check_compatibility(g, off)
     assert adapted_shape(g, off) is None

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc.errors import IndeterminateMismatch, Inconsistent, Underdetermined, ZeroPolynomial
+from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.linalg import char_poly
+from qcalc.parser import QCBlock
 from qcalc.scalars import (
     Poly,
     integer_roots,
@@ -18,6 +20,7 @@ from qcalc.scalars import (
     rational_roots,
     scalar_str,
     solve_linear,
+    replace,
     substitute,
     variable,
 )
@@ -276,3 +279,42 @@ def test_poly_gcd():
     assert poly_gcd([a, b]) == mu * mu + Fraction(4, 3) * mu + Fraction(1, 3)
     assert poly_gcd([a, mu * mu + 1]) == Fraction(1)
     assert poly_gcd([a]) == a / 3
+
+
+def test_value_classes():
+    # defaults, a fresh dict where the default is {}
+    assert Form(3, 1).terms == {} and Form(3, 1).terms is not Form(3, 1).terms
+    block = QCBlock((1, 2, 3, 4), (5, 6, 7), Fraction(2))
+    assert block.omegas == {} and block.omegas is not QCBlock((1, 2, 3, 4), (5, 6, 7), Fraction(2)).omegas
+    zero2 = Form.zero(1, 2)
+    assert LieAlgebra("a", 1, (zero2,)).param is None
+    # equality over the fields, by position or keyword, within one class
+    assert Form(3, 1, {(1,): Fraction(1)}) == Form(dim=3, degree=1, terms={(1,): Fraction(1)})
+    assert Form(3, 1) != Form(3, 2) and Vec((Fraction(1),)) != (Fraction(1),)
+    assert LieAlgebra("a", 1, (zero2,), param="mu") == LieAlgebra(name="a", dim=1, differentials=(zero2,), param="mu")
+    assert repr(Vec((Fraction(1),))) == "Vec(comps=(Fraction(1, 1),))"
+    # Polys hash by value
+    p = poly("mu", 1, 2)
+    assert hash(p) == hash(poly("mu", 1, 2)) and len({p, poly("mu", 1, 2), poly("mu", 2, 1)}) == 2
+    # the frozen classes refuse assignment; QCBlock stays mutable
+    for obj, name in ((p, "var"), (Form(3, 1), "dim"), (Vec(()), "comps"), (LieAlgebra("a", 1, (zero2,)), "name")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    block.scale = Fraction(1)
+    assert block.scale == 1
+    # replace copies with the given fields changed and rejects unknown ones
+    q = replace(p, var="nu")
+    assert (q.var, q.coeffs, p.var) == ("nu", p.coeffs, "mu")
+    assert replace(block, scale=Fraction(3)).omegas == {} and block.scale == 1
+    for obj in (p, block):
+        with pytest.raises(TypeError):
+            replace(obj, degree=3)
+    with pytest.raises(TypeError):
+        QCBlock((1, 2, 3, 4))
+    # LieAlgebra still validates, through replace too
+    with pytest.raises(ValueError, match="outside"):
+        LieAlgebra("a", 10, (zero2,) * 10)
+    with pytest.raises(ValueError, match="one differential per covector"):
+        replace(LieAlgebra("a", 1, (zero2,)), dim=2)
+    with pytest.raises(ValueError, match="degree-2 forms"):
+        LieAlgebra("a", 1, (Form.zero(1, 1),))
