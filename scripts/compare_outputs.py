@@ -15,10 +15,13 @@ unspecialized), `perfbench/gen.py` rotations of all four catalog algebras at
 heights 1-3, relabelled copies (the basis permuted, the qc split moved along,
 vertical sets like (1, 2, 3) and (2, 5, 7)), a document that fails the
 vertical duality conditions, one whose omega_1 has a term off H, one that
-is not a Lie algebra, and four small families whose `family solve` outcomes
-are roots of a gcd with mu^2 terms, no root from coprime obstructions, no
-root from a constant obstruction, and every value.  Only the standard
-library is used; gen.py is imported read-only.
+is not a Lie algebra, two whose parameter appears only in the flag or only
+in omega_1 (each bare and at mu = 0 and 1), and four small families whose
+`family solve` outcomes are roots of a gcd with mu^2 terms, no root from
+coprime obstructions, no root from a constant obstruction, and every value.
+`--param` is also misused: a wrong name, a zero denominator and no `=` on
+`prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
+standard library is used; gen.py is imported read-only.
 
 Exits 0 when every run agrees and 1 at the first difference, printing its
 argv and the differing field.
@@ -50,6 +53,7 @@ COMMANDS = (
 )
 FORMATS = ("json", "text")
 ROOTS = ("mu=-1", "mu=-1/3")
+MISUSED = ("nu=-1", "mu=1/0", "mu")
 HEIGHTS = (1, 2, 3)
 TIMEOUT_S = 300
 JOBS = 4
@@ -84,6 +88,16 @@ SPECIAL = {
     "nonlie": HEISENBERG.format(name="nonlie", de6="e13 + e42", omega1="e12 + e34").replace(
         "d e7 = e14 + e23", "d e7 = e14 + e23 + e56"
     ),
+}
+
+# the parameter appears only in the flag (V^3 is invariant at mu = 0 only) or only in omega_1
+# (compatible at mu = 0 only); each runs bare and under PROBES
+PROBES = ("mu=0", "mu=1")
+PARAM_ONLY = {
+    "param_in_flag": HEISENBERG.format(name="param_in_flag", de6="e13 + e42", omega1="e12 + e34")
+    + "flag = e1 | e1, e2 | e1, e2, e3 + mu e5 | e1, e2, e3, e4 | e1, e2, e3, e4, e5"
+    " | e1, e2, e3, e4, e5, e6 | e1, e2, e3, e4, e5, e6, e7\n",
+    "param_in_omega": HEISENBERG.format(name="param_in_omega", de6="e13 + e42", omega1="e12 + e34 + mu e13"),
 }
 
 
@@ -128,37 +142,40 @@ def relabelled_text(name: str, eqs, scale, perm, parametric: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def documents() -> dict[str, tuple[str, bool]]:
-    """name -> (.alg text, parametric) for every generated input."""
+def documents() -> dict[str, tuple[str, list]]:
+    """name -> (.alg text, --param values, None for none) for every generated input."""
     docs = {}
     for source in gen.SOURCES:
         parametric = source == "prop31_family"
+        params = [None, *ROOTS] if parametric else [None]
         for h in HEIGHTS:
             name = f"{source}_rot_h{h}"
-            docs[name] = (gen.rotated_input(random.Random(f"{source}:{h}"), source, h, name)[0], parametric)
+            docs[name] = (gen.rotated_input(random.Random(f"{source}:{h}"), source, h, name)[0], params)
         scale, eqs = gen.source_equations(source)
         for t, perm in enumerate(RELABELLINGS):
-            docs[f"{source}_relabel{t}"] = (relabelled_text(source, eqs, scale, perm, parametric), parametric)
+            docs[f"{source}_relabel{t}"] = (relabelled_text(source, eqs, scale, perm, parametric), params)
     scale, eqs = gen.source_equations("g2")
     rotated = gen.change_coframe(eqs, gen.block_matrix(*gen.random_rotation(random.Random(3), 1)))
     for t, perm in enumerate(RELABELLINGS):
-        docs[f"g2_rot_relabel{t}"] = (relabelled_text("g2_rot", rotated, scale, perm, False), False)
+        docs[f"g2_rot_relabel{t}"] = (relabelled_text("g2_rot", rotated, scale, perm, False), [None])
     for name, text in SPECIAL.items():
-        docs[name] = (text, False)
+        docs[name] = (text, [None])
+    for name, text in PARAM_ONLY.items():
+        docs[name] = (text.replace(" dim 7\n", " dim 7 param mu\n", 1), [None, *PROBES])
     for name, diffs in FAMILIES.items():
-        docs[f"family_{name}"] = (family_text(name, **diffs), False)
+        docs[f"family_{name}"] = (family_text(name, **diffs), [None])
     return docs
 
 
 def argvs(workdir: Path) -> list[list[str]]:
     inputs = []  # (where, param variants)
     for source in gen.SOURCES:
-        params = [None, *ROOTS] if source == "prop31_family" else [None]
+        params = {"prop31_family": [None, *ROOTS, *MISUSED], "heisenberg": [None, "mu=-1"]}.get(source, [None])
         inputs.append((["--catalog", source], params))
-    for name, (text, parametric) in documents().items():
+    for name, (text, params) in documents().items():
         path = workdir / f"{name}.alg"
         path.write_text(text, encoding="utf-8")
-        inputs.append(([str(path)], [None, *ROOTS] if parametric else [None]))
+        inputs.append(([str(path)], params))
     out = []
     for where, params in inputs:
         for param in params:

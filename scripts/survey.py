@@ -16,7 +16,7 @@ from qcalc import (
 
 def survey_one(name: str) -> None:
     doc = parse(catalog.source(name))
-    g = doc.to_algebra()
+    g = doc.algebra
     if g.parametric:
         roots = solve_family(g)
         if roots is ALL_VALUES:
@@ -25,13 +25,12 @@ def survey_one(name: str) -> None:
         ordered = sorted(roots)
         print(f"{name}: Lie algebra exactly at {sorted(str(r) for r in ordered)}")
         for value in ordered:
-            sub = g.substitute(value)
-            frame = doc.to_frame()
-            report, ok = build_report(sub, frame)
-            print(f"  {doc.param}={value}: S={report['S']} "
+            sub = doc.substitute(value)
+            report, ok = build_report(sub.algebra, sub.frame)
+            print(f"  {g.param}={value}: S={report['S']} "
                   f"torsion={report['torsion_nonzero']} b={report['fingerprint']['betti']} ok={ok}")
         return
-    report, ok = build_report(g, doc.to_frame())
+    report, ok = build_report(g, doc.frame)
     line = f"{name}: jacobi={report['jacobi']}"
     if report["S"] is not None:
         line += (f" S={report['S']} torsion={report['torsion_nonzero']}"

@@ -18,21 +18,10 @@ from .errors import (
     ParseError,
     QcalcError,
 )
-from .exterior import (
-    Flag,
-    Form,
-    LieAlgebra,
-    betti_numbers,
-    cohomology_dim,
-    search_flag,
-    substitute_form,
-    verify_flag,
-)
+from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, verify_flag
 from .family import ALL_VALUES, solve_family
-from .parser import AlgebraDocument, form_text, parse
-from .qc import QCFrame
+from .parser import AlgebraDocument, flag_texts, parse
 from .report import _wqc_samples, build_report
-from .scalars import Poly, replace, scalar_str, substitute
 
 
 class _InputError(QcalcError):
@@ -158,60 +147,42 @@ def _load_document(args) -> AlgebraDocument:
     raise _InputError("provide a structure-equation file or --catalog NAME")
 
 
-def _parse_param(args, doc: AlgebraDocument) -> Fraction | None:
+def _parse_param(args, g: LieAlgebra) -> Fraction | None:
     if not args.param:
         return None
     if "=" not in args.param:
         raise _InputError("--param expects NAME=VALUE, e.g. --param mu=-1")
     name, _, text = args.param.partition("=")
-    if doc.param is None:
-        raise _InputError(f"{doc.name} has no parameter")
-    if name != doc.param:
-        raise _InputError(f"{doc.name} has parameter {doc.param!r}, not {name!r}")
+    if g.param is None:
+        raise _InputError(f"{g.name} has no parameter")
+    if name != g.param:
+        raise _InputError(f"{g.name} has parameter {g.param!r}, not {name!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _InputError(f"cannot read {text!r} as a rational number") from None
 
 
-def _load_specialized(args) -> tuple[AlgebraDocument, LieAlgebra, QCFrame | None]:
-    """Load the document and apply --param, requiring a parameter-free result."""
+def _load_specialized(args, flag: bool = False) -> AlgebraDocument:
+    """Load the document and apply --param, requiring a parameter-free algebra,
+    and with flag=True a declared, parameter-free flag."""
     doc = _load_document(args)
-    value = _parse_param(args, doc)
-    g = doc.to_algebra()
-    frame = doc.to_frame()
+    g = doc.algebra
+    value = _parse_param(args, g)
+    if flag and doc.flag is None:
+        raise _InputError(f"{g.name} declares no flag")
     if value is not None:
-        g = g.substitute(value)
-        if frame is not None:
-            frame = _substitute_frame(frame, value)
-    if g.parametric:
+        doc = doc.substitute(value)
+    if doc.algebra.parametric or (flag and doc.flag.parametric):
         raise ParametricNotSupported(
-            f"{g.name} is parametric; specialize it with --param {doc.param}=VALUE"
+            f"{g.name} is parametric; specialize it with --param {g.param}=VALUE"
         )
-    return doc, g, frame
+    return doc
 
 
 def _require_lie(g: LieAlgebra) -> None:
     if not g.is_valid:
         raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
-
-
-def _substitute_frame(frame: QCFrame, value: Fraction) -> QCFrame:
-    return replace(frame, omegas=tuple(substitute_form(o, value) for o in frame.omegas))
-
-
-def _substitute_flag(flag: Flag, value: Fraction) -> Flag:
-    levels = tuple(
-        tuple(tuple(substitute(x, value) for x in row) for row in level)
-        for level in flag.levels
-    )
-    return Flag(flag.dim, levels)
-
-
-def _flag_is_parametric(flag: Flag) -> bool:
-    return any(
-        isinstance(x, Poly) for level in flag.levels for row in level for x in row
-    )
 
 
 def _bool(x) -> str:
@@ -227,7 +198,8 @@ def _bool(x) -> str:
 def _cmd_check(args, fmt: str) -> int:
     from .qc import check_bi1, check_compatibility
 
-    _, g, frame = _load_specialized(args)
+    doc = _load_specialized(args)
+    g, frame = doc.algebra, doc.frame
     ok = g.is_valid
     out: dict = {"name": g.name, "jacobi": ok, "qc_valid": None, "bi1": None}
     if ok and frame is not None:
@@ -247,7 +219,8 @@ def _cmd_check(args, fmt: str) -> int:
 
 
 def _cmd_report(args, fmt: str) -> int:
-    _, g, frame = _load_specialized(args)
+    doc = _load_specialized(args)
+    g, frame = doc.algebra, doc.frame
     report, ok = build_report(g, frame)
 
     def lines(o):
@@ -291,7 +264,8 @@ def _cmd_wqc(args, fmt: str) -> int:
     from .biquard import run_pipeline
     from .conformal import is_qc_conformally_flat, wqc_tensor
 
-    _, g, frame = _load_specialized(args)
+    doc = _load_specialized(args)
+    g, frame = doc.algebra, doc.frame
     if frame is None:
         raise _InputError(f"{g.name} has no qc block")
     _require_lie(g)
@@ -315,7 +289,7 @@ def _cmd_wqc(args, fmt: str) -> int:
 
 
 def _cmd_cohomology(args, fmt: str) -> int:
-    _, g, frame = _load_specialized(args)
+    g = _load_specialized(args).algebra
     _require_lie(g)
     if args.k is not None:
         if not 0 <= args.k <= g.dim:
@@ -338,21 +312,10 @@ def _cmd_cohomology(args, fmt: str) -> int:
 
 
 def _cmd_flag_verify(args, fmt: str) -> int:
-    doc = _load_document(args)
-    value = _parse_param(args, doc)
-    g = doc.to_algebra()
-    flag = doc.to_flag()
-    if flag is None:
-        raise _InputError(f"{doc.name} declares no flag")
-    if value is not None:
-        g = g.substitute(value)
-        flag = _substitute_flag(flag, value)
-    if g.parametric or _flag_is_parametric(flag):
-        raise ParametricNotSupported(
-            f"{g.name} is parametric; specialize it with --param {doc.param}=VALUE"
-        )
+    doc = _load_specialized(args, flag=True)
+    g = doc.algebra
     _require_lie(g)
-    verified, reason = verify_flag(g, flag)
+    verified, reason = verify_flag(g, doc.flag)
     out = {"name": g.name, "verified": verified, "reason": reason}
 
     def lines(o):
@@ -365,25 +328,14 @@ def _cmd_flag_verify(args, fmt: str) -> int:
     return 0 if verified else 1
 
 
-def _flag_level_texts(flag: Flag) -> list[list[str]]:
-    out = []
-    for level in flag.levels:
-        forms = [
-            Form.make(flag.dim, 1, {(j,): c for j, c in enumerate(row, start=1)})
-            for row in level
-        ]
-        out.append([form_text(f) for f in forms])
-    return out
-
-
 def _cmd_flag_search(args, fmt: str) -> int:
-    _, g, _ = _load_specialized(args)
+    g = _load_specialized(args).algebra
     _require_lie(g)
     found = search_flag(g)
     out = {
         "name": g.name,
         "found": found is not None,
-        "flag": None if found is None else _flag_level_texts(found),
+        "flag": None if found is None else flag_texts(found),
     }
 
     def lines(o):
@@ -399,22 +351,16 @@ def _cmd_flag_search(args, fmt: str) -> int:
 
 
 def _cmd_family_solve(args, fmt: str) -> int:
-    doc = _load_document(args)
+    fam = _load_document(args).algebra
     if args.param:
         raise _InputError("family solve determines the parameter; drop --param")
-    if doc.param is None:
-        raise _InputError(f"{doc.name} has no parameter to solve for")
-    fam = doc.to_algebra()
+    if fam.param is None:
+        raise _InputError(f"{fam.name} has no parameter to solve for")
     roots = solve_family(fam)
     if roots is ALL_VALUES:
-        out: dict = {"name": fam.name, "param": doc.param, "roots": "all"}
+        out: dict = {"name": fam.name, "param": fam.param, "roots": "all"}
     else:
-        ordered = sorted(roots)
-        out = {
-            "name": fam.name,
-            "param": doc.param,
-            "roots": [scalar_str(r) for r in ordered],
-        }
+        out = {"name": fam.name, "param": fam.param, "roots": [str(r) for r in sorted(roots)]}
 
     def lines(o):
         if o["roots"] == "all":

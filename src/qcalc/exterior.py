@@ -470,11 +470,15 @@ class Flag(Value):
         """Rows of V^i, 1-based."""
         return [list(r) for r in self.levels[i - 1]]
 
+    @property
+    def parametric(self) -> bool:
+        return any(isinstance(c, Poly) for lev in self.levels for row in lev for c in row)
+
 
 def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
     """Check dV^i subset of Lambda^2 V^i for every level; first violation if any."""
     require_rational(g)
-    if any(isinstance(c, Poly) for lev in flag.levels for row in lev for c in row):
+    if flag.parametric:
         raise ParametricNotSupported("flag has parametric covectors")
     n = g.dim
     if flag.dim != n or len(flag.levels) != n:

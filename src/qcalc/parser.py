@@ -19,12 +19,13 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .exterior import MAX_DIM, Flag, Form, LieAlgebra
+from .exterior import MAX_DIM, Flag, Form, LieAlgebra, substitute_form
 from .qc import QCFrame
-from .scalars import ZERO, Poly, Record, Scalar, Value, is_zero, scalar_str, variable
+from .scalars import ZERO, Poly, Scalar, Value, is_zero, replace, substitute, variable
 
 _TOKEN_RE = re.compile(r"(?P<NUMBER>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()=,|])|\S")
 _MONO_RE = re.compile(r"^e([1-9][0-9]*)$")
+MAX_EXPONENT = 64  # bounds n in x^n, and the degree in the parameter of mu^n or (mu^2 + 1)^n
 
 
 class Token(Value):
@@ -51,47 +52,22 @@ def _tokenize_line(text: str, lineno: int) -> list[Token]:
     return out
 
 
-class QCBlock(Record):
-    horizontal: tuple[int, int, int, int]
-    vertical: tuple[int, int, int]
-    scale: Fraction
-    omegas: dict[int, Form] = {}
+class AlgebraDocument(Value):
+    """A parsed document: the algebra, and the qc frame and flag it declares."""
 
+    algebra: LieAlgebra
+    frame: QCFrame | None = None
+    flag: Flag | None = None
 
-class AlgebraDocument(Record):
-    name: str
-    dim: int
-    param: str | None
-    differentials: dict[int, Form]
-    qc: QCBlock | None = None
-    flag_levels: list[list[Form]] | None = None
-
-    def to_algebra(self) -> LieAlgebra:
-        diffs = tuple(self.differentials[k] for k in range(1, self.dim + 1))
-        return LieAlgebra(self.name, self.dim, diffs, self.param)
-
-    def to_frame(self) -> QCFrame | None:
-        if self.qc is None:
-            return None
-        b = self.qc
-        return QCFrame(
-            self.dim,
-            b.horizontal,
-            b.vertical,
-            (b.omegas[1], b.omegas[2], b.omegas[3]),
-            b.scale,
-        )
-
-    def to_flag(self) -> Flag | None:
-        if self.flag_levels is None:
-            return None
-        levels = []
-        for level in self.flag_levels:
-            rows = tuple(
-                tuple(f.coeff((j,)) for j in range(1, self.dim + 1)) for f in level
-            )
-            levels.append(rows)
-        return Flag(self.dim, tuple(levels))
+    def substitute(self, value: Fraction) -> AlgebraDocument:
+        """Specialize the parameter in the algebra, the omegas and the flag rows."""
+        frame, flag = self.frame, self.flag
+        if frame is not None:
+            frame = replace(frame, omegas=tuple(substitute_form(o, value) for o in frame.omegas))
+        if flag is not None:
+            levels = tuple(tuple(tuple(substitute(x, value) for x in row) for row in lev) for lev in flag.levels)
+            flag = Flag(flag.dim, levels)
+        return AlgebraDocument(self.algebra.substitute(value), frame, flag)
 
 
 class _LineParser:
@@ -257,6 +233,10 @@ class _LineParser:
         if self._is_form(a) and self._is_form(b):
             return a.wedge(b)
         if not self._is_form(a) and isinstance(b, Fraction) and b.denominator == 1 and b >= 0:
+            degree = b * (a.degree if isinstance(a, Poly) else 1)
+            if degree > MAX_EXPONENT:
+                what = f"exponent {b}" if degree == b else f"degree {degree} in {a.var}"
+                raise ParseError(f"{what} is above {MAX_EXPONENT}", tok.line, tok.col)
             out: Scalar = Fraction(1)
             for _ in range(int(b)):
                 out = out * a
@@ -306,46 +286,52 @@ class _LineParser:
 
 def parse(text: str) -> AlgebraDocument:
     """Parse a full .alg document."""
-    lines = text.splitlines()
-    doc: AlgebraDocument | None = None
+    header = split = flag = None
+    diffs: dict[int, Form] = {}
+    omegas: dict[int, Form] = {}
     last_line = 1
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
         if tokens[0].kind == "END":
             continue
         last_line = lineno
-        if doc is None:
-            doc = _parse_header(tokens)
+        if header is None:
+            header = _parse_header(tokens)
             continue
         head = tokens[0]
-        p = _LineParser(tokens, doc.dim, doc.param)
+        p = _LineParser(tokens, header[1], header[2])
         if head.kind == "IDENT" and head.text == "d":
-            _parse_differential(p, doc)
+            _parse_differential(p, diffs)
         elif head.kind == "IDENT" and head.text == "qc":
-            _parse_qc(p, doc)
+            split = _parse_qc(p, split)
         elif head.kind == "IDENT" and re.match(r"^omega[123]$", head.text):
-            _parse_omega(p, doc)
+            _parse_omega(p, split, omegas)
         elif head.kind == "IDENT" and head.text == "flag":
-            _parse_flag(p, doc)
+            flag = _parse_flag(p, flag)
         else:
             raise ParseError(
                 f"expected 'd', 'qc', 'omegaN' or 'flag', found {head.text!r}",
                 head.line,
                 head.col,
             )
-    if doc is None:
+    if header is None:
         raise ParseError("empty document", last_line, 1)
-    for k in range(1, doc.dim + 1):
-        if k not in doc.differentials:
+    name, dim, param = header
+    for k in range(1, dim + 1):
+        if k not in diffs:
             raise ParseError(f"missing differential for e{k}", last_line, 1)
-    if doc.qc is not None:
+    frame = None
+    if split is not None:
         for r in (1, 2, 3):
-            if r not in doc.qc.omegas:
+            if r not in omegas:
                 raise ParseError(f"qc block lacks omega{r}", last_line, 1)
-    return doc
+        horizontal, vertical, scale = split
+        frame = QCFrame(dim, horizontal, vertical, (omegas[1], omegas[2], omegas[3]), scale)
+    algebra = LieAlgebra(name, dim, tuple(diffs[k] for k in range(1, dim + 1)), param)
+    return AlgebraDocument(algebra, frame, flag)
 
 
-def _parse_header(tokens: list[Token]) -> AlgebraDocument:
+def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:
     p = _LineParser(tokens, MAX_DIM, None)
     p.expect("IDENT", "algebra")
     name = p.expect("IDENT").text
@@ -359,29 +345,29 @@ def _parse_header(tokens: list[Token]) -> AlgebraDocument:
         p.next()
         param = p.expect("IDENT").text
     p.expect_end()
-    return AlgebraDocument(name, dim, param, {})
+    return name, dim, param
 
 
-def _parse_differential(p: _LineParser, doc: AlgebraDocument) -> None:
+def _parse_differential(p: _LineParser, diffs: dict[int, Form]) -> None:
     p.expect("IDENT", "d")
     t = p.expect("IDENT")
     m = re.match(r"^e([1-9])$", t.text)
-    if not m or int(m.group(1)) > doc.dim:
-        raise ParseError(f"expected a covector e1..e{doc.dim}", t.line, t.col)
+    if not m or int(m.group(1)) > p.dim:
+        raise ParseError(f"expected a covector e1..e{p.dim}", t.line, t.col)
     k = int(m.group(1))
-    if k in doc.differentials:
+    if k in diffs:
         raise ParseError(f"duplicate differential for e{k}", t.line, t.col)
     p.expect("SYM", "=")
-    form = p.form_expression(2, f"d e{k}")
+    diffs[k] = p.form_expression(2, f"d e{k}")
     p.expect_end()
-    doc.differentials[k] = form
 
 
-def _parse_qc(p: _LineParser, doc: AlgebraDocument) -> None:
+def _parse_qc(p: _LineParser, split: tuple | None) -> tuple:
+    """(horizontal, vertical, scale) of the qc line."""
     head = p.expect("IDENT", "qc")
-    if doc.qc is not None:
+    if split is not None:
         raise ParseError("duplicate qc block", head.line, head.col)
-    if doc.dim != 7:
+    if p.dim != 7:
         raise ParseError("qc block requires dimension 7", head.line, head.col)
     p.expect("IDENT", "horizontal")
     horizontal = tuple(p.index() for _ in range(4))
@@ -395,25 +381,24 @@ def _parse_qc(p: _LineParser, doc: AlgebraDocument) -> None:
         p.expect("IDENT", "scale")
         scale = p.rational()
     p.expect_end()
-    doc.qc = QCBlock(horizontal, vertical, scale)
+    return horizontal, vertical, scale
 
 
-def _parse_omega(p: _LineParser, doc: AlgebraDocument) -> None:
+def _parse_omega(p: _LineParser, split: tuple | None, omegas: dict[int, Form]) -> None:
     t = p.expect("IDENT")
     r = int(t.text[-1])
-    if doc.qc is None:
+    if split is None:
         raise ParseError("omega lines must follow the qc line", t.line, t.col)
-    if r in doc.qc.omegas:
+    if r in omegas:
         raise ParseError(f"duplicate omega{r}", t.line, t.col)
     p.expect("SYM", "=")
-    form = p.form_expression(2, f"omega{r}")
+    omegas[r] = p.form_expression(2, f"omega{r}")
     p.expect_end()
-    doc.qc.omegas[r] = form
 
 
-def _parse_flag(p: _LineParser, doc: AlgebraDocument) -> None:
+def _parse_flag(p: _LineParser, flag: Flag | None) -> Flag:
     t = p.expect("IDENT", "flag")
-    if doc.flag_levels is not None:
+    if flag is not None:
         raise ParseError("duplicate flag block", t.line, t.col)
     p.expect("SYM", "=")
     levels: list[list[Form]] = []
@@ -428,16 +413,17 @@ def _parse_flag(p: _LineParser, doc: AlgebraDocument) -> None:
             continue
         break
     p.expect_end()
-    if len(levels) != doc.dim:
+    if len(levels) != p.dim:
         raise ParseError(
-            f"flag must list {doc.dim} levels, got {len(levels)}", t.line, t.col
+            f"flag must list {p.dim} levels, got {len(levels)}", t.line, t.col
         )
     for i, level in enumerate(levels, start=1):
         if len(level) != i:
             raise ParseError(
                 f"flag level {i} must list {i} covectors, got {len(level)}", t.line, t.col
             )
-    doc.flag_levels = levels
+    cols = range(1, p.dim + 1)
+    return Flag(p.dim, tuple(tuple(tuple(f.coeff((j,)) for j in cols) for f in level) for level in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +433,7 @@ def _parse_flag(p: _LineParser, doc: AlgebraDocument) -> None:
 def _coeff_text(c: Scalar) -> tuple[str, str]:
     """(sign, body) for one monomial coefficient."""
     if isinstance(c, Poly):
-        return "+", f"({scalar_str(c)})"
+        return "+", f"({c})"
     sign = "-" if c < 0 else "+"
     a = abs(c)
     if a == 1:
@@ -472,20 +458,25 @@ def form_text(f: Form) -> str:
     return text
 
 
+def flag_texts(flag: Flag) -> list[list[str]]:
+    """The covectors of each level, as form_text prints them."""
+    return [
+        [form_text(Form.make(flag.dim, 1, {(j,): c for j, c in enumerate(row, start=1)})) for row in level]
+        for level in flag.levels
+    ]
+
+
 def print_document(doc: AlgebraDocument) -> str:
-    lines = [f"algebra {doc.name} dim {doc.dim}" + (f" param {doc.param}" if doc.param else "")]
-    for k in range(1, doc.dim + 1):
-        lines.append(f"d e{k} = {form_text(doc.differentials[k])}")
-    if doc.qc is not None:
-        b = doc.qc
+    g, b = doc.algebra, doc.frame
+    lines = [f"algebra {g.name} dim {g.dim}" + (f" param {g.param}" if g.param else "")]
+    for k in range(1, g.dim + 1):
+        lines.append(f"d e{k} = {form_text(g.differential(k))}")
+    if b is not None:
         h = " ".join(str(i) for i in b.horizontal)
         v = " ".join(str(i) for i in b.vertical)
         lines.append(f"qc horizontal {h} vertical {v} scale {b.scale}")
-        for r in (1, 2, 3):
-            lines.append(f"omega{r} = {form_text(b.omegas[r])}")
-    if doc.flag_levels is not None:
-        levels = " | ".join(
-            ", ".join(form_text(f) for f in level) for level in doc.flag_levels
-        )
-        lines.append(f"flag = {levels}")
+        for r, omega in enumerate(b.omegas, start=1):
+            lines.append(f"omega{r} = {form_text(omega)}")
+    if doc.flag is not None:
+        lines.append("flag = " + " | ".join(", ".join(level) for level in flag_texts(doc.flag)))
     return "\n".join(lines) + "\n"

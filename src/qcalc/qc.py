@@ -127,8 +127,8 @@ def hcolumn(frame: QCFrame, m: Matrix4, b: int) -> Vec:
 
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:
-    """d eta_r restricted to horizontal pairs must equal scale * omega_r."""
-    return all(
+    """d eta_r restricted to horizontal pairs must equal scale * omega_r, scale nonzero."""
+    return frame.scale != 0 and all(
         restrict_h(g.differential(v), frame) == frame.scale * om
         for v, om in zip(frame.vertical, frame.omegas)
     )

@@ -13,7 +13,6 @@ from .qc import (
     d_fundamental_form,
     vertical_integrable,
 )
-from .scalars import scalar_str
 
 # the keys after "name" and "jacobi", in output order; each starts as None
 REPORT_KEYS = (
@@ -24,7 +23,7 @@ SAMPLE_TUPLES = ((1, 2, 1, 2), (1, 3, 1, 3), (1, 4, 1, 4), (3, 4, 3, 4))
 
 
 def _matrix_strings(m) -> list[list[str]]:
-    return [[scalar_str(x) for x in row] for row in m]
+    return [[str(x) for x in row] for row in m]
 
 
 def _r_samples(p: Pipeline) -> list[dict]:
@@ -32,7 +31,7 @@ def _r_samples(p: Pipeline) -> list[dict]:
     out = []
     for a, b, c, dd in SAMPLE_TUPLES:
         value = p.riem[(h[a - 1], h[b - 1], h[c - 1], h[dd - 1])]
-        out.append({"idx": [a, b, c, dd], "value": scalar_str(value)})
+        out.append({"idx": [a, b, c, dd], "value": str(value)})
     return out
 
 
@@ -40,7 +39,7 @@ def _wqc_samples(w) -> list[dict]:
     out = []
     for a, b, c, dd in SAMPLE_TUPLES:
         value = w[a - 1][b - 1][c - 1][dd - 1]
-        out.append({"idx": [a, b, c, dd], "value": scalar_str(value)})
+        out.append({"idx": [a, b, c, dd], "value": str(value)})
     return out
 
 
@@ -71,7 +70,7 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     if not bi1_ok:
         return report, False
     p = run_pipeline(g, frame)
-    report["S"] = scalar_str(p.s_value)
+    report["S"] = str(p.s_value)
     report["T0"] = _matrix_strings(p.t0)
     report["torsion_endos"] = [_matrix_strings(m) for m in p.endos]
     report["torsion_nonzero"] = any(

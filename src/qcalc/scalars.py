@@ -14,30 +14,24 @@ from math import gcd, lcm
 
 from .errors import Inconsistent, IndeterminateMismatch, Underdetermined, ZeroPolynomial
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat(p: int | str | Fraction, q: int = 1) -> Fraction:
-    """Convenience constructor for exact rationals."""
-    return Fraction(p, q) if q != 1 else Fraction(p)
-
-
-class Record:
+class Value:
     """Base of qcalc's data classes, cheap to import (README, Start-up cost).
 
     A subclass's annotations are its fields, in order; a class attribute of the
-    same name is a default, copied per instance if a dict.  Gives a positional
-    and keyword __init__, __eq__ and __repr__; fields sit in the instance __dict__."""
+    same name is a default.  Gives a positional and keyword __init__, __eq__,
+    __hash__ and __repr__ over the fields, which sit in the instance __dict__,
+    and refuses assignment."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
-        values = {n: dict(d) if isinstance(d, dict) else d for n, d in self._defaults.items()}
+        values = dict(self._defaults)
         values.update(zip(self._fields, args), **kwargs)
         if len(args) > len(self._fields) or values.keys() != set(self._fields):
             raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}")
@@ -51,22 +45,18 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({inner})"
-
-
-class Value(Record):
-    """A Record that hashes by value and refuses assignment."""
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def replace(obj: Record, **changes) -> Record:
+def replace(obj: Value, **changes) -> Value:
     """A copy of obj with the given fields changed."""
     return type(obj)(**dict(zip(obj._fields, obj._values()), **changes))
 
@@ -145,6 +135,7 @@ class Poly(Value):
         return acc
 
     def __str__(self) -> str:
+        """High degree first, like "3*mu^2+4*mu+1"."""
         terms: list[str] = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
@@ -204,11 +195,6 @@ def substitute(x: Scalar, value: Fraction) -> Fraction:
     if isinstance(x, Poly):
         return x.substitute(value)
     return x
-
-
-def scalar_str(x: Scalar) -> str:
-    """Canonical text form: "p/q" for rationals, high-to-low like "3*mu^2+4*mu+1"."""
-    return str(x)
 
 
 def solve_linear(a: Scalar, b: Scalar) -> Fraction:

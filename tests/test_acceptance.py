@@ -70,10 +70,10 @@ def criterion(number, description):
 @lru_cache(maxsize=None)
 def algebra(name, mu=None):
     doc = document(name)
-    g = doc.to_algebra()
+    g = doc.algebra
     if mu is not None:
         g = specialize(g, Fraction(mu))
-    return g, doc.to_frame()
+    return g, doc.frame
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +105,7 @@ def level_forms(flag, i):
 
 
 def catalog_flag(name, mu=None):
-    flag = document(name).to_flag()
+    flag = document(name).flag
     if mu is not None:
         levels = tuple(
             tuple(
@@ -300,7 +300,7 @@ def test_criterion_08():
 
 def test_criterion_09():
     with criterion(9, "family solves, specializes, rescales, and fingerprints"):
-        fam = document("prop31_family").to_algebra()
+        fam = document("prop31_family").algebra
         assert solve_family(fam) == {Fraction(-1), Fraction(-1, 3)}
         for value, twin, b2 in (
             (Fraction(-1), "g1", 2),

@@ -28,10 +28,10 @@ S = variable("S")
 
 def load(name, mu=None):
     doc = document(name)
-    g = doc.to_algebra()
+    g = doc.algebra
     if mu is not None:
         g = g.substitute(Fraction(mu))
-    return g, doc.to_frame()
+    return g, doc.frame
 
 
 def pipeline(name, mu=None):
@@ -78,7 +78,7 @@ def test_connection_forms_heisenberg():
 
 def test_connection_forms_require_duality_conditions():
     # break the duality conditions: eta_1 paired with its own differential
-    diffs = list(document("heisenberg").differentials.values())
+    diffs = list(document("heisenberg").algebra.differentials)
     diffs[4] = diffs[4] + mono(1, 5)
     g = LieAlgebra("broken", 7, tuple(diffs), None)
     frame = standard_frame(scale=Fraction(1))
@@ -385,7 +385,7 @@ def reference_curvature(g, conn):
 
 def rotated_h3_pipeline():
     doc = parse(G1_ROTATED_H3)
-    return run_pipeline(doc.to_algebra(), doc.to_frame())
+    return run_pipeline(doc.algebra, doc.frame)
 
 
 @pytest.mark.parametrize("name,mu", [*PIPELINE_CASES, ("g1_rot_h3", None)])

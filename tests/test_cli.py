@@ -293,7 +293,7 @@ def test_flag_search_large_coefficients_finishes(tmp_path):
     assert out["found"] is True
     flag_line = "flag = " + " | ".join(", ".join(level) for level in out["flag"])
     doc = parse(text + flag_line + "\n")
-    ok, reason = verify_flag(doc.to_algebra(), doc.to_flag())
+    ok, reason = verify_flag(doc.algebra, doc.flag)
     assert ok, reason
 
 
@@ -345,6 +345,20 @@ def test_check_rejects_omega_off_h(tmp_path):
     r = run("check", str(path))
     assert r.returncode == 1
     assert "qc structure: false\n" in r.stdout
+
+
+def test_scale_zero_is_not_qc(tmp_path):
+    # d eta_r|_H = 0 * omega_r holds on the abelian algebra, but a zero scale is no qc structure
+    qc = "qc horizontal 1 2 3 4 vertical 5 6 7 scale 0\nomega1 = e12 + e34\nomega2 = e13 + e42\nomega3 = e14 + e23\n"
+    path = tmp_path / "scale0.alg"
+    path.write_text("algebra flat dim 7\n" + "".join(f"d e{k} = 0\n" for k in range(1, 8)) + qc)
+    for cmd in ("check", "report"):
+        r = run(cmd, str(path))
+        assert (r.returncode, r.stderr) == (1, "")
+        assert "qc structure: false\n" in r.stdout
+    r = run("wqc", str(path))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: flat: d eta_r restricted to H is not 0 * omega_r\n"
 
 
 def test_check_reads_a_form_over_a_rational(tmp_path):

@@ -59,10 +59,10 @@ def _unpack_symmetric(vals):
 
 def pipeline(name, mu=None):
     doc = parse(G2_ROTATED) if name == "g2_rot" else document(name)
-    g = doc.to_algebra()
+    g = doc.algebra
     if mu is not None:
         g = specialize(g, Fraction(mu))
-    return run_pipeline(g, doc.to_frame())
+    return run_pipeline(g, doc.frame)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from qcalc.scalars import is_zero, variable
 
 
 def alg(name: str) -> LieAlgebra:
-    return document(name).to_algebra()
+    return document(name).algebra
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_jacobi_violation_detected():
     # quaternionic Heisenberg with an extra vertical-vertical term breaks d^2 = 0
     doc = document("heisenberg")
     mu = variable("mu")
-    diffs = dict(doc.differentials)
+    diffs = dict(enumerate(doc.algebra.differentials, start=1))
     diffs[7] = diffs[7] + Form.monomial(7, mu, (5, 6))
     g = LieAlgebra("perturbed", 7, tuple(diffs[k] for k in range(1, 8)), "mu")
     assert g.jacobi_check() != []

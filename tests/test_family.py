@@ -29,11 +29,11 @@ import gen  # noqa: E402  (the benchmark's input generator; it never imports qca
 
 
 def family():
-    return document("prop31_family").to_algebra()
+    return document("prop31_family").algebra
 
 
 def catalog_algebra(name):
-    return document(name).to_algebra()
+    return document(name).algebra
 
 
 def test_constraints_contain_the_quadratic_obstruction():
@@ -76,7 +76,7 @@ def test_jacobi_constraints_keep_the_d_squared_order(case):
     else:
         h = int(case[-1])
         text, _ = gen.rotated_input(random.Random(h), "prop31_family", h, "p31_rot")
-        fam = parse(text).to_algebra()
+        fam = parse(text).algebra
     constraints = jacobi_constraints(fam)
     assert constraints
     assert constraints == reference_constraints(fam)
@@ -271,7 +271,7 @@ def test_a_rational_algebra_has_one_coefficient_table():
 @cache
 def rotated_family(h):
     text, _ = gen.rotated_input(random.Random(f"rescale:{h}"), "prop31_family", h, "p31_rot")
-    return parse(text).to_algebra()
+    return parse(text).algebra
 
 
 nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(lambda x: x != 0)

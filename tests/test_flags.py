@@ -28,7 +28,7 @@ omega3 = (28344/190969)e12 + (110076/190969)e13 + (153457/190969)e14 + (153457/1
 
 
 def alg(name, mu=None):
-    g = document(name).to_algebra()
+    g = document(name).algebra
     if mu is not None:
         g = g.substitute(Fraction(mu))
     return g
@@ -36,7 +36,7 @@ def alg(name, mu=None):
 
 def catalog_flag(name, mu=None):
     doc = document(name)
-    flag = doc.to_flag()
+    flag = doc.flag
     if mu is not None:
         levels = tuple(
             tuple(
@@ -167,7 +167,7 @@ def test_search_solvable_catalog(name, mu):
 
 
 def test_search_dense_height3_finds_flag():
-    g = parse(G1_ROTATED_H3).to_algebra()
+    g = parse(G1_ROTATED_H3).algebra
     flag = search_flag(g)
     assert flag is not None
     ok, reason = verify_flag(g, flag)

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qcalc.catalog import names, source
 from qcalc.errors import ParseError
 from qcalc.exterior import Form
-from qcalc.parser import form_text, parse, print_document
+from qcalc.parser import MAX_EXPONENT, form_text, parse, print_document
 
 
 def tiny(body, dim=4, header_extra=""):
@@ -54,7 +55,7 @@ keys = st.lists(
 def test_printed_form_reparses(pairs, values):
     f = Form.make(7, 2, {k: v for k, v in zip(pairs, values)})
     text = tiny([f"d e1 = {form_text(f)}"], dim=7)
-    assert parse(text).differentials[1] == f
+    assert parse(text).algebra.differential(1) == f
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_printed_form_reparses(pairs, values):
 
 def test_distribution_and_scaling():
     doc = parse(source("g1"))
-    d5 = doc.differentials[5]
+    d5 = doc.algebra.differential(5)
     assert d5.coeff((1, 2)) == 2
     assert d5.coeff((3, 4)) == 2
     assert d5.coeff((4, 6)) == -1
@@ -71,7 +72,7 @@ def test_distribution_and_scaling():
 
 def test_fractional_coefficients():
     doc = parse(source("g2"))
-    d2 = doc.differentials[2]
+    d2 = doc.algebra.differential(2)
     assert d2.coeff((1, 2)) == Fraction(2, 3)
     assert d2.coeff((1, 5)) == Fraction(1, 6)
     assert d2.coeff((3, 4)) == Fraction(-1, 3)
@@ -80,54 +81,91 @@ def test_fractional_coefficients():
 
 def test_descending_indices_flip_sign():
     doc = parse(tiny(["d e4 = e31"]))
-    assert doc.differentials[4].coeff((1, 3)) == -1
+    assert doc.algebra.differential(4).coeff((1, 3)) == -1
 
 
 def test_wedge_spellings_agree():
     for spelling in ("e1^e2", "e1 e2", "e1*e2", "(e1)(e2)"):
         doc = parse(tiny([f"d e4 = {spelling}"]))
-        assert doc.differentials[4] == Form.monomial(4, Fraction(1), (1, 2))
+        assert doc.algebra.differential(4) == Form.monomial(4, Fraction(1), (1, 2))
 
 
 def test_scalar_power():
     doc = parse(tiny(["d e4 = 2^3 e12 + (1/2)^2 e13"]))
-    assert doc.differentials[4].coeff((1, 2)) == 8
-    assert doc.differentials[4].coeff((1, 3)) == Fraction(1, 4)
+    assert doc.algebra.differential(4).coeff((1, 2)) == 8
+    assert doc.algebra.differential(4).coeff((1, 3)) == Fraction(1, 4)
+
+
+def test_exponent_is_bounded():
+    # a power is one multiplication per unit of exponent, quadratic in it for a polynomial
+    start = time.perf_counter()
+    e = err(tiny(["d e4 = mu^100000 e12"], header_extra=" param mu"))
+    assert time.perf_counter() - start < 1
+    assert (e.line, e.col, e.message) == (2, 10, f"exponent 100000 is above {MAX_EXPONENT}")
+    assert err(tiny([f"d e4 = 2^{MAX_EXPONENT + 1} e12"])).message == f"exponent {MAX_EXPONENT + 1} is above {MAX_EXPONENT}"
+    # nesting cannot get round the bound: it holds for the degree in the parameter
+    e = err(tiny([f"d e4 = (mu^2 + 1)^{MAX_EXPONENT} e12"], header_extra=" param mu"))
+    assert e.message == f"degree {2 * MAX_EXPONENT} in mu is above {MAX_EXPONENT}"
+    d4 = parse(tiny([f"d e4 = mu^2 e12 + mu^{MAX_EXPONENT} e13"], header_extra=" param mu")).algebra.differential(4)
+    assert str(d4.coeff((1, 2))) == "mu^2"
+    assert d4.coeff((1, 3)).degree == MAX_EXPONENT
 
 
 def test_comments_and_blank_lines():
     text = "algebra c dim 2  # header\n\n# whole line comment\nd e1 = 0\nd e2 = 0  # trailing\n"
     doc = parse(text)
-    assert doc.name == "c"
-    assert doc.dim == 2
+    assert doc.algebra.name == "c"
+    assert doc.algebra.dim == 2
 
 
 def test_param_arithmetic():
     text = tiny(["d e4 = (1 + mu)e12 - mu^2 e13"], header_extra=" param mu")
     doc = parse(text)
-    d4 = doc.differentials[4]
+    d4 = doc.algebra.differential(4)
     assert str(d4.coeff((1, 2))) == "mu+1"
     assert str(d4.coeff((1, 3))) == "-mu^2"
-    assert doc.param == "mu"
+    assert doc.algebra.param == "mu"
 
 
 def test_qc_block_and_defaults():
     doc = parse(source("g1"))
-    frame = doc.to_frame()
+    frame = doc.frame
     assert frame.horizontal == (1, 2, 3, 4)
     assert frame.vertical == (5, 6, 7)
     assert frame.scale == 2
-    assert parse(source("heisenberg")).qc.scale == 1
+    assert parse(source("heisenberg")).frame.scale == 1
 
     noscale = source("g1").replace(" scale 2", "")
-    assert parse(noscale).qc.scale == 2
+    assert parse(noscale).frame.scale == 2
 
 
 def test_flag_parses_cumulatively():
     doc = parse(source("heisenberg"))
-    flag = doc.to_flag()
+    flag = doc.flag
     assert len(flag.levels) == 7
     assert [len(level) for level in flag.levels] == list(range(1, 8))
+
+
+# the parameter in the differentials, the omegas and the flag
+PARAMETRIC_SOURCES = {
+    "prop31_family": source("prop31_family"),
+    "omega_and_flag": source("heisenberg")
+    .replace(" dim 7", " dim 7 param mu")
+    .replace("omega1 = e12 + e34", "omega1 = e12 + e34 + mu e13")
+    .replace("e1, e2, e3 |", "e1, e2, e3 - (mu^2 - 1/2)e5 |", 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PARAMETRIC_SOURCES)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_substitute_is_parsing_the_value_in_place(name, value):
+    header, body = PARAMETRIC_SOURCES[name].split("\n", 1)
+    assert header.endswith(" param mu")
+    written = parse(header.removesuffix(" param mu") + "\n" + re.sub(r"\bmu\b", f"({value})", body))
+    doc = parse(PARAMETRIC_SOURCES[name]).substitute(value)
+    assert doc.algebra == written.algebra
+    assert doc.frame == written.frame
+    assert doc.flag == written.flag
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +204,7 @@ def test_sum_errors_name_the_operator():
 
 def test_zero_sums_give_way_to_other_degrees():
     doc = parse(tiny(["d e4 = e12 - e12 + e3 - e3 + 0 + e13 + 2 e23"]))
-    assert doc.differentials[4] == Form.make(4, 2, {(1, 3): Fraction(1), (2, 3): Fraction(2)})
+    assert doc.algebra.differential(4) == Form.make(4, 2, {(1, 3): Fraction(1), (2, 3): Fraction(2)})
 
 
 signed_terms = st.lists(
@@ -182,7 +220,7 @@ def test_a_sum_is_the_sum_of_its_terms(terms):
     expected = Form.zero(4, 2)
     for c, m in terms:
         expected = expected + Form.monomial(4, Fraction(c), tuple(int(i) for i in m[1:]))
-    assert parse(tiny([f"d e4 = {text}"])).differentials[4] == expected
+    assert parse(tiny([f"d e4 = {text}"])).algebra.differential(4) == expected
 
 
 def test_index_out_of_range():
@@ -261,9 +299,9 @@ def test_division_rules():
     assert "divide by a rational" in e.message
     e = err(tiny(["d e4 = e12 / 0"]))
     assert "division by zero" in e.message
-    halved = parse(tiny(["d e4 = (1/2)e12 + e13"])).differentials[4]
+    halved = parse(tiny(["d e4 = (1/2)e12 + e13"])).algebra.differential(4)
     for spelling in ("e12/2 + e13", "e12 / 2 + e13", "e1/2 e2 + e13", "e12/(4/2) + e13"):
-        assert parse(tiny([f"d e4 = {spelling}"])).differentials[4] == halved
+        assert parse(tiny([f"d e4 = {spelling}"])).algebra.differential(4) == halved
 
 
 def test_parse_error_str_contains_position():

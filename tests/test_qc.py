@@ -27,7 +27,7 @@ from test_conformal import G2_ROTATED
 
 def load(name):
     doc = document(name)
-    return doc.to_algebra(), doc.to_frame()
+    return doc.algebra, doc.frame
 
 
 def mono(*idx, dim=7, c=1):
@@ -120,7 +120,7 @@ def evaluated_structures(frame):
 @pytest.mark.parametrize("case", ["standard", "relabelled", "rotated_omegas", "g2_rot"])
 def test_horizontal_matrix_and_structures_match_evaluate(case):
     if case == "g2_rot":
-        frame = parse(G2_ROTATED).to_frame()
+        frame = parse(G2_ROTATED).frame
     elif case == "relabelled":
         # neither block in increasing order
         frame = standard_frame(horizontal=(7, 3, 1, 5), vertical=(6, 2, 4))

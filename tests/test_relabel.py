@@ -15,11 +15,12 @@ from functools import lru_cache
 import pytest
 
 from qcalc.catalog import document, source
-from qcalc.exterior import Form
+from qcalc.exterior import Form, LieAlgebra
 from qcalc.family import specialize
-from qcalc.parser import AlgebraDocument, QCBlock, parse, print_document
+from qcalc.parser import AlgebraDocument, parse, print_document
 from qcalc.qc import adapted_shape, check_bi1, check_compatibility
 from qcalc.report import build_report
+from qcalc.scalars import replace
 from test_conformal import G2_ROTATED, PIPELINE_CASES
 
 # p(1), ..., p(7): vertical sets (1, 2, 3), (2, 5, 7), then neither block increasing
@@ -40,17 +41,15 @@ def move(f: Form, perm: dict[int, int]) -> Form:
 
 
 def relabel(doc: AlgebraDocument, perm: dict[int, int]) -> AlgebraDocument:
-    qc = doc.qc
+    g, qc = doc.algebra, doc.frame
+    diffs = {perm[k]: move(f, perm) for k, f in enumerate(g.differentials, start=1)}
     moved = AlgebraDocument(
-        doc.name,
-        doc.dim,
-        doc.param,
-        {perm[k]: move(f, perm) for k, f in doc.differentials.items()},
-        QCBlock(
-            tuple(perm[i] for i in qc.horizontal),
-            tuple(perm[i] for i in qc.vertical),
-            qc.scale,
-            {r: move(om, perm) for r, om in qc.omegas.items()},
+        LieAlgebra(g.name, g.dim, tuple(diffs[k] for k in range(1, g.dim + 1)), g.param),
+        replace(
+            qc,
+            horizontal=tuple(perm[i] for i in qc.horizontal),
+            vertical=tuple(perm[i] for i in qc.vertical),
+            omegas=tuple(move(om, perm) for om in qc.omegas),
         ),
     )
     return parse(print_document(moved))
@@ -61,14 +60,14 @@ def case_document(name: str) -> AlgebraDocument:
 
 
 def algebra(doc: AlgebraDocument, mu):
-    g = doc.to_algebra()
+    g = doc.algebra
     return specialize(g, Fraction(mu)) if mu is not None else g
 
 
 @lru_cache(maxsize=None)
 def original(name: str, mu):
     doc = case_document(name)
-    g, frame = algebra(doc, mu), doc.to_frame()
+    g, frame = algebra(doc, mu), doc.frame
     return build_report(g, frame), adapted_shape(g, frame)
 
 
@@ -77,8 +76,8 @@ def original(name: str, mu):
 def test_relabelled_basis_gives_the_same_report(name, mu, perm):
     doc = case_document(name)
     moved = relabel(doc, perm)
-    assert moved.qc.vertical == tuple(perm[v] for v in doc.qc.vertical)
-    g, frame = algebra(moved, mu), moved.to_frame()
+    assert moved.frame.vertical == tuple(perm[v] for v in doc.frame.vertical)
+    g, frame = algebra(moved, mu), moved.frame
     report, shape = original(name, mu)
     assert report[1]
     assert build_report(g, frame) == report
@@ -89,11 +88,11 @@ def test_relabelled_basis_gives_the_same_report(name, mu, perm):
 @pytest.mark.parametrize("perm", PERMS, ids=[f"p{i}" for i in range(len(PERMS))])
 def test_relabelled_failures_stay_failures(perm):
     doc = relabel(parse(NOT_BI1), perm)
-    g, frame = doc.to_algebra(), doc.to_frame()
+    g, frame = doc.algebra, doc.frame
     assert check_compatibility(g, frame)
     assert check_bi1(g, frame) == (False, [
         "(xi_1 . d eta_2)|_H != -(xi_2 . d eta_1)|_H",
         "(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H",
     ])
     doc = relabel(parse(OFF_H), perm)
-    assert not check_compatibility(doc.to_algebra(), doc.to_frame())
+    assert not check_compatibility(doc.algebra, doc.frame)

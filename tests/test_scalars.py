@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qcalc.errors import IndeterminateMismatch, Inconsistent, Underdetermined, ZeroPolynomial
 from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.linalg import char_poly
-from qcalc.parser import QCBlock
+from qcalc.parser import AlgebraDocument
+from qcalc.qc import QCFrame, standard_frame
 from qcalc.scalars import (
     Poly,
     integer_roots,
@@ -16,9 +17,7 @@ from qcalc.scalars import (
     linear_coeffs,
     poly,
     poly_gcd,
-    rat,
     rational_roots,
-    scalar_str,
     solve_linear,
     replace,
     substitute,
@@ -35,7 +34,7 @@ def eval_coeffs(coeffs, x):
 
 
 def test_rat_and_collapse():
-    assert rat(3, 6) == Fraction(1, 2)
+    assert Fraction(3, 6) == Fraction(1, 2)
     assert poly("mu", 5) == Fraction(5)
     assert poly("mu", 0, 1) == variable("mu")
     p = variable("mu") - variable("mu")
@@ -85,13 +84,13 @@ def test_division():
 
 
 def test_str_formats():
-    assert scalar_str(Fraction(-3, 4)) == "-3/4"
-    assert scalar_str(Fraction(7)) == "7"
-    assert scalar_str(poly("mu", 1, 4, 3)) == "3*mu^2+4*mu+1"
-    assert scalar_str(variable("mu")) == "mu"
-    assert scalar_str(-variable("mu")) == "-mu"
-    assert scalar_str(poly("S", Fraction(1, 2), -1)) == "-S+1/2"
-    assert scalar_str(poly("t", 0, 0, 1)) == "t^2"
+    assert str(Fraction(-3, 4)) == "-3/4"
+    assert str(Fraction(7)) == "7"
+    assert str(poly("mu", 1, 4, 3)) == "3*mu^2+4*mu+1"
+    assert str(variable("mu")) == "mu"
+    assert str(-variable("mu")) == "-mu"
+    assert str(poly("S", Fraction(1, 2), -1)) == "-S+1/2"
+    assert str(poly("t", 0, 0, 1)) == "t^2"
 
 
 @given(small_coeffs, rationals)
@@ -282,12 +281,12 @@ def test_poly_gcd():
 
 
 def test_value_classes():
-    # defaults, a fresh dict where the default is {}
+    # defaults, a fresh dict where Form's terms default to empty
     assert Form(3, 1).terms == {} and Form(3, 1).terms is not Form(3, 1).terms
-    block = QCBlock((1, 2, 3, 4), (5, 6, 7), Fraction(2))
-    assert block.omegas == {} and block.omegas is not QCBlock((1, 2, 3, 4), (5, 6, 7), Fraction(2)).omegas
     zero2 = Form.zero(1, 2)
     assert LieAlgebra("a", 1, (zero2,)).param is None
+    doc = AlgebraDocument(LieAlgebra("a", 1, (zero2,)))
+    assert doc.frame is None and doc.flag is None
     # equality over the fields, by position or keyword, within one class
     assert Form(3, 1, {(1,): Fraction(1)}) == Form(dim=3, degree=1, terms={(1,): Fraction(1)})
     assert Form(3, 1) != Form(3, 2) and Vec((Fraction(1),)) != (Fraction(1),)
@@ -296,21 +295,21 @@ def test_value_classes():
     # Polys hash by value
     p = poly("mu", 1, 2)
     assert hash(p) == hash(poly("mu", 1, 2)) and len({p, poly("mu", 1, 2), poly("mu", 2, 1)}) == 2
-    # the frozen classes refuse assignment; QCBlock stays mutable
-    for obj, name in ((p, "var"), (Form(3, 1), "dim"), (Vec(()), "comps"), (LieAlgebra("a", 1, (zero2,)), "name")):
+    # every class refuses assignment, the parsed document too
+    for obj, name in ((p, "var"), (Form(3, 1), "dim"), (Vec(()), "comps"), (LieAlgebra("a", 1, (zero2,)), "name"),
+                      (doc, "frame")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    block.scale = Fraction(1)
-    assert block.scale == 1
     # replace copies with the given fields changed and rejects unknown ones
     q = replace(p, var="nu")
     assert (q.var, q.coeffs, p.var) == ("nu", p.coeffs, "mu")
-    assert replace(block, scale=Fraction(3)).omegas == {} and block.scale == 1
-    for obj in (p, block):
+    frame = standard_frame()
+    assert replace(frame, scale=Fraction(3)).omegas == frame.omegas and frame.scale == 2
+    for obj in (p, frame):
         with pytest.raises(TypeError):
             replace(obj, degree=3)
     with pytest.raises(TypeError):
-        QCBlock((1, 2, 3, 4))
+        QCFrame(7, (1, 2, 3, 4))
     # LieAlgebra still validates, through replace too
     with pytest.raises(ValueError, match="outside"):
         LieAlgebra("a", 10, (zero2,) * 10)

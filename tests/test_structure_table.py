@@ -54,13 +54,13 @@ d e7 = e14 + e23 + e56
 
 
 def case_algebra(name, mu=None):
-    g = parse(G2_ROTATED).to_algebra() if name == "g2_rot" else document(name).to_algebra()
+    g = parse(G2_ROTATED).algebra if name == "g2_rot" else document(name).algebra
     return g.substitute(Fraction(mu)) if mu is not None else g
 
 
 def rotated_algebra(source, h):
     text, _ = gen.rotated_input(random.Random(100 * h + len(source)), source, h, f"{source}_h{h}")
-    g = parse(text).to_algebra()
+    g = parse(text).algebra
     return g.substitute(Fraction(-1)) if g.parametric else g
 
 
@@ -78,7 +78,7 @@ def algebra(case):
 
 
 def non_lie():
-    return parse(NON_LIE).to_algebra()
+    return parse(NON_LIE).algebra
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_assembled_torsion_matches_bracket_definition(case):
 
 
 def test_structure_table_requires_a_rational_algebra():
-    fam = document("prop31_family").to_algebra()
+    fam = document("prop31_family").algebra
     with pytest.raises(ParametricNotSupported):
         fam.structure_table
     with pytest.raises(ParametricNotSupported):

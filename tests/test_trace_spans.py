@@ -37,7 +37,7 @@ def test_traced_rotated_report_records_the_fingerprint_spans():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        _, ok = qcalc.report.build_report(doc.to_algebra(), doc.to_frame())
+        _, ok = qcalc.report.build_report(doc.algebra, doc.frame)
     finally:
         tracer.uninstall()
     assert ok
