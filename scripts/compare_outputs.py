@@ -18,7 +18,10 @@ vertical duality conditions, one whose omega_1 has a term off H, one that
 is not a Lie algebra, two whose parameter appears only in the flag or only
 in omega_1 (each bare and at mu = 0 and 1), and four small families whose
 `family solve` outcomes are roots of a gcd with mu^2 terms, no root from
-coprime obstructions, no root from a constant obstruction, and every value.
+coprime obstructions, no root from a constant obstruction, and every value,
+and three solvable algebras for the Betti numbers' choice of X: ad X with a
+Jordan block, every ad e_x with irrational eigenvalues (so the whole complex
+is ranked), and X found only at the last basis element.
 `--param` is also misused: a wrong name, a zero denominator and no `=` on
 `prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
 standard library is used; gen.py is imported read-only.
@@ -101,6 +104,17 @@ PARAM_ONLY = {
 }
 
 
+# d(e^k) for the Betti numbers' weight-zero subcomplex, which takes X from the first basis
+# element whose ad has rational eigenvalues, not all 0
+WEIGHTED = {
+    # [e1, e3] = e3 + e2: a Jordan block in ad e1, so generalized eigenvectors are needed
+    "jordan": "d e1 = 0\nd e2 = -e12 - e13\nd e3 = -e13\nd e4 = e14\nd e5 = e15\nd e6 = 2e16 - e45\nd e7 = -3e17\n",
+    # ad e1 has eigenvalues +-sqrt(2), +-sqrt(3) and every other ad e_x is nilpotent: no X
+    "irrational": "d e1 = 0\nd e2 = -2e13\nd e3 = -e12\nd e4 = -3e15\nd e5 = -e14\nd e6 = -e45\nd e7 = 0\n",
+    # ad e1 .. ad e6 are nilpotent; X = e7
+    "later_x": "d e1 = e17\nd e2 = e27\nd e3 = -e12 + 2e37\nd e4 = -e47\nd e5 = -e57\nd e6 = -e14\nd e7 = 0\n",
+}
+
 # d e^k not listed are 0; with d e3 = e12 and d e5 = p e12, d(e35) = e125 - p e123
 FAMILIES = {
     # mu^2 coefficients: d(d e4) = (mu^2 - 1)(e125 - (mu + 1) e123), so mu in {-1, 1}
@@ -164,6 +178,8 @@ def documents() -> dict[str, tuple[str, list]]:
         docs[name] = (text.replace(" dim 7\n", " dim 7 param mu\n", 1), [None, *PROBES])
     for name, diffs in FAMILIES.items():
         docs[f"family_{name}"] = (family_text(name, **diffs), [None])
+    for name, body in WEIGHTED.items():
+        docs[f"weighted_{name}"] = (f"algebra {name} dim 7\n{body}", [None])
     return docs
 
 

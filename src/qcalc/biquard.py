@@ -1,7 +1,8 @@
 """The canonical connection pipeline on a qc Lie algebra.
 
-Order of play: sp(1)-connection 1-forms with the scalar curvature left
-symbolic, horizontal Ricci 2-forms, exact solve for the scalar, horizontal
+Order of play: sp(1)-connection 1-forms and horizontal Ricci 2-forms as
+affine functions of the unknown scalar curvature S, one rational division
+per Ricci form for S, horizontal
 torsion tensor and the three torsion endomorphisms, full torsion, Christoffel
 coefficients (Levi-Civita then the torsion-corrected canonical connection),
 curvature, and a self-consistency audit.
@@ -12,50 +13,29 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .errors import (
-    InconsistentCurvature,
-    InconsistentTorsion,
-    InternalError,
-    NotIntegrable,
-    NotQuaternionic,
-)
-from .exterior import (
-    Form,
-    LieAlgebra,
-    Vec,
-    require_rational,
-    substitute_form,
-)
-from .linalg import common_denominator, scaled
-from .qc import (
-    CYCLES,
-    Matrix4,
-    QCFrame,
-    check_bi1,
-    check_compatibility,
-    hcolumn,
-    horizontal_matrix,
-    matmul,
-    restrict_h,
-)
-from .scalars import ZERO, Poly, Scalar, Value, is_zero, linear_coeffs, replace, solve_linear, substitute, variable
+from .errors import InconsistentCurvature, InconsistentTorsion, NotIntegrable, NotQuaternionic
+from .exterior import Form, LieAlgebra, Vec, require_rational
+from .linalg import common_denominator, matmul, scaled
+from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility, hcolumn
+from .scalars import ZERO, Scalar, Value, is_zero, replace
 
-S_NAME = "S"
+Affine = tuple[Matrix4, Matrix4]  # (R0, R1): the matrix R0 + S R1 for the scalar curvature S
 
 
-def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form]:
-    """The three connection 1-forms, coefficients affine in the symbolic scalar.
+def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[tuple[Form, Form], ...]:
+    """The three connection 1-forms as affine pairs (A0, A1) in the scalar S:
+    alpha_i = A0_i + S A1_i.
 
-    Horizontal values: alpha_i(X) = d eta_k(xi_j, X).  Vertical values carry
-    the unknown scalar: alpha_i(xi_s) = d eta_s(xi_j, xi_k) minus, on the
-    diagonal s = i, half the scalar plus half the cyclic sum of the
-    d eta_r(xi_j, xi_k).
+    Horizontal values: alpha_i(X) = d eta_k(xi_j, X).  Vertical values:
+    alpha_i(xi_s) = d eta_s(xi_j, xi_k) minus, on the diagonal s = i, half
+    the scalar plus half the cyclic sum of the d eta_r(xi_j, xi_k): the
+    slope A1_i is -eta_i / 2.
     """
     ok, violations = check_bi1(g, frame)
     if not ok:
         raise NotIntegrable("; ".join(violations))
-    s_sym = variable(S_NAME)
     v = frame.vertical
     d_etas = [g.differential(x) for x in v]
     cyc_sum: Scalar = sum((d_etas[i].pair(v[j], v[k]) for i, j, k in CYCLES), Fraction(0))
@@ -64,47 +44,66 @@ def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, For
         values = {(x,): d_etas[k].pair(v[j], x) for x in frame.horizontal}
         for s in range(3):
             val = d_etas[s].pair(v[j], v[k])
-            values[(v[s],)] = val - (s_sym / 2 + cyc_sum / 2) if s == i else val
-        alphas.append(Form.make(g.dim, 1, values))
+            values[(v[s],)] = val - cyc_sum / 2 if s == i else val
+        alphas.append((Form.make(g.dim, 1, values), Form.make(g.dim, 1, {(v[i],): Fraction(-1, 2)})))
     return alphas[0], alphas[1], alphas[2]
 
 
 def ricci_forms(
-    g: LieAlgebra, frame: QCFrame, alphas: tuple[Form, Form, Form]
-) -> tuple[Form, Form, Form]:
-    """Horizontal Ricci 2-forms: 2 rho_k = (d alpha_k + alpha_i ^ alpha_j)|_H."""
+    g: LieAlgebra, frame: QCFrame, alphas: tuple[tuple[Form, Form], ...]
+) -> tuple[Affine, Affine, Affine]:
+    """Horizontal Ricci 2-forms 2 rho_k = (d alpha_k + alpha_i ^ alpha_j)|_H as
+    affine pairs of 4x4 matrices, rho_k(e_a, e_b) = R0_k[a][b] + S R1_k[a][b].
+
+    (d alpha)(e_a, e_b) = -alpha([e_a, e_b]) contracts alpha with the table
+    (E, C), and the wedge is an antisymmetrized outer product.  The slopes A1
+    are vertical, so they drop out of every wedge on H.  All over E f^2.
+    """
+    e, table = g.structure_table
+    h = [x - 1 for x in frame.horizontal]
+    coeffs = [[al.coeff((c,)) for c in range(1, g.dim + 1)] for pair in alphas for al in pair]
+    f = common_denominator(x for row in coeffs for x in row)
+    ints = scaled(coeffs, f)
+
+    def on_h(two_rho) -> Matrix4:  # two_rho(a, b): E f^2 times 2 rho(e_a, e_b)
+        return [[Fraction(two_rho(a, b), 2 * e * f * f) for b in h] for a in h]
+
     rhos = []
-    for k, (i, j) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
-        two_rho = g.d(alphas[k]) + alphas[i].wedge(alphas[j])
-        rho = Fraction(1, 2) * restrict_h(two_rho, frame)
-        for c in rho.terms.values():
-            if isinstance(c, Poly) and c.degree > 1:
-                raise InternalError(f"quadratic scalar term survived restriction: {c}")
-        rhos.append(rho)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        a0, a1, u, w = ints[2 * k], ints[2 * k + 1], ints[2 * i], ints[2 * j]
+        rhos.append((
+            on_h(lambda a, b: e * (u[a] * w[b] - u[b] * w[a]) - f * sum(map(mul, a0, table[a][b]))),
+            on_h(lambda a, b: -f * sum(map(mul, a1, table[a][b]))),
+        ))
     return rhos[0], rhos[1], rhos[2]
 
 
-def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Form, Form, Form]) -> Fraction:
+def _at_scalar(pair: Affine, s_value: Fraction) -> Matrix4:
+    """The matrix R0 + S R1 of an affine pair at a value of the scalar."""
+    return [[x + s_value * y for x, y in zip(u, w)] for u, w in zip(*pair)]
+
+
+def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Affine, Affine, Affine]) -> Fraction:
     """Contract each rho_r against I_r and solve the affine equation for the scalar.
 
     The trace identity Sum_a rho_r(e_a, I_r e_a) = Sum_ab R_r[a][b] I_r[b][a]
     = -4S holds in dimension 7 because the horizontal torsion is completely
     trace-free; the three r give one linear equation each and must agree.
+    With the scale normalized to 2, R1_r = I_r / 2 contracts to -2.
     """
-    s_sym = variable(S_NAME)
     values = []
-    for rho, m in zip(rhos, frame.complex_structures):
-        r = horizontal_matrix(rho, frame)
-        contraction: Scalar = sum((r[a][b] * m[b][a] for a in range(4) for b in range(4)), ZERO)
-        a_coef, b_coef = linear_coeffs(contraction + 4 * s_sym, S_NAME)
-        values.append(solve_linear(a_coef, b_coef))
+    for r, ((r0, r1), m) in enumerate(zip(rhos, frame.complex_structures), 1):
+        c0, c1 = (sum(x[a][b] * m[b][a] for a in range(4) for b in range(4)) for x in (r0, r1))
+        if c1 == -4:  # c0 + S c1 = -4 S leaves S free or unsolvable (a scale of 4)
+            raise InconsistentCurvature(f"contraction {r} does not determine the scalar")
+        values.append(-c0 / (c1 + 4))
     if len(set(values)) != 1:
         raise InconsistentCurvature(f"contractions disagree: {values}")
     return values[0]
 
 
 def t0_tensor(
-    frame: QCFrame, rhos: tuple[Form, Form, Form], s_value: Fraction
+    frame: QCFrame, rhos: tuple[Affine, Affine, Affine], s_value: Fraction
 ) -> Matrix4:
     """Reconstruct the horizontal torsion 2-tensor from the Ricci 2-forms.
 
@@ -112,10 +111,7 @@ def t0_tensor(
     T0 = -Sum_r R_r I_r - 3 S g with R_r the matrix of rho_r; the result has
     to come out symmetric and trace-free, which is audited here.
     """
-    prods = [
-        matmul([[substitute(x, s_value) for x in row] for row in horizontal_matrix(rho, frame)], m)
-        for rho, m in zip(rhos, frame.complex_structures)
-    ]
+    prods = [matmul(_at_scalar(pair, s_value), m) for pair, m in zip(rhos, frame.complex_structures)]
     t0: Matrix4 = [
         [-sum(p[a][b] for p in prods) - (3 * s_value if a == b else 0) for b in range(4)]
         for a in range(4)
@@ -318,8 +314,8 @@ class Pipeline(Value):
 
     g: LieAlgebra
     frame: QCFrame
-    alphas: tuple[Form, Form, Form]
-    rhos: tuple[Form, Form, Form]
+    alphas: tuple[Form, Form, Form]  # at the solved scalar
+    rhos: tuple[Affine, Affine, Affine]
     s_value: Fraction
     t0: Matrix4
     endos: tuple[Matrix4, Matrix4, Matrix4]
@@ -354,9 +350,10 @@ def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
             f"{g.name}: d eta_r restricted to H is not {frame.scale} * omega_r"
         )
     g, frame = normalize_scale(g, frame)
-    alphas = sp1_connection_forms(g, frame)
-    rhos = ricci_forms(g, frame, alphas)
+    pairs = sp1_connection_forms(g, frame)
+    rhos = ricci_forms(g, frame, pairs)
     s_value = solve_qc_scalar_curvature(frame, rhos)
+    alphas = tuple(a0 + s_value * a1 for a0, a1 in pairs)
     t0 = t0_tensor(frame, rhos, s_value)
     endos = torsion_endomorphisms(frame, t0)
     torsion = assemble_torsion(g, frame, endos, s_value)
@@ -391,7 +388,7 @@ def audit(p: Pipeline) -> list[dict]:
     i_mats = frame.complex_structures
     q = common_denominator(x for m in i_mats for row in m for x in row)
     js = [scaled(m, q) for m in i_mats]
-    alpha = [[substitute(al.coeff((a,)), p.s_value) for a in range(1, n + 1)] for al in p.alphas]
+    alpha = [[al.coeff((a,)) for a in range(1, n + 1)] for al in p.alphas]
     f = common_denominator(x for row in alpha for x in row)
     al = scaled(alpha, f)
     ok = True
@@ -425,7 +422,7 @@ def audit(p: Pipeline) -> list[dict]:
     keys = list(itertools.product(h, repeat=4))
     r_den = common_denominator(p.riem[key] for key in keys)
     ri = dict(zip(keys, scaled([[p.riem[key] for key in keys]], r_den)[0]))
-    rho_mats = [horizontal_matrix(substitute_form(r, p.s_value), frame) for r in p.rhos]
+    rho_mats = [_at_scalar(r, p.s_value) for r in p.rhos]
     ok = all(
         Fraction(sum(m[b][a] * ri[(h[x], h[y], h[a], h[b])] for a in span4 for b in span4), q * r_den)
         == 4 * rm[x][y]

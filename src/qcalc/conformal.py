@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import common_denominator, scaled
-from .qc import Matrix4, QCFrame, matmul
+from .linalg import common_denominator, matmul, scaled
+from .qc import Matrix4, QCFrame
 from .scalars import Scalar, is_zero
 
 Tensor4H = list  # [a][b][c][d] -> Scalar

@@ -25,14 +25,6 @@ class ZeroPolynomial(QcalcError):
     """Root extraction on the zero polynomial (every value is a root)."""
 
 
-class Inconsistent(QcalcError):
-    """A linear equation with no solution (a = 0, b != 0)."""
-
-
-class Underdetermined(QcalcError):
-    """A linear equation satisfied by everything (a = b = 0)."""
-
-
 class NotALieAlgebra(QcalcError):
     """Structure equations whose differential does not square to zero."""
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from operator import mul
 from fractions import Fraction
 
 from . import linalg
 from .errors import InternalError, InvalidFlag, ParametricNotSupported
-from .scalars import ZERO, Poly, Scalar, Value, is_zero, rational_roots, substitute
+from .scalars import ZERO, Poly, Scalar, Value, integer_roots, is_zero, rational_roots, substitute
 
 Index = tuple[int, ...]
 
@@ -405,55 +405,113 @@ def derived_and_central_series(g: LieAlgebra) -> dict:
 
 
 def differential_matrix(g: LieAlgebra, j: int) -> list[list[int]]:
-    """E * d_j in plain ints: one row per j-monomial, one column per (j+1)-monomial.
+    """E * d_j in plain ints: one row per j-monomial, one column per (j+1)-monomial."""
+    return _weight_zero_block(g.structure_table[1], (0,) * g.dim, j)
 
-    d e^k = -Sum_{a<b} [e_a, e_b]_k e^{ab} is read off the structure table
-    (E, C) and extended as an antiderivation on index tuples:
-    d e^I = Sum_pos (-1)^pos d e^{I[pos]} ^ e^{rest}.  Sorting e^{ab} ^ e^{rest}
-    costs one sign per index of the rest below a and below b.
+
+def _weight_zero_block(table, weights, j: int) -> list[list[int]]:
+    """The rows and columns of E * d_j on the monomials of weight sum 0, for the
+    table C of (E, C) and integer weights w of the dual basis that grade it
+    (C[a][b][k] = 0 unless w_a + w_b = w_k), so that d keeps the weight.
+
+    d e^k = -Sum_{a<b} C_abk / E e^{ab}, extended as an antiderivation on index
+    tuples: d e^I = Sum_pos (-1)^pos d e^{I[pos]} ^ e^{rest}.  Sorting
+    e^{ab} ^ e^{rest} costs one sign per index of the rest below a and below b.
     """
-    _, table = g.structure_table
-    n = g.dim
-    row_of = {key: pos for pos, key in enumerate(monomials(n, j))}
-    col_of = {key: pos for pos, key in enumerate(monomials(n, j + 1))}
+    n, w = len(table), (0, *weights)
+
+    def positions(degree: int) -> dict[Index, int]:
+        zero = (k for k in monomials(n, degree) if not sum(map(w.__getitem__, k)))
+        return {key: pos for pos, key in enumerate(zero)}
+
+    row_of, col_of = positions(j), positions(j + 1)
     rows = [[0] * len(col_of) for _ in row_of]
     for rest in monomials(n, j - 1) if j else []:
+        target = -sum(map(w.__getitem__, rest))
         free = [t for t in range(1, n + 1) if t not in rest]
+        if not (heads := [i for i in free if w[i] == target]):
+            continue
+        below = [sum(t < x for t in rest) for x in range(n + 1)]
         wedges = [
-            (table[a - 1][b - 1], col_of[tuple(sorted(rest + (a, b)))],
-             sum(t < a for t in rest) + sum(t < b for t in rest))
+            (table[a - 1][b - 1], col_of[tuple(sorted(rest + (a, b)))], below[a] + below[b])
             for a, b in itertools.combinations(free, 2)
+            if w[a] + w[b] == target
         ]
-        for i in free:
-            pos = sum(t < i for t in rest)
+        for i in heads:
             row = rows[row_of[tuple(sorted(rest + (i,)))]]
             for br, col, flips in wedges:
-                x = br[i - 1]
-                if x:
-                    row[col] += x if (pos + flips) % 2 else -x
+                if x := br[i - 1]:
+                    row[col] += x if (below[i] + flips) % 2 else -x
     return rows
 
 
-def _rank_d(g: LieAlgebra, j: int) -> int:
-    """Rank of the differential d_j from j-forms to (j+1)-forms."""
-    if j < 0 or j >= g.dim:
-        return 0
-    return linalg.rank(differential_matrix(g, j))
+def _multiplicity(coeffs: list[int], y: int) -> int:
+    """How often x - y divides an integer polynomial (low-first): synthetic division."""
+    m = 0  # the last entry of q is the remainder, the others the quotient, high-first
+    while not (q := list(itertools.accumulate(reversed(coeffs), lambda acc, c: acc * y + c)))[-1]:
+        coeffs, m = q[-2::-1], m + 1
+    return m
+
+
+def _weight_split(g: LieAlgebra) -> tuple[list, tuple[int, ...]]:
+    """A table of g and integer weights of its dual basis that grade it, such
+    that H*(g) is the cohomology of the monomials of weight sum 0.
+
+    Cartan's L_X = d i_X + i_X d commutes with d and i_X, so the complex splits
+    into the generalized eigenspaces of L_X, and each with a nonzero eigenvalue
+    is acyclic (Hochschild-Serre, Koszul).  X is the first basis element whose
+    E ad has only rational eigenvalues y, not all 0; the new dual basis P holds
+    left generalized eigenvectors of E ad X, weighted by y, and the table goes
+    over to it.  Without such an X, every weight is 0: the whole complex.
+    """
+    _, table = g.structure_table
+    n = g.dim
+    for x in range(n):
+        ad = [[table[x][b][c] for b in range(n)] for c in range(n)]  # E ad e_x
+        # tr(ad^2) sums the squared eigenvalues: positive when all are rational, not all 0
+        if sum(ad[c][b] * ad[b][c] for c in range(n) for b in range(n)) <= 0:
+            continue
+        _, cp = linalg.char_poly(ad)
+        mults = {y: _multiplicity(cp, y) for y in integer_roots(cp)}
+        if sum(mults.values()) < n:
+            continue
+        rows, weights = [], []
+        for y, m in mults.items():
+            shifted = [[v - y * (r == c) for c, v in enumerate(row)] for r, row in enumerate(ad)]
+            vecs = linalg.kernel([list(col) for col in zip(*reduce(linalg.matmul, [shifted] * m))], n)
+            rows += [linalg.scaled([v], linalg.common_denominator(v))[0] for v in vecs]
+            weights += [y] * len(vecs)
+        inverse, _ = linalg.rref([row + [int(i == k) for k in range(n)] for i, row in enumerate(rows)])
+        # cols[a] = e'_a, column a of Q = P^-1 over one denominator D; the new table
+        # C'[a][b] = P Sum_cd Q_ca Q_db C[c][d] is D^2 E [e'_a, e'_b], with flat[a] the
+        # rows d of Sum_c Q_ca C[c] one after the other
+        cols = [[row[n + a] for row in inverse] for a in range(n)]
+        cols = linalg.scaled(cols, linalg.common_denominator(v for col in cols for v in col))
+        flat = linalg.matmul(cols, [[v for row in plane for v in row] for plane in table])
+        pt = list(zip(*rows))
+        new = [linalg.matmul(linalg.matmul(cols, [f[d * n : d * n + n] for d in range(n)]), pt) for f in flat]
+        return new, tuple(weights)
+    return table, (0,) * n
 
 
 def cohomology_dim(g: LieAlgebra, k: int) -> int:
-    """dim H^k = dim ker(d_k) - rank(d_{k-1}), over the rationals."""
+    """dim H^k = dim ker(d_k) - rank(d_{k-1}) over the rationals, on the
+    weight-zero part of the complex (`_weight_split`)."""
     require_rational(g)
     if k < 0 or k > g.dim:
         return 0
-    return len(monomials(g.dim, k)) - _rank_d(g, k) - _rank_d(g, k - 1)
+    split = _weight_split(g)
+    d_k = _weight_zero_block(*split, k)
+    return len(d_k) - linalg.rank(d_k) - (linalg.rank(_weight_zero_block(*split, k - 1)) if k else 0)
 
 
 def betti_numbers(g: LieAlgebra) -> list[int]:
-    """dim H^k for k = 0..n, building and ranking each differential once."""
+    """dim H^k for k = 0..n, building and ranking each weight-zero block once."""
     require_rational(g)
-    ranks = [_rank_d(g, j) for j in range(-1, g.dim + 1)]  # ranks[j + 1] = rank d_j
-    return [len(monomials(g.dim, k)) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
+    table, weights = _weight_split(g)
+    blocks = [_weight_zero_block(table, weights, j) for j in range(g.dim + 1)]
+    ranks = [0] + [linalg.rank(d) for d in blocks]  # ranks[j + 1] = rank d_j
+    return [len(blocks[k]) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def matmul(x: Matrix, y: Matrix) -> Matrix:
+    """Product of matrices of any size, over Fractions or plain ints."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
 def char_poly(m: Matrix) -> tuple[int, list[int]]:
     """(d, c) with d*M integral and c = det(xI - d*M), lowest degree first.
 
@@ -134,8 +140,7 @@ def char_poly(m: Matrix) -> tuple[int, list[int]]:
     coeffs_high = [1]  # leading coefficient of x^n
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        cols = list(zip(*mk))
-        mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        mk = matmul(a, mk)
         ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs_high.append(ck)
         for i in range(n):

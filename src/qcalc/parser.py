@@ -215,12 +215,17 @@ class _LineParser:
 
     def _mul(self, a, b, tok: Token):
         if self._is_form(a) and self._is_form(b):
-            return a.wedge(b)
-        if self._is_form(b):
-            return a * b  # scalar * form
-        if self._is_form(a):
-            return b * a
-        return a * b
+            return self._bounded(a.wedge(b), tok)
+        return self._bounded(b * a if self._is_form(a) else a * b, tok)  # a scalar goes on the left
+
+    def _bounded(self, product, tok: Token):
+        """The product, unless its degree in the parameter is above MAX_EXPONENT;
+        checked on every product, so that a run of factors cannot grow it."""
+        coeffs = product.terms.values() if self._is_form(product) else (product,)
+        degree = max((c.degree for c in coeffs if isinstance(c, Poly)), default=0)
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"degree {degree} in {self.param} is above {MAX_EXPONENT}", tok.line, tok.col)
+        return product
 
     def _div(self, a, b, tok: Token):
         if self._is_form(b) or isinstance(b, Poly):
@@ -231,7 +236,7 @@ class _LineParser:
 
     def _pow(self, a, b, tok: Token):
         if self._is_form(a) and self._is_form(b):
-            return a.wedge(b)
+            return self._bounded(a.wedge(b), tok)
         if not self._is_form(a) and isinstance(b, Fraction) and b.denominator == 1 and b >= 0:
             degree = b * (a.degree if isinstance(a, Poly) else 1)
             if degree > MAX_EXPONENT:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .errors import NotQuaternionic
 from .exterior import Form, LieAlgebra, Vec
+from .linalg import matmul
 from .scalars import Scalar, Value, is_zero
 
 Matrix4 = list[list[Scalar]]
@@ -95,12 +95,6 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
         if matmul(mt, m) != [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]:
             raise NotQuaternionic("I_r is not orthogonal")
     return m1, m2, m3
-
-
-def matmul(x: Matrix4, y: Matrix4) -> Matrix4:
-    """Product of square matrices of any size, over Fractions or plain ints."""
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
 def apply_endo(m: Matrix4, comps: list[Scalar]) -> list[Scalar]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import Inconsistent, IndeterminateMismatch, Underdetermined, ZeroPolynomial
+from .errors import IndeterminateMismatch, ZeroPolynomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,9 +111,11 @@ class Poly(Value):
             return NotImplemented
         other = _coerce(other, self.var)
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return _make(self.var, out)
 
     __rmul__ = __mul__
@@ -197,31 +199,6 @@ def substitute(x: Scalar, value: Fraction) -> Fraction:
     return x
 
 
-def solve_linear(a: Scalar, b: Scalar) -> Fraction:
-    """Solve a*x + b = 0 for rational a, b.
-
-    Raises Underdetermined when both vanish and Inconsistent when only a does.
-    """
-    if not isinstance(a, Fraction) or not isinstance(b, Fraction):
-        raise TypeError("solve_linear expects rational coefficients")
-    if a == 0:
-        if b == 0:
-            raise Underdetermined("0 = 0 determines nothing")
-        raise Inconsistent(f"{b} = 0 has no solution")
-    return -b / a
-
-
-def linear_coeffs(x: Scalar, var: str) -> tuple[Fraction, Fraction]:
-    """Write x as a*var + b, rejecting higher degrees."""
-    if isinstance(x, Fraction):
-        return ZERO, x
-    if x.var != var:
-        raise IndeterminateMismatch(f"expected indeterminate {var!r}, got {x.var!r}")
-    if x.degree > 1:
-        raise ValueError(f"degree {x.degree} > 1 in {x}")
-    return x.coeff(1), x.coeff(0)
-
-
 def rational_roots(p: Poly | list[Fraction] | list[int]) -> set[Fraction]:
     """All rational roots, without multiplicity.
 
@@ -249,8 +226,9 @@ def integer_roots(coeffs: list[int]) -> list[int]:
     Sturm sequence counts the real roots in any interval (lo, hi]; bisection
     on integers narrows each interval that holds a root down to width 1, and
     its one integer hi is a root if the polynomial vanishes there exactly.
-    Every integer root divides the lowest nonzero coefficient, which bounds
-    the search.
+    Every integer root divides the lowest nonzero coefficient, and Fujiwara's
+    bound |x| <= 2 max_k |a_k / a_n|^(1/(n-k)), rounded up to a power of two
+    through bit lengths, bounds every root; the search takes the smaller.
     """
     f = _trim(list(coeffs))
     if not f:
@@ -261,11 +239,24 @@ def integer_roots(coeffs: list[int]) -> list[int]:
         return roots
     f = _squarefree(f[low:])
     seq = _sturm(f)
-    bound = abs(f[0])
+    n, lead = len(f) - 1, abs(f[-1]).bit_length() - 1  # 2^lead <= |a_n|
+    e = max(-((lead - abs(c).bit_length()) // (n - k)) for k, c in enumerate(f[:-1]))
+    bound = min(abs(f[0]), 2 ** (max(e, 0) + 1))
     stack = [(-bound - 1, bound, _variations(seq, -bound - 1), _variations(seq, bound))]
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1:  # one simple root in (lo, hi]: f changes sign across it
+            f_hi = _eval(f, hi)
+            while f_hi and hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (f_mid := _eval(f, mid)) and (f_mid > 0) != (f_hi > 0):
+                    lo = mid
+                else:
+                    hi, f_hi = mid, f_mid
+            if not f_hi:
+                roots.append(hi)
             continue
         if hi - lo == 1:
             if _eval(f, hi) == 0:

@@ -44,9 +44,8 @@ from qcalc.qc import (
     standard_frame,
     vertical_integrable,
 )
-from qcalc.scalars import linear_coeffs, variable
-
-S = variable("S")
+from qcalc.scalars import substitute
+from oracles import S, linear_coeffs, symbolic
 
 PIPELINE_CASES = (
     ("g1", None),
@@ -191,9 +190,10 @@ def test_criterion_04():
             structures = derive_complex_structures(p.frame)
             for r in range(3):
                 total = Fraction(0)
+                rho = symbolic(p.rhos[r])
                 for pos in range(4):
-                    iy = i_image(p.frame, structures[r], pos)
-                    total = total + p.rhos[r].evaluate([p.frame.hvec(pos), iy])
+                    iy = hcomps(p.frame, i_image(p.frame, structures[r], pos))
+                    total = total + sum((rho[pos][b] * iy[b] for b in range(4)), Fraction(0))
                 slope, const = linear_coeffs(total + 4 * S, "S")
                 assert -const / slope == want
 
@@ -211,7 +211,7 @@ def test_criterion_05():
             )
             s_value = pipeline(name).s_value
             for computed, target in zip(alphas, golden):
-                assert substitute_form(computed, s_value) == substitute_form(
+                assert substitute_form(symbolic(computed), s_value) == substitute_form(
                     target, s_value
                 )
 
@@ -399,7 +399,7 @@ def test_criterion_11():
                     wrong = vset if b in hset else hset
                     assert all(vec.comp(i) == 0 for i in wrong)
 
-            alphas_n = [substitute_form(al, p.s_value) for al in p.alphas]
+            alphas_n = [substitute_form(symbolic(al), p.s_value) for al in sp1_connection_forms(p.g, frame)]
             for i, j, k in CYCLES:
                 for a in range(1, 8):
                     ea = Vec.basis(7, a)
@@ -419,7 +419,7 @@ def test_criterion_11():
                         )
                         assert lhs == rhs
 
-            rhos_n = [substitute_form(r, p.s_value) for r in p.rhos]
+            rhos_n = [[[substitute(c, p.s_value) for c in row] for row in symbolic(r)] for r in p.rhos]
             for rho, m in zip(rhos_n, structures):
                 for xpos in range(4):
                     for ypos in range(4):
@@ -441,10 +441,7 @@ def test_criterion_11():
                                         frame.horizontal[bpos],
                                     )
                                 ]
-                        direct = rho.evaluate(
-                            [Vec.basis(7, x_idx), Vec.basis(7, y_idx)]
-                        )
-                        assert total == 4 * direct
+                        assert total == 4 * rho[xpos][ypos]
 
 
 def test_criterion_12(tmp_path):

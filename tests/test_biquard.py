@@ -15,15 +15,15 @@ from qcalc.biquard import (
     audit,
 )
 from qcalc.catalog import document
-from qcalc.errors import NotIntegrable
-from qcalc.exterior import Form, LieAlgebra, Vec, dot
+from qcalc.errors import InconsistentCurvature, NotIntegrable
+from qcalc.family import rescale_covectors
+from qcalc.exterior import Form, LieAlgebra, Vec, dot, substitute_form
 from qcalc.parser import parse
-from qcalc.qc import apply_endo, derive_complex_structures, standard_frame
-from qcalc.scalars import is_zero, replace, variable
+from qcalc.qc import apply_endo, derive_complex_structures, horizontal_matrix, standard_frame
+from qcalc.scalars import is_zero, replace, substitute
+from oracles import S, symbolic, symbolic_connection_forms, symbolic_ricci_forms
 from test_conformal import PIPELINE_CASES, pipeline as case_pipeline
 from test_flags import G1_ROTATED_H3
-
-S = variable("S")
 
 
 def load(name, mu=None):
@@ -53,7 +53,7 @@ def ev(i):
 
 def test_connection_forms_g1():
     g, frame = load("g1")
-    a1, a2, a3 = sp1_connection_forms(g, frame)
+    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
     half = Fraction(1, 2)
     assert a1 == (-half * (S - half)) * ev(5)
     assert a2 == (-half * (S - half)) * ev(6)
@@ -62,7 +62,7 @@ def test_connection_forms_g1():
 
 def test_connection_forms_g2():
     g, frame = load("g2")
-    a1, a2, a3 = sp1_connection_forms(g, frame)
+    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
     half, sixth = Fraction(1, 2), Fraction(1, 6)
     assert a1 == (-half * (S - sixth)) * ev(5)
     assert a2 == (-half * (S - sixth)) * ev(6)
@@ -71,7 +71,7 @@ def test_connection_forms_g2():
 
 def test_connection_forms_heisenberg():
     g, frame = normalize_scale(*load("heisenberg"))
-    a1, a2, a3 = sp1_connection_forms(g, frame)
+    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
     for r, a in enumerate((a1, a2, a3)):
         assert a == (-S / 2) * Form.covector(7, frame.vertical[r])
 
@@ -92,14 +92,42 @@ def test_connection_forms_require_duality_conditions():
 
 def test_ricci_forms_g1():
     g, frame = load("g1")
-    rhos = ricci_forms(g, frame, sp1_connection_forms(g, frame))
+    rhos = [symbolic(r) for r in ricci_forms(g, frame, sp1_connection_forms(g, frame))]
     half = Fraction(1, 2)
     w1 = mono(1, 2) + mono(3, 4)
     w2 = mono(1, 3) + mono(4, 2)
     w3 = mono(1, 4) + mono(2, 3)
-    assert rhos[0] == (-half * (S - half)) * w1
-    assert rhos[1] == (-half * (S - half)) * w2
-    assert rhos[2] == mono(1, 4) + (-half * (S + half)) * w3
+    assert rhos[0] == horizontal_matrix((-half * (S - half)) * w1, frame)
+    assert rhos[1] == horizontal_matrix((-half * (S - half)) * w2, frame)
+    assert rhos[2] == horizontal_matrix(mono(1, 4) + (-half * (S + half)) * w3, frame)
+
+
+@pytest.mark.parametrize("name,mu", [*PIPELINE_CASES, ("g1_rot_h3", None)])
+def test_ricci_pairs_match_the_symbolic_route(name, mu):
+    # the affine pairs against alpha and rho built over Poly in S with LieAlgebra.d
+    # and Form.wedge; an S^2 term surviving on H would show as a degree-2 entry
+    p = rotated_h3_pipeline() if name == "g1_rot_h3" else case_pipeline(name, mu)
+    pairs = sp1_connection_forms(p.g, p.frame)
+    assert [symbolic(a) for a in pairs] == symbolic_connection_forms(p.g, p.frame)
+    assert p.alphas == tuple(substitute_form(symbolic(a), p.s_value) for a in pairs)
+    expected = [horizontal_matrix(rho, p.frame) for rho in symbolic_ricci_forms(p.g, p.frame)]
+    assert [symbolic(r) for r in ricci_forms(p.g, p.frame, pairs)] == expected
+    assert [symbolic(r) for r in p.rhos] == expected
+
+
+def test_ricci_pairs_match_the_symbolic_route_with_horizontal_wedges():
+    # d eta_i = 2 omega_i + f_j ^ eta_k - f_k ^ eta_j with f_r = e^r (not a Lie algebra):
+    # two alphas have horizontal parts, so alpha_i ^ alpha_j reaches H, which it
+    # does on no catalog member
+    g = parse(
+        "algebra wedges dim 7\nd e1 = 0\nd e2 = 0\nd e3 = 0\nd e4 = 0\n"
+        "d e5 = 2(e12 + e34) + e27 - e36\nd e6 = 2(e13 + e42) + e35 - e17\nd e7 = 2(e14 + e23) + e16 - e25\n"
+    ).algebra
+    frame = standard_frame()
+    pairs = sp1_connection_forms(g, frame)
+    assert sum(any(a0.coeff((x,)) for x in frame.horizontal) for a0, _ in pairs) >= 2
+    expected = [horizontal_matrix(rho, frame) for rho in symbolic_ricci_forms(g, frame)]
+    assert [symbolic(r) for r in ricci_forms(g, frame, pairs)] == expected
 
 
 def test_scalar_curvature_values():
@@ -107,6 +135,16 @@ def test_scalar_curvature_values():
         g, frame = normalize_scale(*load(name))
         rhos = ricci_forms(g, frame, sp1_connection_forms(g, frame))
         assert solve_qc_scalar_curvature(frame, rhos) == expected
+
+
+def test_scale_four_leaves_the_scalar_undetermined():
+    # at scale 4 the S-slope of each contraction is -4, the same as the -4 S it must
+    # equal: called without normalize_scale, the solve raises a qcalc error
+    g, frame = load("heisenberg")
+    g = rescale_covectors(g, {v: Fraction(4) for v in frame.vertical})
+    frame = replace(frame, scale=Fraction(4))
+    with pytest.raises(InconsistentCurvature, match="does not determine the scalar"):
+        solve_qc_scalar_curvature(frame, ricci_forms(g, frame, sp1_connection_forms(g, frame)))
 
 
 @pytest.mark.parametrize("name", ["g1", "g2"])
@@ -118,13 +156,12 @@ def test_three_contractions_agree(name):
     rhos = ricci_forms(g, frame, sp1_connection_forms(g, frame))
     s_value = solve_qc_scalar_curvature(frame, rhos)
     for r in range(3):
+        rho = [[substitute(c, s_value) for c in row] for row in symbolic(rhos[r])]
         total = Fraction(0)
         for pos in range(4):
             ea = frame.hvec(pos)
             image = apply_endo(structures[r], [ea.comp(i) for i in frame.horizontal])
-            vecs = [ea, sum((image[k] * frame.hvec(k) for k in range(4)), Vec.zero(7))]
-            value = rhos[r].evaluate(vecs)
-            total += value.substitute(s_value) if hasattr(value, "substitute") else value
+            total += sum(rho[pos][k] * image[k] for k in range(4))
         assert total == -4 * s_value
 
 

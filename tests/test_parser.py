@@ -111,6 +111,20 @@ def test_exponent_is_bounded():
     assert d4.coeff((1, 3)).degree == MAX_EXPONENT
 
 
+@pytest.mark.parametrize("factors", [10, 40])
+def test_a_run_of_products_is_bounded(factors):
+    # each product is checked, so the degree cannot grow one factor at a time; the
+    # error sits at the '*' or, for juxtaposed factors, at the second factor (column 14)
+    over = f"degree {2 * MAX_EXPONENT} in mu is above {MAX_EXPONENT}"
+    for sep in (" ", " * "):
+        start = time.perf_counter()
+        e = err(tiny(["d e4 = " + sep.join([f"mu^{MAX_EXPONENT}"] * factors) + " e12"], header_extra=" param mu"))
+        assert time.perf_counter() - start < 0.1
+        assert (e.line, e.col, e.message) == (2, 14, over)
+    e = err(tiny([f"d e4 = (mu^{MAX_EXPONENT} e1)(mu e2)"], header_extra=" param mu"))
+    assert (e.col, e.message) == (18, f"degree {MAX_EXPONENT + 1} in mu is above {MAX_EXPONENT}")
+
+
 def test_comments_and_blank_lines():
     text = "algebra c dim 2  # header\n\n# whole line comment\nd e1 = 0\nd e2 = 0  # trailing\n"
     doc = parse(text)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc.errors import IndeterminateMismatch, Inconsistent, Underdetermined, ZeroPolynomial
+from qcalc.errors import IndeterminateMismatch, ZeroPolynomial
 from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.linalg import char_poly
 from qcalc.parser import AlgebraDocument
@@ -14,15 +14,14 @@ from qcalc.scalars import (
     Poly,
     integer_roots,
     is_zero,
-    linear_coeffs,
     poly,
     poly_gcd,
     rational_roots,
-    solve_linear,
     replace,
     substitute,
     variable,
 )
+from oracles import Inconsistent, Underdetermined, linear_coeffs, solve_linear
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 small_coeffs = st.lists(rationals, min_size=0, max_size=5)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcalc import linalg
 from qcalc.biquard import assemble_torsion
 from qcalc.catalog import document
 from qcalc.errors import ParametricNotSupported
@@ -24,6 +25,7 @@ from qcalc.exterior import (
     Form,
     LieAlgebra,
     Vec,
+    _weight_split,
     betti_numbers,
     cohomology_dim,
     derived_and_central_series,
@@ -35,6 +37,7 @@ from qcalc.exterior import (
 from qcalc.family import rescale_covectors
 from qcalc.parser import parse
 from qcalc.qc import standard_frame
+from oracles import full_complex_betti
 from test_conformal import G2_ROTATED, PIPELINE_CASES
 from test_exterior import bracket_vec
 
@@ -310,3 +313,129 @@ def test_rescaling_stresses_the_common_denominator():
     assert e % 97 == 0
     assert betti_numbers(g) == betti_numbers(case_algebra("g2"))
 
+
+
+# ---------------------------------------------------------------------------
+# Betti numbers from the weight-zero subcomplex, against the whole complex
+
+
+def from_brackets(dim, brackets):
+    """The algebra with [e_a, e_b] = Sum_c x_c e_c for each (a, b): {c: x_c}, a < b."""
+    terms = [{} for _ in range(dim)]
+    for (a, b), image in brackets.items():
+        for c, x in image.items():
+            terms[c - 1][(a, b)] = terms[c - 1].get((a, b), 0) - Fraction(x)
+    return LieAlgebra("t", dim, tuple(Form.make(dim, 2, t) for t in terms), None)
+
+
+def change_basis(g, q):
+    """g in the basis e'_a = Sum_c q[c][a] e_c, for an invertible rational q."""
+    n = g.dim
+    inverse, _ = linalg.rref([list(row) + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(q)])
+    p = [row[n:] for row in inverse]
+    cols = [Vec(tuple(q[c][a] for c in range(n))) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            old = bracket_vec(g, cols[a], cols[b]).comps
+            brackets[(a + 1, b + 1)] = {k + 1: sum(x * y for x, y in zip(p[k], old)) for k in range(n)}
+    return from_brackets(n, brackets)
+
+
+def weighted(g):
+    """Whether the Betti numbers of g come from a proper weight-zero subcomplex."""
+    return any(_weight_split(g)[1])
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def semidirect_products(draw):
+    """R x| n: X acts on an abelian part with rational weights, one Jordan block
+    of size 2 if drawn, and on a Heisenberg part p, q, z = [p, q] if drawn;
+    the basis is shuffled, so X need not come first."""
+    k = draw(st.integers(1, 4))
+    heis = draw(st.booleans())
+    dim = 1 + k + 3 * heis
+    pos = draw(st.permutations(range(1, dim + 1)))  # pos[i]: where logical index i sits
+    lams = draw(st.lists(small, min_size=k, max_size=k))
+    jordan = k >= 2 and draw(st.booleans())
+    brackets = {}
+
+    def put(a, b, image):
+        (a, b), sign = ((pos[a], pos[b]), 1) if pos[a] < pos[b] else ((pos[b], pos[a]), -1)
+        brackets[(a, b)] = {pos[c]: sign * x for c, x in image.items()}
+
+    for i, lam in enumerate(lams, start=1):
+        put(0, i, {i: lam})
+    if jordan:  # [X, y_2] = lam_1 y_2 + y_1
+        put(0, 2, {2: lams[0], 1: 1})
+    if heis:
+        alpha, beta = draw(small), draw(small)
+        p, q, z = k + 1, k + 2, k + 3
+        put(0, p, {p: alpha})
+        put(0, q, {q: beta})
+        put(0, z, {z: alpha + beta})
+        put(p, q, {z: 1})
+    return from_brackets(dim, brackets)
+
+
+def invertible(n):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n).filter(
+        lambda rows: linalg.rank(rows) == n
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(semidirect_products())
+def test_weight_zero_betti_numbers_on_semidirect_products(g):
+    assert g.is_valid
+    betti = full_complex_betti(g)
+    assert betti_numbers(g) == betti
+    assert [cohomology_dim(g, k) for k in range(g.dim + 1)] == betti
+
+
+@settings(max_examples=15, deadline=None)
+@given(semidirect_products(), st.data())
+def test_weight_zero_betti_numbers_in_a_dense_basis(g, data):
+    rows = data.draw(invertible(g.dim))
+    h = change_basis(g, [[Fraction(x) for x in row] for row in rows])
+    assert betti_numbers(h) == full_complex_betti(h) == betti_numbers(g)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["g1", "g2"]), invertible(7))
+def test_weight_zero_betti_numbers_under_coframe_changes(name, rows):
+    g = case_algebra(name)
+    h = change_basis(g, [[Fraction(x) for x in row] for row in rows])
+    assert h.is_valid and weighted(h)
+    assert betti_numbers(h) == full_complex_betti(h) == betti_numbers(g)
+
+
+def test_weight_zero_path_needs_generalized_eigenvectors():
+    # [X, y1] = 2 y1, [X, y2] = 2 y2 + y1, [X, y3] = -4 y3: ad X has a Jordan block
+    g = from_brackets(4, {(1, 2): {2: 2}, (1, 3): {3: 2, 2: 1}, (1, 4): {4: -4}})
+    assert weighted(g)
+    assert betti_numbers(g) == full_complex_betti(g) == [1, 1, 0, 1, 1]
+
+
+def test_weight_zero_path_takes_a_later_basis_element():
+    # e1, e2 span the nilradical; only ad e3 has a nonzero eigenvalue
+    g = from_brackets(3, {(1, 3): {1: -1}, (2, 3): {2: -2}})
+    _, cp = linalg.char_poly([[g.structure_table[1][0][b][c] for b in range(3)] for c in range(3)])
+    assert cp == [0, 0, 0, 1]
+    assert weighted(g)
+    assert betti_numbers(g) == full_complex_betti(g) == [1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("case", ["sqrt2", "heisenberg"])
+def test_weight_zero_path_falls_back_to_the_whole_complex(case):
+    if case == "sqrt2":
+        # ad X = [[0, 2], [1, 0]] on y1, y2: eigenvalues +-sqrt(2), no rational split
+        g = from_brackets(3, {(1, 2): {3: 1}, (1, 3): {2: 2}})
+    else:
+        g = case_algebra("heisenberg")
+    assert not weighted(g)
+    assert betti_numbers(g) == full_complex_betti(g)
+    assert [cohomology_dim(g, k) for k in range(g.dim + 1)] == full_complex_betti(g)
