@@ -19,7 +19,7 @@ from .errors import InconsistentCurvature, InconsistentTorsion, NotIntegrable, N
 from .exterior import Form, LieAlgebra, Vec, require_rational
 from .linalg import common_denominator, matmul, scaled
 from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility, hcolumn
-from .scalars import ZERO, Scalar, Value, is_zero, replace
+from .scalars import ZERO, Scalar, Value, replace
 
 Affine = tuple[Matrix4, Matrix4]  # (R0, R1): the matrix R0 + S R1 for the scalar curvature S
 
@@ -193,20 +193,6 @@ class Connection(Value):
     def nabla(self, a: int, b: int) -> Vec:
         return self.gamma[(a, b)]
 
-    def nabla_vec(self, u: Vec, w: Vec) -> Vec:
-        """Derivative of the constant-coefficient field w along u."""
-        out = Vec.zero(self.dim)
-        for a in range(1, self.dim + 1):
-            ca = u.comp(a)
-            if is_zero(ca):
-                continue
-            for b in range(1, self.dim + 1):
-                cb = w.comp(b)
-                if is_zero(cb):
-                    continue
-                out = out + (ca * cb) * self.gamma[(a, b)]
-        return out
-
 
 def _dense(*tables, brackets: LieAlgebra | None = None) -> tuple[int, list]:
     """Clear [a][b] -> vector tables of Fractions to one denominator E: (E, int tables).
@@ -262,15 +248,6 @@ def biquard_connection(g: LieAlgebra, lc: Connection, torsion: Torsion) -> Conne
         [[[2 * x + y for x, y in zip(u, v)] for u, v in zip(ua, va)] for ua, va in zip(lci, corr)],
         2 * den,
     )
-
-
-def connection_torsion(g: LieAlgebra, conn: Connection) -> Torsion:
-    """Recompute T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] from the coefficients."""
-    slots = {}
-    for a in range(1, g.dim + 1):
-        for b in range(a + 1, g.dim + 1):
-            slots[(a, b)] = conn.nabla(a, b) - conn.nabla(b, a) - g.bracket(a, b)
-    return Torsion(g.dim, slots)
 
 
 def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int], Scalar]:

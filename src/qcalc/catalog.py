@@ -5,8 +5,6 @@ Sources are stored verbatim; `catalog show` prints them unchanged.
 
 from __future__ import annotations
 
-from .parser import AlgebraDocument, parse
-
 _SOURCES: dict[str, str] = {}
 
 
@@ -91,7 +89,3 @@ def names() -> list[str]:
 
 def source(name: str) -> str:
     return _SOURCES[name]
-
-
-def document(name: str) -> AlgebraDocument:
-    return parse(_SOURCES[name])

@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog
+from .biquard import run_pipeline
+from .conformal import is_qc_conformally_flat, wqc_tensor
 from .errors import (
     ParametricNotSupported,
     ParseError,
@@ -21,6 +23,7 @@ from .errors import (
 from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, verify_flag
 from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, flag_texts, parse
+from .qc import check_bi1, check_compatibility
 from .report import _wqc_samples, build_report
 
 
@@ -196,8 +199,6 @@ def _bool(x) -> str:
 
 
 def _cmd_check(args, fmt: str) -> int:
-    from .qc import check_bi1, check_compatibility
-
     doc = _load_specialized(args)
     g, frame = doc.algebra, doc.frame
     ok = g.is_valid
@@ -261,9 +262,6 @@ def _cmd_report(args, fmt: str) -> int:
 
 
 def _cmd_wqc(args, fmt: str) -> int:
-    from .biquard import run_pipeline
-    from .conformal import is_qc_conformally_flat, wqc_tensor
-
     doc = _load_specialized(args)
     g, frame = doc.algebra, doc.frame
     if frame is None:

@@ -64,10 +64,6 @@ class Form(Value):
         key, sign = srt
         return Form.make(dim, len(idx), {key: sign * coeff})
 
-    @staticmethod
-    def covector(dim: int, i: int) -> Form:
-        return Form.make(dim, 1, {(i,): Fraction(1)})
-
     def coeff(self, idx: Index) -> Scalar:
         return self.terms.get(idx, ZERO)
 
@@ -120,31 +116,6 @@ class Form(Value):
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return Form.make(self.dim, deg, out)
 
-    def evaluate(self, vectors: list[Vec]) -> Scalar:
-        """Alternating multilinear evaluation (determinant expansion)."""
-        if len(vectors) != self.degree:
-            raise ValueError(f"need {self.degree} vectors, got {len(vectors)}")
-        total: Scalar = Fraction(0)
-        for key, c in self.terms.items():
-            rows = [[v.comp(i) for v in vectors] for i in key]
-            total = total + c * _det(rows)
-        return total
-
-    def interior(self, v: Vec) -> Form:
-        """v ⌟ f, contraction in the first slot."""
-        if self.degree == 0:
-            raise ValueError("interior product with a 0-form")
-        out: dict[Index, Scalar] = {}
-        for key, c in self.terms.items():
-            for pos, i in enumerate(key):
-                comp = v.comp(i)
-                if is_zero(comp):
-                    continue
-                rest = key[:pos] + key[pos + 1 :]
-                sign = -1 if pos % 2 else 1
-                out[rest] = out.get(rest, Fraction(0)) + sign * comp * c
-        return Form.make(self.dim, self.degree - 1, out)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -153,22 +124,6 @@ class Form(Value):
             name = "e" + "".join(str(i) for i in key) if key else "1"
             parts.append(f"({c})*{name}")
         return " + ".join(parts)
-
-
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total: Scalar = Fraction(0)
-    for j, top in enumerate(rows[0]):
-        if is_zero(top):
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = top * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 class Vec(Value):
@@ -214,14 +169,6 @@ class Vec(Value):
     __mul__ = __rmul__
 
 
-def dot(u: Vec, v: Vec) -> Scalar:
-    """The identity metric on the declared basis."""
-    total: Scalar = Fraction(0)
-    for a, b in zip(u.comps, v.comps):
-        total = total + a * b
-    return total
-
-
 class LieAlgebra(Value):
     """Structure equations: differentials[k-1] is d(e^k)."""
 
@@ -263,10 +210,6 @@ class LieAlgebra(Value):
                     out[idx] = out.get(idx, ZERO) + (term if pos % 2 == 0 else -term)
         return Form.make(self.dim, f.degree + 1, out)
 
-    def jacobi_check(self) -> list[Form]:
-        """d(d e^k) for every k with nonzero result; a test oracle for `jacobi_sum`."""
-        return [dd for k in range(1, self.dim + 1) if not (dd := self.d(self.differential(k))).is_zero]
-
     @cached_property
     def coefficient_tables(self) -> tuple[int, list[list[list[list[int]]]]]:
         """(E, [C_0, ..., C_D]), C_d[a][b][c] = E * (mu^d-coefficient of [e_a, e_b]_c)
@@ -303,10 +246,6 @@ class LieAlgebra(Value):
         _, t = self.structure_table
         return not any(any(jacobi_sum(t, t, *abc)) for abc in itertools.combinations(range(self.dim), 3))
 
-    def bracket(self, i: int, j: int) -> Vec:
-        """[e_i, e_j]; k-component is -(d e^k)(e_i, e_j)."""
-        return Vec(tuple(-f.pair(i, j) for f in self.differentials))
-
     def substitute(self, value: Fraction) -> LieAlgebra:
         """Specialize the parameter; the result is parameter-free."""
         subs = tuple(substitute_form(f, value) for f in self.differentials)
@@ -321,17 +260,6 @@ def substitute_form(f: Form, value: Fraction) -> Form:
 def monomials(dim: int, degree: int) -> list[Index]:
     """All strictly increasing index tuples, lexicographic."""
     return list(itertools.combinations(range(1, dim + 1), degree))
-
-
-def form_coords(f: Form, basis: list[Index]) -> list[Fraction]:
-    """Coefficient row of a parameter-free form over a monomial basis."""
-    row = []
-    for key in basis:
-        c = f.coeff(key)
-        if isinstance(c, Poly):
-            raise ParametricNotSupported("form has parametric coefficients")
-        row.append(c)
-    return row
 
 
 def require_rational(g: LieAlgebra) -> None:
@@ -402,11 +330,6 @@ def derived_and_central_series(g: LieAlgebra) -> dict:
         "is_solvable": derived[-1] == 0,
         "is_nilpotent": lower_central[-1] == 0,
     }
-
-
-def differential_matrix(g: LieAlgebra, j: int) -> list[list[int]]:
-    """E * d_j in plain ints: one row per j-monomial, one column per (j+1)-monomial."""
-    return _weight_zero_block(g.structure_table[1], (0,) * g.dim, j)
 
 
 def _weight_zero_block(table, weights, j: int) -> list[list[int]]:

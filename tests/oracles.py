@@ -1,20 +1,165 @@
 """Reference implementations that only the tests use.
 
-The package computes the scalar curvature from affine pairs of rational
-matrices and the Betti numbers from the weight-zero part of the complex.
-These are the direct routes it is checked against: solving a*S + b = 0 for
-a symbol S (with its two errors), the Ricci forms of symbolic connection
-forms through `LieAlgebra.d` and `Form.wedge` over `Poly`, and the ranks of
-the whole Chevalley-Eilenberg complex.
+The package runs one integer path: structure tables, matrices on horizontal
+positions and ranks of weight-zero blocks.  This module holds the routes it
+is checked against, none of which the package calls:
+
+- the Form/Vec calculus: alternating evaluation by determinant expansion,
+  interior products, the identity metric, coordinate rows, brackets read off
+  the differentials, d(d e^k) through `LieAlgebra.d`, the whole E * d_j, the
+  horizontal helpers of a qc frame, the covariant derivative of a constant
+  field and the torsion recomputed from Christoffel coefficients;
+- solving a*S + b = 0 for a symbol S (with its two errors), and the
+  connection and Ricci forms over `Poly` in S through `LieAlgebra.d` and
+  `Form.wedge`;
+- the Betti numbers of the whole Chevalley-Eilenberg complex;
+- d Omega as Omega times the whole E * d_4 of each coefficient table.
 """
 
 from fractions import Fraction
 
 from qcalc import linalg
-from qcalc.errors import IndeterminateMismatch, QcalcError
-from qcalc.exterior import Form, differential_matrix, monomials
-from qcalc.qc import CYCLES, restrict_h
-from qcalc.scalars import ZERO, Scalar, variable
+from qcalc.biquard import Connection, Torsion
+from qcalc.catalog import source
+from qcalc.errors import IndeterminateMismatch, ParametricNotSupported, QcalcError
+from qcalc.exterior import Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials
+from qcalc.parser import AlgebraDocument, parse
+from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form, restrict_h
+from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, variable
+
+
+def document(name: str) -> AlgebraDocument:
+    return parse(source(name))
+
+
+# ---------------------------------------------------------------------------
+# the Form/Vec calculus
+
+
+def covector(dim: int, i: int) -> Form:
+    return Form.make(dim, 1, {(i,): Fraction(1)})
+
+
+def evaluate(f: Form, vectors: list[Vec]) -> Scalar:
+    """Alternating multilinear evaluation (determinant expansion)."""
+    if len(vectors) != f.degree:
+        raise ValueError(f"need {f.degree} vectors, got {len(vectors)}")
+    total: Scalar = Fraction(0)
+    for key, c in f.terms.items():
+        rows = [[v.comp(i) for v in vectors] for i in key]
+        total = total + c * _det(rows)
+    return total
+
+
+def _det(rows: list[list[Scalar]]) -> Scalar:
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[0][0]
+    total: Scalar = Fraction(0)
+    for j, top in enumerate(rows[0]):
+        if is_zero(top):
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = top * _det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def interior(f: Form, v: Vec) -> Form:
+    """v ⌟ f, contraction in the first slot."""
+    if f.degree == 0:
+        raise ValueError("interior product with a 0-form")
+    out: dict[Index, Scalar] = {}
+    for key, c in f.terms.items():
+        for pos, i in enumerate(key):
+            comp = v.comp(i)
+            if is_zero(comp):
+                continue
+            rest = key[:pos] + key[pos + 1 :]
+            sign = -1 if pos % 2 else 1
+            out[rest] = out.get(rest, Fraction(0)) + sign * comp * c
+    return Form.make(f.dim, f.degree - 1, out)
+
+
+def dot(u: Vec, v: Vec) -> Scalar:
+    """The identity metric on the declared basis."""
+    total: Scalar = Fraction(0)
+    for a, b in zip(u.comps, v.comps):
+        total = total + a * b
+    return total
+
+
+def form_coords(f: Form, basis: list[Index]) -> list[Fraction]:
+    """Coefficient row of a parameter-free form over a monomial basis."""
+    row = []
+    for key in basis:
+        c = f.coeff(key)
+        if isinstance(c, Poly):
+            raise ParametricNotSupported("form has parametric coefficients")
+        row.append(c)
+    return row
+
+
+def bracket(g: LieAlgebra, i: int, j: int) -> Vec:
+    """[e_i, e_j]; k-component is -(d e^k)(e_i, e_j)."""
+    return Vec(tuple(-f.pair(i, j) for f in g.differentials))
+
+
+def jacobi_check(g: LieAlgebra) -> list[Form]:
+    """d(d e^k) for every k with nonzero result; the reference for `jacobi_sum`."""
+    return [dd for k in range(1, g.dim + 1) if not (dd := g.d(g.differential(k))).is_zero]
+
+
+def differential_matrix(g: LieAlgebra, j: int) -> list[list[int]]:
+    """E * d_j in plain ints: one row per j-monomial, one column per (j+1)-monomial."""
+    return _weight_zero_block(g.structure_table[1], (0,) * g.dim, j)
+
+
+def hvec(frame: QCFrame, pos: int) -> Vec:
+    """Horizontal basis vector by position 0..3."""
+    return Vec.basis(frame.dim, frame.horizontal[pos])
+
+
+def apply_endo(m: Matrix4, comps: list[Scalar]) -> list[Scalar]:
+    """Apply a horizontal endomorphism to horizontal components."""
+    return [
+        sum((m[a][b] * comps[b] for b in range(4)), Fraction(0)) for a in range(4)
+    ]
+
+
+def hcomps(frame: QCFrame, v: Vec) -> list[Scalar]:
+    return [v.comp(i) for i in frame.horizontal]
+
+
+def nabla_vec(conn: Connection, u: Vec, w: Vec) -> Vec:
+    """Derivative of the constant-coefficient field w along u."""
+    out = Vec.zero(conn.dim)
+    for a in range(1, conn.dim + 1):
+        ca = u.comp(a)
+        if is_zero(ca):
+            continue
+        for b in range(1, conn.dim + 1):
+            cb = w.comp(b)
+            if is_zero(cb):
+                continue
+            out = out + (ca * cb) * conn.gamma[(a, b)]
+    return out
+
+
+def connection_torsion(g: LieAlgebra, conn: Connection) -> Torsion:
+    """Recompute T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] from the coefficients."""
+    slots = {}
+    for a in range(1, g.dim + 1):
+        for b in range(a + 1, g.dim + 1):
+            slots[(a, b)] = conn.nabla(a, b) - conn.nabla(b, a) - bracket(g, a, b)
+    return Torsion(g.dim, slots)
+
+
+# ---------------------------------------------------------------------------
+# the scalar curvature as a symbol
+
 
 S = variable("S")
 
@@ -87,7 +232,27 @@ def symbolic_ricci_forms(g, frame) -> list[Form]:
     ]
 
 
+# ---------------------------------------------------------------------------
+# the whole complex
+
+
 def full_complex_betti(g) -> list[int]:
     """dim H^k from the ranks of the whole complex, E * d_j on every monomial."""
     ranks = [0] + [linalg.rank(differential_matrix(g, j)) for j in range(g.dim + 1)]
     return [len(monomials(g.dim, k)) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
+
+
+def d_fundamental_form_from_tables(g: LieAlgebra, frame: QCFrame) -> Form:
+    """d Omega = Sum_d mu^d Omega (E * d_4 of C_d) / E over `coefficient_tables`:
+    the coordinate row of Omega times the whole matrix of each table."""
+    e, tables = g.coefficient_tables
+    omega = fundamental_form(frame)
+    row = [omega.coeff(key) for key in monomials(g.dim, 4)]
+    images = [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*_weight_zero_block(c, (0,) * g.dim, 4))]
+        for c in tables
+    ]
+    return Form.make(g.dim, 5, {
+        key: poly(g.param, *(Fraction(image[pos], e) for image in images))
+        for pos, key in enumerate(monomials(g.dim, 5))
+    })

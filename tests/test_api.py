@@ -1,0 +1,53 @@
+"""The public surface of `qcalc`, and the line between it and the test oracles.
+
+Every name in `qcalc.__all__` resolves, once.  The reference calculus that
+only the tests use lives in `oracles`, and none of it is back in the module
+or class it came from.
+"""
+
+import importlib
+
+import pytest
+
+import oracles
+import qcalc
+
+MOVED = [
+    ("qcalc.exterior", None, "dot"),
+    ("qcalc.exterior", None, "form_coords"),
+    ("qcalc.exterior", None, "differential_matrix"),
+    ("qcalc.exterior", None, "_det"),
+    ("qcalc.exterior", "Form", "evaluate"),
+    ("qcalc.exterior", "Form", "interior"),
+    ("qcalc.exterior", "Form", "covector"),
+    ("qcalc.exterior", "LieAlgebra", "jacobi_check"),
+    ("qcalc.exterior", "LieAlgebra", "bracket"),
+    ("qcalc.qc", None, "apply_endo"),
+    ("qcalc.qc", None, "hcomps"),
+    ("qcalc.qc", "QCFrame", "hvec"),
+    ("qcalc.biquard", None, "connection_torsion"),
+    ("qcalc.biquard", "Connection", "nabla_vec"),
+    ("qcalc.catalog", None, "document"),
+]
+
+
+def test_every_public_name_resolves_once():
+    assert len(qcalc.__all__) == len(set(qcalc.__all__))
+    missing = [name for name in qcalc.__all__ if not hasattr(qcalc, name)]
+    assert missing == []
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from qcalc import *", namespace)
+    assert set(qcalc.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module, owner, name", MOVED, ids=lambda x: x or "-")
+def test_moved_name_lives_only_in_the_oracles(module, owner, name):
+    home = importlib.import_module(module)
+    if owner is not None:
+        home = getattr(home, owner)
+    assert not hasattr(home, name)
+    assert name not in qcalc.__all__ and not hasattr(qcalc, name)
+    assert callable(getattr(oracles, name))

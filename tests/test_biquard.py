@@ -5,7 +5,6 @@ import pytest
 
 from qcalc.biquard import (
     Connection,
-    connection_torsion,
     levi_civita,
     normalize_scale,
     ricci_forms,
@@ -14,14 +13,27 @@ from qcalc.biquard import (
     sp1_connection_forms,
     audit,
 )
-from qcalc.catalog import document
 from qcalc.errors import InconsistentCurvature, NotIntegrable
 from qcalc.family import rescale_covectors
-from qcalc.exterior import Form, LieAlgebra, Vec, dot, substitute_form
+from qcalc.exterior import Form, LieAlgebra, Vec, substitute_form
 from qcalc.parser import parse
-from qcalc.qc import apply_endo, derive_complex_structures, horizontal_matrix, standard_frame
+from qcalc.qc import derive_complex_structures, horizontal_matrix, standard_frame
 from qcalc.scalars import is_zero, replace, substitute
-from oracles import S, symbolic, symbolic_connection_forms, symbolic_ricci_forms
+from oracles import (
+    S,
+    apply_endo,
+    bracket,
+    connection_torsion,
+    covector,
+    document,
+    dot,
+    evaluate,
+    hvec,
+    nabla_vec,
+    symbolic,
+    symbolic_connection_forms,
+    symbolic_ricci_forms,
+)
 from test_conformal import PIPELINE_CASES, pipeline as case_pipeline
 from test_flags import G1_ROTATED_H3
 
@@ -44,7 +56,7 @@ def mono(*idx, c=1):
 
 
 def ev(i):
-    return Form.covector(7, i)
+    return covector(7, i)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +85,7 @@ def test_connection_forms_heisenberg():
     g, frame = normalize_scale(*load("heisenberg"))
     a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
     for r, a in enumerate((a1, a2, a3)):
-        assert a == (-S / 2) * Form.covector(7, frame.vertical[r])
+        assert a == (-S / 2) * covector(7, frame.vertical[r])
 
 
 def test_connection_forms_require_duality_conditions():
@@ -159,7 +171,7 @@ def test_three_contractions_agree(name):
         rho = [[substitute(c, s_value) for c in row] for row in symbolic(rhos[r])]
         total = Fraction(0)
         for pos in range(4):
-            ea = frame.hvec(pos)
+            ea = hvec(frame, pos)
             image = apply_endo(structures[r], [ea.comp(i) for i in frame.horizontal])
             total += sum(rho[pos][k] * image[k] for k in range(4))
         assert total == -4 * s_value
@@ -178,8 +190,8 @@ def t0_oracle(frame, coeff):
         row = []
         for b in range(4):
             image = apply_endo(i3, [Fraction(1) if k == b else Fraction(0) for k in range(4)])
-            iy = sum((image[k] * frame.hvec(k) for k in range(4)), Vec.zero(7))
-            row.append(coeff * pattern.evaluate([frame.hvec(a), iy]))
+            iy = sum((image[k] * hvec(frame, k) for k in range(4)), Vec.zero(7))
+            row.append(coeff * evaluate(pattern, [hvec(frame, a), iy]))
         out.append(row)
     return out
 
@@ -254,7 +266,7 @@ def test_torsion_endo_values():
 def test_assembled_torsion_slots():
     p = pipeline("g1")
     # horizontal x horizontal: minus the vertical part of the bracket
-    br = p.g.bracket(1, 2)
+    br = bracket(p.g, 1, 2)
     expected = Vec(tuple(-br.comp(i) if i >= 5 else Fraction(0) for i in range(1, 8)))
     assert p.torsion.value(1, 2) == expected
     # vertical x vertical
@@ -284,7 +296,7 @@ def test_levi_civita_is_metric_and_torsion_free(name):
     lc = levi_civita(g)
     for a in range(1, 8):
         for b in range(1, 8):
-            gap = lc.nabla(a, b) - lc.nabla(b, a) - g.bracket(a, b)
+            gap = lc.nabla(a, b) - lc.nabla(b, a) - bracket(g, a, b)
             assert gap.is_zero
             for c in range(1, 8):
                 assert lc.nabla(a, b).comp(c) + lc.nabla(a, c).comp(b) == 0
@@ -377,7 +389,7 @@ def test_family_pipeline_equals_rescaled_twin(mu, twin):
 def reference_levi_civita(g):
     """Koszul formula over g.bracket, one Fraction entry at a time."""
     n = g.dim
-    br = {(a, b): g.bracket(a, b) for a in range(1, n + 1) for b in range(1, n + 1)}
+    br = {(a, b): bracket(g, a, b) for a in range(1, n + 1) for b in range(1, n + 1)}
     return {
         (a, b): Vec(tuple(
             (br[(a, b)].comp(c) - br[(b, c)].comp(a) + br[(c, a)].comp(b)) / 2
@@ -411,9 +423,9 @@ def reference_curvature(g, conn):
         for b in range(1, n + 1):
             for c in range(1, n + 1):
                 vec = (
-                    conn.nabla_vec(Vec.basis(n, a), conn.nabla(b, c))
-                    - conn.nabla_vec(Vec.basis(n, b), conn.nabla(a, c))
-                    - conn.nabla_vec(g.bracket(a, b), Vec.basis(n, c))
+                    nabla_vec(conn, Vec.basis(n, a), conn.nabla(b, c))
+                    - nabla_vec(conn, Vec.basis(n, b), conn.nabla(a, c))
+                    - nabla_vec(conn, bracket(g, a, b), Vec.basis(n, c))
                 )
                 for d in range(1, n + 1):
                     riem[(a, b, c, d)] = vec.comp(d)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcalc.biquard import run_pipeline
-from qcalc.catalog import document
 from qcalc.conformal import is_qc_conformally_flat, kulkarni_nomizu, wqc_tensor
 from qcalc.family import specialize
 from qcalc.parser import parse
 from qcalc.qc import standard_omegas
+from oracles import document, evaluate, hvec
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -116,7 +116,7 @@ def test_local_quaternionic_combination():
     def om_val(om, a, b):
         from qcalc.exterior import Vec
 
-        return om.evaluate([Vec(tuple(e[a])), Vec(tuple(e[b]))])
+        return evaluate(om, [Vec(tuple(e[a])), Vec(tuple(e[b]))])
 
     total = Fraction(0)
     for om in omegas:
@@ -210,7 +210,7 @@ def test_wqc_omega_traces_vanish(name, mu):
     for om in p.frame.omegas:
         for c, d in itertools.product(range(4), repeat=2):
             total = sum(
-                om.evaluate([p.frame.hvec(a), p.frame.hvec(b)]) * w[a][b][c][d]
+                evaluate(om, [hvec(p.frame, a), hvec(p.frame, b)]) * w[a][b][c][d]
                 for a, b in itertools.product(range(4), repeat=2)
             )
             assert total == 0

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qcalc.catalog import document
 from qcalc.errors import InvalidFlag
 from qcalc.exterior import Flag, Form, LieAlgebra, search_flag, verify_flag
 from qcalc.parser import parse
+from oracles import document
 
 # g1 in a dense orthonormal coframe of height 3, as written by perfbench/gen.py's
 # rotated_input(random.Random(3), "g1", 3, "g1_rot"): the characteristic

@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from qcalc.catalog import document
 from qcalc.errors import NotQuaternionic
 from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.parser import parse
 from qcalc.qc import (
     QCFrame,
     adapted_shape,
-    apply_endo,
     check_bi1,
     check_compatibility,
     d_fundamental_form,
@@ -22,6 +20,7 @@ from qcalc.qc import (
     vertical_integrable,
 )
 from qcalc.scalars import replace
+from oracles import apply_endo, covector, document, evaluate, hvec, interior
 from test_conformal import G2_ROTATED
 
 
@@ -112,7 +111,7 @@ def test_degenerate_omegas_rejected():
 def evaluated_structures(frame):
     """The I_r matrices from omega_r(e_b, e_a), by determinant expansion."""
     return tuple(
-        [[om.evaluate([frame.hvec(b), frame.hvec(a)]) for b in range(4)] for a in range(4)]
+        [[evaluate(om, [hvec(frame, b), hvec(frame, a)]) for b in range(4)] for a in range(4)]
         for om in frame.omegas
     )
 
@@ -134,7 +133,7 @@ def test_horizontal_matrix_and_structures_match_evaluate(case):
         m = horizontal_matrix(om, frame)
         for a in range(4):
             for b in range(4):
-                assert m[a][b] == om.evaluate([frame.hvec(a), frame.hvec(b)])
+                assert m[a][b] == evaluate(om, [hvec(frame, a), hvec(frame, b)])
     assert derive_complex_structures(frame) == evaluated_structures(frame)
 
 
@@ -201,9 +200,9 @@ def test_bi1_golden_contraction():
     g, frame = load("g1")
     de6 = g.differential(6)
     de5 = g.differential(5)
-    left = restrict_h(de6.interior(Vec.basis(7, frame.vertical[0])), frame)
-    right = restrict_h(de5.interior(Vec.basis(7, frame.vertical[1])), frame)
-    assert left == -1 * Form.covector(7, 4)
+    left = restrict_h(interior(de6, Vec.basis(7, frame.vertical[0])), frame)
+    right = restrict_h(interior(de5, Vec.basis(7, frame.vertical[1])), frame)
+    assert left == -1 * covector(7, 4)
     assert left == -1 * right
 
 
@@ -245,7 +244,7 @@ def test_adapted_shape_g1():
     f1, f2, f3 = shape
     assert f1.is_zero
     assert f2.is_zero
-    assert f3 == Form.covector(7, 4)
+    assert f3 == covector(7, 4)
 
 
 def test_adapted_shape_heisenberg():

@@ -4,8 +4,9 @@
 Betti numbers, the derived and lower central series and every bracket of a
 rational algebra.  The references here are the Form-based definitions:
 d_j through `g.d` on unit forms, Jacobi as d(d e^k) = 0, brackets as sums of
-`g.bracket(i, j)`, and the series through those brackets and a Fraction
-elimination written in the test.
+`bracket(g, i, j)`, and the series through those brackets and a Fraction
+elimination written in the test.  d Omega goes the other way: the package
+takes it through `g.d`, and the reference reads it off the tables.
 """
 
 import random
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from qcalc import linalg
 from qcalc.biquard import assemble_torsion
-from qcalc.catalog import document
 from qcalc.errors import ParametricNotSupported
 from qcalc.exterior import (
     Form,
@@ -29,15 +29,22 @@ from qcalc.exterior import (
     betti_numbers,
     cohomology_dim,
     derived_and_central_series,
-    differential_matrix,
-    form_coords,
     monomials,
     scaled_bracket,
 )
 from qcalc.family import rescale_covectors
 from qcalc.parser import parse
-from qcalc.qc import standard_frame
-from oracles import full_complex_betti
+from qcalc.qc import d_fundamental_form, standard_frame
+from qcalc.scalars import variable
+from oracles import (
+    bracket,
+    d_fundamental_form_from_tables,
+    differential_matrix,
+    document,
+    form_coords,
+    full_complex_betti,
+    jacobi_check,
+)
 from test_conformal import G2_ROTATED, PIPELINE_CASES
 from test_exterior import bracket_vec
 
@@ -61,9 +68,13 @@ def case_algebra(name, mu=None):
     return g.substitute(Fraction(mu)) if mu is not None else g
 
 
-def rotated_algebra(source, h):
+def rotated_document(source, h):
     text, _ = gen.rotated_input(random.Random(100 * h + len(source)), source, h, f"{source}_h{h}")
-    g = parse(text).algebra
+    return parse(text)
+
+
+def rotated_algebra(source, h):
+    g = rotated_document(source, h).algebra
     return g.substitute(Fraction(-1)) if g.parametric else g
 
 
@@ -194,7 +205,7 @@ def test_differential_matrices_match_form_antiderivation(case):
 @pytest.mark.parametrize("case", CASES + ["non-lie"])
 def test_jacobi_matches_d_squared(case):
     g = non_lie() if case == "non-lie" else algebra(case)
-    assert g.is_valid == (g.jacobi_check() == [])
+    assert g.is_valid == (jacobi_check(g) == [])
     assert g.is_valid == (case != "non-lie")
 
 
@@ -210,7 +221,7 @@ def test_betti_numbers_and_series_match_references(case):
 
 def test_non_lie_input_is_rejected_by_both_paths():
     g = non_lie()
-    assert g.jacobi_check() != []
+    assert jacobi_check(g) != []
     assert not g.is_valid
     # the differentials of a non-Lie input do not compose to zero on either path
     d1 = differential_matrix(g, 1)
@@ -228,7 +239,7 @@ def reference_torsion_slot(g, frame, endos, s_value, a, b):
 
     h, v = frame.horizontal, frame.vertical
     if a in h and b in h:
-        return -part(g.bracket(a, b), v)
+        return -part(bracket(g, a, b), v)
     if a in v and b in v:
         i, j = v.index(a), v.index(b)
         sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
@@ -269,7 +280,60 @@ def test_structure_table_requires_a_rational_algebra():
         fam.structure_table
     with pytest.raises(ParametricNotSupported):
         fam.is_valid
-    assert fam.jacobi_check() != []  # the Form diagnostic still works on families
+    assert jacobi_check(fam) != []  # the Form diagnostic still works on families
+
+
+# ---------------------------------------------------------------------------
+# d Omega: the antiderivation against the coefficient tables
+
+
+MU = variable("mu")
+
+D_OMEGA_CASES = ["heisenberg", "g1", "g2", "prop31_family", "prop31_family@-1", "prop31_family@-1/3", "g2_rot"] + [
+    f"rot:{src}:{h}" for h in (1, 2, 3) for src in ("g1", "g2", "prop31_family")
+]
+
+
+def algebra_and_frame(case):
+    """A catalog entry, specialized after '@', or a gen.py rotation; families stay
+    unspecialized, so their coefficients are Polys in mu."""
+    if case.startswith("rot:"):
+        _, src, h = case.split(":")
+        doc = rotated_document(src, int(h))
+        return doc.algebra, doc.frame
+    name, _, mu = case.partition("@")
+    doc = parse(G2_ROTATED) if name == "g2_rot" else document(name)
+    return (doc.algebra.substitute(Fraction(mu)) if mu else doc.algebra), doc.frame
+
+
+def with_vertical_brackets(g):
+    """g with horizontal parts in [xi_1, xi_2] and [xi_2, xi_3], quadratic in mu:
+    no longer a Lie algebra, but d Omega != 0 with Poly coefficients."""
+    diffs = list(g.differentials)
+    diffs[0] = diffs[0] + Form.monomial(g.dim, 1 - MU * MU, (5, 6))
+    diffs[1] = diffs[1] + Form.monomial(g.dim, MU, (6, 7))
+    return LieAlgebra(g.name, g.dim, tuple(diffs), "mu")
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("case", D_OMEGA_CASES)
+def test_d_fundamental_form_matches_the_coefficient_tables(case, perturbed):
+    g, frame = algebra_and_frame(case)
+    if perturbed:
+        g = with_vertical_brackets(g)
+    got = d_fundamental_form(g, frame)
+    assert got == d_fundamental_form_from_tables(g, frame)
+    assert got.is_zero != perturbed
+    assert got.parametric == perturbed
+
+
+def test_d_fundamental_form_of_a_vertical_bracket_matches_the_tables():
+    # criterion 3's perturbed algebra: d e1 = e56, so [xi_1, xi_2] = -e1
+    diffs = [Form.monomial(7, Fraction(1), (5, 6))] + [Form.zero(7, 2)] * 6
+    g, frame = LieAlgebra("perturbed", 7, tuple(diffs), None), standard_frame()
+    got = d_fundamental_form(g, frame)
+    assert not got.is_zero
+    assert got == d_fundamental_form_from_tables(g, frame)
 
 
 def test_structure_table_is_computed_once_per_algebra():
@@ -303,7 +367,7 @@ def test_rescaling_covectors_preserves_the_invariants(cs):
         assert derived_and_central_series(h) == derived_and_central_series(g)
     bad = rescale_covectors(non_lie(), scale)
     assert not bad.is_valid
-    assert bad.jacobi_check() != []
+    assert jacobi_check(bad) != []
 
 
 def test_rescaling_stresses_the_common_denominator():
