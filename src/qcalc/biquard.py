@@ -3,9 +3,10 @@
 Order of play: sp(1)-connection 1-forms and horizontal Ricci 2-forms as
 affine functions of the unknown scalar curvature S, one rational division
 per Ricci form for S, horizontal
-torsion tensor and the three torsion endomorphisms, full torsion, Christoffel
-coefficients (Levi-Civita then the torsion-corrected canonical connection),
-curvature, and a self-consistency audit.
+torsion tensor and the three torsion endomorphisms, the full torsion as one
+integer table, the Christoffel coefficients of the canonical connection (one
+Koszul sum over the structure table plus the torsion), curvature, and a
+self-consistency audit.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from operator import mul
 
 from .errors import InconsistentCurvature, InconsistentTorsion, NotIntegrable, NotQuaternionic
 from .exterior import Form, LieAlgebra, Vec, require_rational
+from .family import rescale_covectors
 from .linalg import common_denominator, matmul, scaled
-from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility, hcolumn
-from .scalars import ZERO, Scalar, Value, replace
+from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility
+from .scalars import Scalar, Value, replace
 
 Affine = tuple[Matrix4, Matrix4]  # (R0, R1): the matrix R0 + S R1 for the scalar curvature S
 
@@ -134,17 +136,15 @@ def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4
 
 
 class Torsion(Value):
-    """Full torsion tensor, stored on index pairs a < b of the frame's basis."""
+    """Full torsion tensor as one dense antisymmetric integer table over den:
+    T(e_a, e_b)_c = table[a - 1][b - 1][c - 1] / den."""
 
     dim: int
-    slots: dict[tuple[int, int], Vec]
+    den: int
+    table: list[list[list[int]]]
 
     def value(self, a: int, b: int) -> Vec:
-        if a == b:
-            return Vec.zero(self.dim)
-        if a < b:
-            return self.slots[(a, b)]
-        return -self.slots[(b, a)]
+        return Vec(tuple(Fraction(x, self.den) for x in self.table[a - 1][b - 1]))
 
 
 def assemble_torsion(
@@ -153,35 +153,27 @@ def assemble_torsion(
     endos: tuple[Matrix4, Matrix4, Matrix4],
     s_value: Fraction,
 ) -> Torsion:
-    """Fill every slot: horizontal pairs from the bracket, mixed pairs from the
-    endomorphisms, vertical pairs from the scalar and the bracket."""
-    slots: dict[tuple[int, int], Vec] = {}
-    hset, vset = set(frame.horizontal), set(frame.vertical)
-    e, table = g.structure_table
-
-    for a in range(1, g.dim + 1):
-        for b in range(a + 1, g.dim + 1):
-            if a in hset and b in hset:
-                br = table[a - 1][b - 1]
-                slots[(a, b)] = Vec(tuple(
-                    Fraction(-x, e) if x and k in vset else ZERO for k, x in enumerate(br, 1)
-                ))
-            elif a in vset and b in vset:
-                i, j = frame.vertical.index(a), frame.vertical.index(b)
-                k = 3 - i - j
-                sign = 1 if (i, j) in ((0, 1), (1, 2), (2, 0)) else -1
-                # -sign * S xi_k minus the horizontal part of [xi_i, xi_j] = [e_a, e_b]
-                slots[(a, b)] = Vec(tuple(
-                    (-sign * s_value if m == frame.vertical[k] else ZERO)
-                    - (Fraction(y, e) if y and m in hset else 0)
-                    for m, y in enumerate(table[a - 1][b - 1], 1)
-                ))
-            else:
-                h, v = (a, b) if a in hset else (b, a)
-                r = frame.vertical.index(v)
-                t_of_h = hcolumn(frame, endos[r], frame.horizontal.index(h))
-                slots[(a, b)] = t_of_h if a in vset else -t_of_h
-    return Torsion(g.dim, slots)
+    """Fill the table over D = lcm(E, the denominators of the endomorphisms and S):
+    T(X, Y) = -[X, Y]_V on horizontal pairs, T(xi_r, X) = T_r X = -T(X, xi_r),
+    and T(xi_i, xi_j) = -S xi_k - [xi_i, xi_j]_H for (i, j, k) cyclic."""
+    n = g.dim
+    e, c = g.structure_table
+    den = lcm(e, s_value.denominator, common_denominator(x for m in endos for row in m for x in row))
+    ends, up = [scaled(m, den) for m in endos], den // e
+    s_num = s_value.numerator * (den // s_value.denominator)
+    hor, ver = [x - 1 for x in frame.horizontal], [x - 1 for x in frame.vertical]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for side, other in ((hor, ver), (ver, hor)):  # minus the bracket's part off the pair's side
+        for a, b in itertools.product(side, repeat=2):
+            for x in other:
+                table[a][b][x] = -up * c[a][b][x]
+    for i, j, k in CYCLES:
+        table[ver[i]][ver[j]][ver[k]], table[ver[j]][ver[i]][ver[k]] = -s_num, s_num
+    for r, xi in enumerate(ver):
+        for col, y in enumerate(hor):
+            for row, x in enumerate(hor):
+                table[xi][y][x], table[y][xi][x] = ends[r][row][col], -ends[r][row][col]
+    return Torsion(n, den, table)
 
 
 class Connection(Value):
@@ -194,27 +186,15 @@ class Connection(Value):
         return self.gamma[(a, b)]
 
 
-def _dense(*tables, brackets: LieAlgebra | None = None) -> tuple[int, list]:
-    """Clear [a][b] -> vector tables of Fractions to one denominator E: (E, int tables).
-
-    With `brackets`, that algebra's structure table comes last, over E too.
-    """
-    e, c = brackets.structure_table if brackets else (1, None)
-    den = lcm(e, common_denominator(x for t in tables for row in t for vec in row for x in vec))
-    out = [[scaled(row, den) for row in t] for t in tables]
-    if c is not None:
-        out.append([[[den // e * x for x in vec] for vec in row] for row in c])
-    return den, out
-
-
-def _gamma_table(conn: Connection) -> list:
+def _dense(conn: Connection, g: LieAlgebra) -> tuple[int, list, list]:
+    """Gamma and g's structure table cleared to one denominator E: (E, Gamma, C),
+    with Gamma[a][b] the components of nabla_{e_a} e_b."""
     n = conn.dim
-    return [[conn.gamma[(a, b)].comps for b in range(1, n + 1)] for a in range(1, n + 1)]
-
-
-def _torsion_table(torsion: Torsion) -> list:
-    n = torsion.dim
-    return [[torsion.value(a, b).comps for b in range(1, n + 1)] for a in range(1, n + 1)]
+    gamma = [[conn.gamma[(a, b)].comps for b in range(1, n + 1)] for a in range(1, n + 1)]
+    e, c = g.structure_table
+    den = lcm(e, common_denominator(x for row in gamma for vec in row for x in vec))
+    br = [[[den // e * x for x in vec] for vec in row] for row in c]
+    return den, [scaled(row, den) for row in gamma], br
 
 
 def _koszul(k: list) -> list:
@@ -239,15 +219,15 @@ def levi_civita(g: LieAlgebra) -> Connection:
     return _connection(_koszul(c), 2 * den)
 
 
-def biquard_connection(g: LieAlgebra, lc: Connection, torsion: Torsion) -> Connection:
-    """Add the standard torsion correction (T_abc - T_bca + T_cab) / 2 to the
-    Levi-Civita coefficients, with T_abc = T(e_a, e_b)_c."""
-    den, (lci, t) = _dense(_gamma_table(lc), _torsion_table(torsion))
-    corr = _koszul(t)
-    return _connection(
-        [[[2 * x + y for x, y in zip(u, v)] for u, v in zip(ua, va)] for ua, va in zip(lci, corr)],
-        2 * den,
-    )
+def biquard_connection(g: LieAlgebra, torsion: Torsion) -> Connection:
+    """The metric connection with torsion T: the Koszul sum
+    Gamma_abc = (K_abc - K_bca + K_cab) / 2 with K = C + T, K_abc = [e_a, e_b]_c
+    + T(e_a, e_b)_c, both cleared to lcm(E, den).  T = 0 is `levi_civita`."""
+    e, c = g.structure_table
+    den = lcm(e, torsion.den)
+    u, w = den // e, den // torsion.den
+    k = [[[u * x + w * y for x, y in zip(cv, tv)] for cv, tv in zip(*rows)] for rows in zip(c, torsion.table)]
+    return _connection(_koszul(k), 2 * den)
 
 
 def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int], Scalar]:
@@ -260,7 +240,7 @@ def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int]
     with a < b are computed and the others follow by antisymmetry.
     """
     n = g.dim
-    e, (gam, br) = _dense(_gamma_table(conn), brackets=g)
+    e, gam, br = _dense(conn, g)
     blocks = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -297,7 +277,6 @@ class Pipeline(Value):
     t0: Matrix4
     endos: tuple[Matrix4, Matrix4, Matrix4]
     torsion: Torsion
-    lc: Connection
     conn: Connection
     riem: dict[tuple[int, int, int, int], Scalar]
 
@@ -313,8 +292,6 @@ def normalize_scale(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]
     """
     if frame.scale == 2:
         return g, frame
-    from .family import rescale_covectors
-
     factor = Fraction(2) / frame.scale
     rescaled = rescale_covectors(g, {v: factor for v in frame.vertical})
     return rescaled, replace(frame, scale=Fraction(2))
@@ -334,23 +311,24 @@ def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
     t0 = t0_tensor(frame, rhos, s_value)
     endos = torsion_endomorphisms(frame, t0)
     torsion = assemble_torsion(g, frame, endos, s_value)
-    lc = levi_civita(g)
-    conn = biquard_connection(g, lc, torsion)
+    conn = biquard_connection(g, torsion)
     riem = curvature(g, conn)
-    return Pipeline(g, frame, alphas, rhos, s_value, t0, endos, torsion, lc, conn, riem)
+    return Pipeline(g, frame, alphas, rhos, s_value, t0, endos, torsion, conn, riem)
 
 
 def audit(p: Pipeline) -> list[dict]:
     """Named self-consistency checks; all must pass for a trustworthy report.
 
-    The connection and curvature checks compare plain ints: Gamma, the
-    structure constants and the torsion are cleared to one denominator E,
-    and each side of an equation is scaled by the same positive integer.
+    The connection and curvature checks compare plain ints: Gamma and the
+    structure constants are cleared to one denominator E, the torsion table
+    keeps its own, and each side of an equation is scaled by the same
+    positive integer.
     """
     g, frame = p.g, p.frame
     n = g.dim
     checks: list[dict] = []
-    e, (gam, t, br) = _dense(_gamma_table(p.conn), _torsion_table(p.torsion), brackets=g)
+    e, gam, br = _dense(p.conn, g)
+    t, tden = p.torsion.table, p.torsion.den
     hor, ver = [i - 1 for i in frame.horizontal], [i - 1 for i in frame.vertical]
     span = range(n)
 
@@ -412,12 +390,13 @@ def audit(p: Pipeline) -> list[dict]:
     total = Fraction(sum(ri[(b, a, a, b)] for a in h for b in h), r_den)
     checks.append({"name": "scalar_from_curvature", "passed": total == 24 * p.s_value})
 
-    t12 = p.torsion.value(frame.vertical[0], frame.vertical[1])
-    checks.append({"name": "scalar_from_torsion", "passed": -t12.comp(frame.vertical[2]) == p.s_value})
+    # -T(xi_1, xi_2)_3 == S, cross-multiplied
+    ok = -t[ver[0]][ver[1]][ver[2]] * p.s_value.denominator == p.s_value.numerator * tden
+    checks.append({"name": "scalar_from_torsion", "passed": ok})
 
-    # T(e_a, e_b) == nabla_a e_b - nabla_b e_a - [e_a, e_b], all over E
+    # T(e_a, e_b) == nabla_a e_b - nabla_b e_a - [e_a, e_b], the left side over E, T over tden
     ok = all(
-        gam[a][b][x] - gam[b][a][x] - br[a][b][x] == t[a][b][x]
+        (gam[a][b][x] - gam[b][a][x] - br[a][b][x]) * tden == t[a][b][x] * e
         for a in span
         for b in range(a + 1, n)
         for x in span

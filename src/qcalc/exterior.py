@@ -417,17 +417,6 @@ def _weight_split(g: LieAlgebra) -> tuple[list, tuple[int, ...]]:
     return table, (0,) * n
 
 
-def cohomology_dim(g: LieAlgebra, k: int) -> int:
-    """dim H^k = dim ker(d_k) - rank(d_{k-1}) over the rationals, on the
-    weight-zero part of the complex (`_weight_split`)."""
-    require_rational(g)
-    if k < 0 or k > g.dim:
-        return 0
-    split = _weight_split(g)
-    d_k = _weight_zero_block(*split, k)
-    return len(d_k) - linalg.rank(d_k) - (linalg.rank(_weight_zero_block(*split, k - 1)) if k else 0)
-
-
 def betti_numbers(g: LieAlgebra) -> list[int]:
     """dim H^k for k = 0..n, building and ranking each weight-zero block once."""
     require_rational(g)
@@ -435,6 +424,12 @@ def betti_numbers(g: LieAlgebra) -> list[int]:
     blocks = [_weight_zero_block(table, weights, j) for j in range(g.dim + 1)]
     ranks = [0] + [linalg.rank(d) for d in blocks]  # ranks[j + 1] = rank d_j
     return [len(blocks[k]) - ranks[k + 1] - ranks[k] for k in range(g.dim + 1)]
+
+
+def cohomology_dim(g: LieAlgebra, k: int) -> int:
+    """dim H^k, entry k of `betti_numbers`, and 0 outside 0..n."""
+    require_rational(g)
+    return betti_numbers(g)[k] if 0 <= k <= g.dim else 0
 
 
 # ---------------------------------------------------------------------------

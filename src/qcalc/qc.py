@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotQuaternionic
-from .exterior import Form, LieAlgebra, Vec
+from .exterior import Form, LieAlgebra
 from .linalg import matmul
 from .scalars import Scalar, Value, is_zero
 
@@ -91,18 +91,6 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
         if matmul(mt, m) != [[Fraction(1 if a == b else 0) for b in range(4)] for a in range(4)]:
             raise NotQuaternionic("I_r is not orthogonal")
     return m1, m2, m3
-
-
-def from_hcomps(frame: QCFrame, comps: list[Scalar]) -> Vec:
-    out = [Fraction(0)] * frame.dim
-    for i, c in zip(frame.horizontal, comps):
-        out[i - 1] = c
-    return Vec(tuple(out))
-
-
-def hcolumn(frame: QCFrame, m: Matrix4, b: int) -> Vec:
-    """Column b of a horizontal matrix: the image of e_b as a vector."""
-    return from_hcomps(frame, [row[b] for row in m])
 
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:

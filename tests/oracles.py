@@ -19,7 +19,7 @@ is checked against, none of which the package calls:
 from fractions import Fraction
 
 from qcalc import linalg
-from qcalc.biquard import Connection, Torsion
+from qcalc.biquard import Connection
 from qcalc.catalog import source
 from qcalc.errors import IndeterminateMismatch, ParametricNotSupported, QcalcError
 from qcalc.exterior import Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials
@@ -133,6 +133,13 @@ def hcomps(frame: QCFrame, v: Vec) -> list[Scalar]:
     return [v.comp(i) for i in frame.horizontal]
 
 
+def from_hcomps(frame: QCFrame, comps: list[Scalar]) -> Vec:
+    out = [Fraction(0)] * frame.dim
+    for i, c in zip(frame.horizontal, comps):
+        out[i - 1] = c
+    return Vec(tuple(out))
+
+
 def nabla_vec(conn: Connection, u: Vec, w: Vec) -> Vec:
     """Derivative of the constant-coefficient field w along u."""
     out = Vec.zero(conn.dim)
@@ -148,13 +155,14 @@ def nabla_vec(conn: Connection, u: Vec, w: Vec) -> Vec:
     return out
 
 
-def connection_torsion(g: LieAlgebra, conn: Connection) -> Torsion:
-    """Recompute T(X, Y) = nabla_X Y - nabla_Y X - [X, Y] from the coefficients."""
-    slots = {}
-    for a in range(1, g.dim + 1):
-        for b in range(a + 1, g.dim + 1):
-            slots[(a, b)] = conn.nabla(a, b) - conn.nabla(b, a) - bracket(g, a, b)
-    return Torsion(g.dim, slots)
+def connection_torsion(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int], Vec]:
+    """Recompute T(e_a, e_b) = nabla_a e_b - nabla_b e_a - [e_a, e_b] for a < b
+    from the coefficients."""
+    return {
+        (a, b): conn.nabla(a, b) - conn.nabla(b, a) - bracket(g, a, b)
+        for a in range(1, g.dim + 1)
+        for b in range(a + 1, g.dim + 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from qcalc.qc import (
     check_bi1,
     d_fundamental_form,
     derive_complex_structures,
-    from_hcomps,
     standard_frame,
     vertical_integrable,
 )
@@ -49,6 +48,7 @@ from oracles import (
     document,
     dot,
     evaluate,
+    from_hcomps,
     hcomps,
     hvec,
     jacobi_check,

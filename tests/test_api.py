@@ -24,6 +24,7 @@ MOVED = [
     ("qcalc.exterior", "LieAlgebra", "bracket"),
     ("qcalc.qc", None, "apply_endo"),
     ("qcalc.qc", None, "hcomps"),
+    ("qcalc.qc", None, "from_hcomps"),
     ("qcalc.qc", "QCFrame", "hvec"),
     ("qcalc.biquard", None, "connection_torsion"),
     ("qcalc.biquard", "Connection", "nabla_vec"),

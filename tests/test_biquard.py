@@ -5,6 +5,8 @@ import pytest
 
 from qcalc.biquard import (
     Connection,
+    Torsion,
+    biquard_connection,
     levi_civita,
     normalize_scale,
     ricci_forms,
@@ -314,7 +316,7 @@ def test_connection_torsion_roundtrip(name):
     recomputed = connection_torsion(p.g, p.conn)
     for a in range(1, 8):
         for b in range(a + 1, 8):
-            assert recomputed.value(a, b) == p.torsion.value(a, b)
+            assert recomputed[(a, b)] == p.torsion.value(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +443,13 @@ def rotated_h3_pipeline():
 def test_integer_kernels_match_fraction_definitions(name, mu):
     p = rotated_h3_pipeline() if name == "g1_rot_h3" else case_pipeline(name, mu)
     lc = reference_levi_civita(p.g)
-    assert p.lc.gamma == lc
     assert levi_civita(p.g).gamma == lc
+    n, e = p.g.dim, p.g.structure_table[0]
+    zero = Torsion(n, e, [[[0] * n for _ in range(n)] for _ in range(n)])
+    assert biquard_connection(p.g, zero) == levi_civita(p.g)
+    # a torsion whose denominator is not a multiple of E
+    odd = Torsion(n, 1, p.torsion.table)
+    assert biquard_connection(p.g, odd).gamma == reference_canonical(p.g, lc, odd)
     gamma = reference_canonical(p.g, lc, p.torsion)
     assert p.conn.gamma == gamma
     assert list(p.conn.gamma) == list(gamma)
@@ -468,6 +475,33 @@ def test_audit_fails_on_a_changed_christoffel_symbol(name):
     assert results["metric_compatibility"] is False
     assert results["torsion_roundtrip"] is False
     assert results["ricci_from_curvature"] and results["scalar_from_curvature"]
+
+
+@pytest.mark.parametrize("name", ["g2", "g2_rot"])
+def test_audit_fails_on_a_changed_torsion_entry(name):
+    p = case_pipeline(name)
+    h, v = [x - 1 for x in p.frame.horizontal], [x - 1 for x in p.frame.vertical]
+
+    def audited(scale, edit=None):
+        """The audit with T over scale * den, and with T(e_a, e_b)_x raised by
+        1/(scale * den) and T(e_b, e_a)_x lowered for the edit (a, b, x)."""
+        table = [[[scale * y for y in vec] for vec in row] for row in p.torsion.table]
+        if edit:
+            a, b, x = edit
+            table[a][b][x] += 1
+            table[b][a][x] -= 1
+        return _audit_results(replace(p, torsion=Torsion(p.torsion.dim, scale * p.torsion.den, table)))
+
+    # the same torsion over another denominator than Gamma's passes
+    assert all(audited(3).values())
+    # T(xi_1, xi_2) at xi_3 is -S
+    results = audited(1, (v[0], v[1], v[2]))
+    assert results["scalar_from_torsion"] is False
+    assert results["torsion_roundtrip"] is False
+    # a horizontal pair: only the roundtrip reads it
+    results = audited(3, (h[0], h[1], v[0]))
+    assert results.pop("torsion_roundtrip") is False
+    assert all(results.values()), results
 
 
 @pytest.mark.parametrize("name", ["g2", "g2_rot"])

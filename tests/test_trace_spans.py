@@ -45,3 +45,6 @@ def test_traced_rotated_report_records_the_fingerprint_spans():
     for name in ("family.fingerprint", "exterior.derived_and_central_series", "linalg.rank"):
         assert calls[name] > 0, name
     assert calls["report.build_report"] == 1
+    # read through Connection.gamma's Vecs, as in every traced benchmark run
+    sizes = tracer.sizes["biquard.biquard_connection"]
+    assert len(sizes) == 1 and sizes[0] > 0
