@@ -21,7 +21,10 @@ in omega_1 (each bare and at mu = 0 and 1), and four small families whose
 coprime obstructions, no root from a constant obstruction, and every value,
 and three solvable algebras for the Betti numbers' choice of X: ad X with a
 Jordan block, every ad e_x with irrational eigenvalues (so the whole complex
-is ranked), and X found only at the last basis element.
+is ranked), and X found only at the last basis element, and two solvable
+algebras without a flag, where `flag search` must say so: R acting with
+weights 1-6 (dimension 9) or 1-4 (dimension 7) and a rotation on the last
+two basis elements.
 `--param` is also misused: a wrong name, a zero denominator and no `=` on
 `prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
 standard library is used; gen.py is imported read-only.
@@ -115,6 +118,15 @@ WEIGHTED = {
     "later_x": "d e1 = e17\nd e2 = e27\nd e3 = -e12 + 2e37\nd e4 = -e47\nd e5 = -e57\nd e6 = -e14\nd e7 = 0\n",
 }
 
+# R x| R^8 and R x| R^6: weights 1..6 or 1..4 on e2.., a rotation on the last two, so no
+# chain of ideals; a search that backtracks over the weights tries every order of them
+FLAGLESS = {
+    "flagless9": "dim 9\nd e1 = 0\n" + "".join(f"d e{k} = -{k - 1} e1{k}\n" for k in range(2, 8))
+    + "d e8 = e19\nd e9 = -e18\n",
+    "flagless7": "dim 7\nd e1 = 0\n" + "".join(f"d e{k} = -{k - 1} e1{k}\n" for k in range(2, 6))
+    + "d e6 = e17\nd e7 = -e16\n",
+}
+
 # d e^k not listed are 0; with d e3 = e12 and d e5 = p e12, d(e35) = e125 - p e123
 FAMILIES = {
     # mu^2 coefficients: d(d e4) = (mu^2 - 1)(e125 - (mu + 1) e123), so mu in {-1, 1}
@@ -180,6 +192,8 @@ def documents() -> dict[str, tuple[str, list]]:
         docs[f"family_{name}"] = (family_text(name, **diffs), [None])
     for name, body in WEIGHTED.items():
         docs[f"weighted_{name}"] = (f"algebra {name} dim 7\n{body}", [None])
+    for name, body in FLAGLESS.items():
+        docs[name] = (f"algebra {name} {body}", [None])
     return docs
 
 

@@ -8,7 +8,6 @@ is recovered through the convention d(alpha)(X, Y) = -alpha([X, Y]).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from functools import cache, cached_property, reduce
 from operator import mul
 from fractions import Fraction
@@ -491,13 +490,13 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
     return True, None
 
 
-def _common_eigenvectors(table) -> Iterator[list[list[Fraction]]]:
-    """Candidate subspaces of simultaneous rational eigenvectors of all ad maps.
+def _common_eigenvector(table) -> list[Fraction] | None:
+    """The first common eigenvector of the adjoint maps of a table, or None.
 
-    Backtracks over the rational-eigenvalue choice per adjoint map, depth
-    first in ascending eigenvalue order; each yielded subspace is nonzero and
-    every vector in it is a common eigenvector.  Each map's eigenvalues are
-    computed once per call, however many branches reach it.
+    Depth first over the rational eigenvalues of ad e_1, ad e_2, ..., each in
+    ascending order, skipping zero maps and cutting a branch once the common
+    eigenspace is 0; the vector is the last row of the RREF of the first
+    nonzero one, so its leading entry is 1.
     """
     n = len(table)
     # maps[i][r][j] = r-component of [e_i, e_j]
@@ -508,78 +507,53 @@ def _common_eigenvectors(table) -> Iterator[list[list[Fraction]]]:
         d, cp = linalg.char_poly(maps[i])
         return sorted(Fraction(y, d) for y in rational_roots(cp))
 
-    def refine(perp: list[list[Fraction]], i: int) -> Iterator[list[list[Fraction]]]:
-        # the current subspace is the annihilator of the rows in perp
+    stack = [([], 0)]  # (rows whose annihilator is the current subspace, next map)
+    while stack:
+        perp, i = stack.pop()
         if linalg.rank(perp) == n:
-            return
+            continue
         if i == n:
-            yield linalg.kernel(perp, n)
-            return
+            return linalg.rref(linalg.kernel(perp, n))[0][-1]
         m = maps[i]
-        if all(all(c == 0 for c in row) for row in m):
-            yield from refine(perp, i + 1)
-            return
-        for lam in eigenvalues(i):
+        if not any(map(any, m)):
+            stack.append((perp, i + 1))
+            continue
+        for lam in reversed(eigenvalues(i)):  # popped in ascending order
             # the rows of M - lam I annihilate exactly the lam-eigenspace of M
             shifted = [[m[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
-            yield from refine(perp + shifted, i + 1)
-
-    yield from refine([], 0)
-
-
-def _find_ideal_chain(table) -> list[list[list[Fraction]]] | None:
-    """Ascending chain of ideals, one per dimension, or None."""
-    n = len(table)
-    if n == 0:
-        return []
-    for space in _common_eigenvectors(table):
-        red, _ = linalg.rref(space)
-        v = red[-1]  # largest leading index: canonical choices on abelian stages
-        pivot = next(i for i in range(n) if v[i] != 0)
-        keep = [i for i in range(n) if i != pivot]
-
-        def project(w: list[Fraction]) -> list[Fraction]:
-            scaled = [w[i] - w[pivot] * v[i] for i in range(n)]
-            return [scaled[i] for i in keep]
-
-        quotient = [
-            [project(table[a][b]) for b in keep]
-            for a in keep
-        ]
-        sub = _find_ideal_chain(quotient)
-        if sub is None:
-            continue
-
-        def lift(row: list[Fraction]) -> list[Fraction]:
-            out = [Fraction(0)] * n
-            for pos, i in enumerate(keep):
-                out[i] = row[pos]
-            return out
-
-        chain = [[v]]
-        for ideal in sub:
-            chain.append([lift(r) for r in ideal] + [v])
-        return chain
+            stack.append((perp + shifted, i + 1))
     return None
 
 
 def search_flag(g: LieAlgebra) -> Flag | None:
-    """Best-effort rational flag search through 1-dimensional ideal quotients."""
+    """A normal ascending flag of g, or None when g has none.
+
+    The flag annihilates a full chain of ideals, built one 1-dimensional ideal
+    <v> at a time: v is `_common_eigenvector` of the current quotient, which
+    the next quotient divides out.  Greedy is exact: if g has a full chain of
+    ideals, so does g/I for every ideal I (the images, repeats dropped), so a
+    quotient without one means g has none.  The search is complete, since a
+    common eigenvector of rational maps has rational eigenvalues and every
+    combination of them is tried.  The table is E times the bracket table: the
+    same eigenspaces, in the same order.  idx holds g's basis index behind each
+    quotient coordinate; level i annihilates the first n - i lifted vectors.
+    """
     require_rational(g)
-    # the integer table is E times the bracket table: the same eigenspaces,
-    # in the same order, and the same ideals
-    chain = _find_ideal_chain(g.structure_table[1])
-    if chain is None:
-        return None
     n = g.dim
-    levels = []
-    for i in range(1, n + 1):
-        if i == n:
-            rows = linalg.identity(n)
-        else:
-            rows = linalg.kernel(chain[n - i - 1], n)
-        levels.append(tuple(tuple(r) for r in rows))
-    flag = Flag(n, tuple(levels))
+    table, idx, lifted = g.structure_table[1], list(range(n)), []
+    while table:
+        v = _common_eigenvector(table)
+        if v is None:
+            return None
+        at = dict(zip(idx, v))
+        lifted.append([at.get(i, ZERO) for i in range(n)])
+        pivot = next(i for i, x in enumerate(v) if x)  # v[pivot] = 1
+        keep = [i for i in range(len(v)) if i != pivot]
+        # project each bracket w to w - w[pivot] v and drop the pivot coordinate
+        table = [[[w[i] - w[pivot] * v[i] for i in keep] for w in (table[a][b] for b in keep)] for a in keep]
+        del idx[pivot]
+    levels = [linalg.kernel(lifted[: n - i], n) for i in range(1, n)] + [linalg.identity(n)]
+    flag = Flag(n, tuple(tuple(map(tuple, rows)) for rows in levels))
     ok, why = verify_flag(g, flag)
     if not ok:
         raise InternalError(f"constructed flag fails verification: {why}")

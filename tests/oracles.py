@@ -13,19 +13,23 @@ is checked against, none of which the package calls:
   connection and Ricci forms over `Poly` in S through `LieAlgebra.d` and
   `Form.wedge`;
 - the Betti numbers of the whole Chevalley-Eilenberg complex;
+- the flag search that backtracks over every 1-dimensional ideal of every
+  quotient, and the flag it gives;
 - d Omega as Omega times the whole E * d_4 of each coefficient table.
 """
 
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache
 
 from qcalc import linalg
 from qcalc.biquard import Connection
 from qcalc.catalog import source
 from qcalc.errors import IndeterminateMismatch, ParametricNotSupported, QcalcError
-from qcalc.exterior import Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials
+from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials
 from qcalc.parser import AlgebraDocument, parse
 from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form, restrict_h
-from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, variable
+from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, rational_roots, variable
 
 
 def document(name: str) -> AlgebraDocument:
@@ -264,3 +268,95 @@ def d_fundamental_form_from_tables(g: LieAlgebra, frame: QCFrame) -> Form:
         key: poly(g.param, *(Fraction(image[pos], e) for image in images))
         for pos, key in enumerate(monomials(g.dim, 5))
     })
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive flag search
+
+
+def _common_eigenvectors(table) -> Iterator[list[list[Fraction]]]:
+    """Candidate subspaces of simultaneous rational eigenvectors of all ad maps.
+
+    Backtracks over the rational-eigenvalue choice per adjoint map, depth
+    first in ascending eigenvalue order; each yielded subspace is nonzero and
+    every vector in it is a common eigenvector.  Each map's eigenvalues are
+    computed once per call, however many branches reach it.
+    """
+    n = len(table)
+    # maps[i][r][j] = r-component of [e_i, e_j]
+    maps = [[[table[i][j][r] for j in range(n)] for r in range(n)] for i in range(n)]
+
+    @cache
+    def eigenvalues(i: int) -> list[Fraction]:
+        d, cp = linalg.char_poly(maps[i])
+        return sorted(Fraction(y, d) for y in rational_roots(cp))
+
+    def refine(perp: list[list[Fraction]], i: int) -> Iterator[list[list[Fraction]]]:
+        # the current subspace is the annihilator of the rows in perp
+        if linalg.rank(perp) == n:
+            return
+        if i == n:
+            yield linalg.kernel(perp, n)
+            return
+        m = maps[i]
+        if all(all(c == 0 for c in row) for row in m):
+            yield from refine(perp, i + 1)
+            return
+        for lam in eigenvalues(i):
+            # the rows of M - lam I annihilate exactly the lam-eigenspace of M
+            shifted = [[m[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
+            yield from refine(perp + shifted, i + 1)
+
+    yield from refine([], 0)
+
+
+def _find_ideal_chain(table) -> list[list[list[Fraction]]] | None:
+    """Ascending chain of ideals, one per dimension, or None."""
+    n = len(table)
+    if n == 0:
+        return []
+    for space in _common_eigenvectors(table):
+        red, _ = linalg.rref(space)
+        v = red[-1]  # largest leading index: canonical choices on abelian stages
+        pivot = next(i for i in range(n) if v[i] != 0)
+        keep = [i for i in range(n) if i != pivot]
+
+        def project(w: list[Fraction]) -> list[Fraction]:
+            scaled = [w[i] - w[pivot] * v[i] for i in range(n)]
+            return [scaled[i] for i in keep]
+
+        quotient = [
+            [project(table[a][b]) for b in keep]
+            for a in keep
+        ]
+        sub = _find_ideal_chain(quotient)
+        if sub is None:
+            continue
+
+        def lift(row: list[Fraction]) -> list[Fraction]:
+            out = [Fraction(0)] * n
+            for pos, i in enumerate(keep):
+                out[i] = row[pos]
+            return out
+
+        chain = [[v]]
+        for ideal in sub:
+            chain.append([lift(r) for r in ideal] + [v])
+        return chain
+    return None
+
+
+def exhaustive_flag(g: LieAlgebra) -> Flag | None:
+    """The flag of the backtracking chain, its levels built as `search_flag` builds them."""
+    chain = _find_ideal_chain(g.structure_table[1])
+    if chain is None:
+        return None
+    n = g.dim
+    levels = []
+    for i in range(1, n + 1):
+        if i == n:
+            rows = linalg.identity(n)
+        else:
+            rows = linalg.kernel(chain[n - i - 1], n)
+        levels.append(tuple(tuple(r) for r in rows))
+    return Flag(n, tuple(levels))

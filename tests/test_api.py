@@ -17,6 +17,8 @@ MOVED = [
     ("qcalc.exterior", None, "form_coords"),
     ("qcalc.exterior", None, "differential_matrix"),
     ("qcalc.exterior", None, "_det"),
+    ("qcalc.exterior", None, "_common_eigenvectors"),
+    ("qcalc.exterior", None, "_find_ideal_chain"),
     ("qcalc.exterior", "Form", "evaluate"),
     ("qcalc.exterior", "Form", "interior"),
     ("qcalc.exterior", "Form", "covector"),

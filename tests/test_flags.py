@@ -1,12 +1,15 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcalc.errors import InvalidFlag
 from qcalc.exterior import Flag, Form, LieAlgebra, search_flag, verify_flag
 from qcalc.parser import parse
-from oracles import document
+from oracles import document, exhaustive_flag
 
 # g1 in a dense orthonormal coframe of height 3, as written by perfbench/gen.py's
 # rotated_input(random.Random(3), "g1", 3, "g1_rot"): the characteristic
@@ -153,6 +156,7 @@ def test_search_heisenberg_finds_flag():
     g = alg("heisenberg")
     flag = search_flag(g)
     assert flag is not None
+    assert flag == exhaustive_flag(g)
     ok, reason = verify_flag(g, flag)
     assert ok, reason
 
@@ -162,6 +166,7 @@ def test_search_solvable_catalog(name, mu):
     g = alg(name, mu)
     flag = search_flag(g)
     assert flag is not None
+    assert flag == exhaustive_flag(g)
     ok, reason = verify_flag(g, flag)
     assert ok, reason
 
@@ -170,6 +175,7 @@ def test_search_dense_height3_finds_flag():
     g = parse(G1_ROTATED_H3).algebra
     flag = search_flag(g)
     assert flag is not None
+    assert flag == exhaustive_flag(g)
     ok, reason = verify_flag(g, flag)
     assert ok, reason
 
@@ -182,6 +188,67 @@ def test_search_is_deterministic():
     a = search_flag(alg("heisenberg"))
     b = search_flag(alg("heisenberg"))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the greedy search against the exhaustive one
+
+
+def flagless(weights: int) -> LieAlgebra:
+    """R x| R^(weights + 2): [e1, ek] = (k - 1) ek on the next `weights` basis
+    elements and a rotation on the last two, which have no rational eigenvector,
+    so no chain of ideals reaches past the weights."""
+    n = weights + 3
+    text = f"algebra flagless{n} dim {n}\nd e1 = 0\n"
+    text += "".join(f"d e{k} = -{k - 1} e1{k}\n" for k in range(2, n - 1))
+    text += f"d e{n - 1} = e1{n}\nd e{n} = -e1{n - 1}\n"
+    return parse(text).algebra
+
+
+def test_flagless_dimension_9_returns_none_quickly():
+    # the exhaustive search tries every order of the six weights before it gives up
+    g = flagless(6)
+    start = time.perf_counter()
+    assert search_flag(g) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_flagless_dimension_7_returns_none():
+    g = flagless(4)
+    assert search_flag(g) is None
+    assert exhaustive_flag(g) is None
+
+
+@st.composite
+def commuting_semidirect_products(draw):
+    """R^k x| R^m, k in {1, 2} and k + m <= 7, in a shuffled basis: [x_s, v] = M_s v
+    with M_s = c0 I + c1 M for one integer M with entries in -2..2, upper
+    triangular half the time, so that both outcomes of the search occur."""
+    k = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 7 - k))
+    n = k + m
+    pos = draw(st.permutations(range(1, n + 1)))  # pos[i]: where logical index i sits
+    upper = draw(st.booleans())
+    entry = st.integers(-2, 2)
+    mat = [[draw(entry) if c >= r or not upper else 0 for c in range(m)] for r in range(m)]
+    terms = [{} for _ in range(n)]
+    for s in range(k):
+        c0, c1 = draw(entry), draw(entry)
+        for r in range(m):
+            for c in range(m):
+                # [x_s, v_c] has v_r-component x, so d e^{v_r} carries -x e^{x_s v_c}
+                if x := c1 * mat[r][c] + c0 * (r == c):
+                    a, b = pos[s], pos[k + c]
+                    key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+                    terms[pos[k + r] - 1][key] = Fraction(-sign * x)
+    return LieAlgebra("semidirect", n, tuple(Form.make(n, 2, t) for t in terms), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(commuting_semidirect_products())
+def test_greedy_search_matches_the_exhaustive_one(g):
+    assert g.is_valid
+    assert search_flag(g) == exhaustive_flag(g)
 
 
 # ---------------------------------------------------------------------------
