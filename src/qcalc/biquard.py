@@ -135,13 +135,37 @@ def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4
     return endos[0], endos[1], endos[2]
 
 
-class Torsion(Value):
-    """Full torsion tensor as one dense antisymmetric integer table over den:
-    T(e_a, e_b)_c = table[a - 1][b - 1][c - 1] / den."""
+def _flat(table: list) -> list[int]:
+    while table and isinstance(table[0], list):
+        table = [x for row in table for x in row]
+    return table
+
+
+class IntTensor(Value):
+    """A dense integer table over one denominator: the entry at the 1-based
+    index (a, b, ...) is table[a - 1][b - 1]... / den.  Equal by value, so the
+    same tensor over another denominator compares equal."""
 
     dim: int
     den: int
-    table: list[list[list[int]]]
+    table: list
+
+    def __getitem__(self, key: tuple[int, ...]) -> Fraction:
+        x = self.table
+        for i in key:
+            x = x[i - 1]
+        return Fraction(x, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        u, w = _flat(self.table), _flat(other.table)
+        return self.dim == other.dim and len(u) == len(w) and all(x * other.den == y * self.den for x, y in zip(u, w))
+
+
+class Torsion(IntTensor):
+    """Full torsion tensor, antisymmetric in its first pair:
+    T(e_a, e_b)_c = table[a - 1][b - 1][c - 1] / den."""
 
     def value(self, a: int, b: int) -> Vec:
         return Vec(tuple(Fraction(x, self.den) for x in self.table[a - 1][b - 1]))
@@ -176,25 +200,33 @@ def assemble_torsion(
     return Torsion(n, den, table)
 
 
-class Connection(Value):
-    """Christoffel table: gamma[(a, b)] = covariant derivative of e_b along e_a."""
-
-    dim: int
-    gamma: dict[tuple[int, int], Vec]
+class Connection(IntTensor):
+    """Christoffel table: Gamma_abc = table[a - 1][b - 1][c - 1] / den is the
+    e_c component of the covariant derivative of e_b along e_a."""
 
     def nabla(self, a: int, b: int) -> Vec:
-        return self.gamma[(a, b)]
+        return Vec(tuple(Fraction(x, self.den) for x in self.table[a - 1][b - 1]))
+
+    @property
+    def gamma(self) -> dict[tuple[int, int], Vec]:
+        """Every nabla(a, b) as a Vec of Fractions, keyed (a, b)."""
+        return {(a, b): self.nabla(a, b) for a, b in itertools.product(range(1, self.dim + 1), repeat=2)}
 
 
-def _dense(conn: Connection, g: LieAlgebra) -> tuple[int, list, list]:
-    """Gamma and g's structure table cleared to one denominator E: (E, Gamma, C),
-    with Gamma[a][b] the components of nabla_{e_a} e_b."""
-    n = conn.dim
-    gamma = [[conn.gamma[(a, b)].comps for b in range(1, n + 1)] for a in range(1, n + 1)]
-    e, c = g.structure_table
-    den = lcm(e, common_denominator(x for row in gamma for vec in row for x in vec))
-    br = [[[den // e * x for x in vec] for vec in row] for row in c]
-    return den, [scaled(row, den) for row in gamma], br
+class Curvature(IntTensor):
+    """(0,4) curvature on all basis 4-tuples, antisymmetric in (a, b):
+    R(a, b, c, d) = table[a - 1][b - 1][c - 1][d - 1] / den."""
+
+    def values(self) -> list[Fraction]:
+        """Every entry as a Fraction, in index order."""
+        return [Fraction(x, self.den) for x in _flat(self.table)]
+
+
+def _over_one_den(d: int, t: list, e: int, c: list) -> tuple[int, list, list]:
+    """Two dense 3-index tables t / d and c / e over D = lcm(d, e): (D, D t / d, D c / e)."""
+    den = lcm(d, e)
+    u, w = den // d, den // e
+    return den, [[[u * x for x in v] for v in row] for row in t], [[[w * x for x in v] for v in row] for row in c]
 
 
 def _koszul(k: list) -> list:
@@ -203,34 +235,23 @@ def _koszul(k: list) -> list:
     return [[[k[a][b][c] - k[b][c][a] + k[c][a][b] for c in r] for b in r] for a in r]
 
 
-def _connection(table: list, den: int) -> Connection:
-    n = len(table)
-    return Connection(n, {
-        (a + 1, b + 1): Vec(tuple(Fraction(x, den) for x in table[a][b]))
-        for a in range(n)
-        for b in range(n)
-    })
-
-
 def levi_civita(g: LieAlgebra) -> Connection:
     """Koszul formula for a left-invariant metric (identity in this basis):
     Gamma_abc = (C_abc - C_bca + C_cab) / 2 with C_abc = [e_a, e_b]_c."""
     den, c = g.structure_table
-    return _connection(_koszul(c), 2 * den)
+    return Connection(g.dim, 2 * den, _koszul(c))
 
 
 def biquard_connection(g: LieAlgebra, torsion: Torsion) -> Connection:
     """The metric connection with torsion T: the Koszul sum
     Gamma_abc = (K_abc - K_bca + K_cab) / 2 with K = C + T, K_abc = [e_a, e_b]_c
     + T(e_a, e_b)_c, both cleared to lcm(E, den).  T = 0 is `levi_civita`."""
-    e, c = g.structure_table
-    den = lcm(e, torsion.den)
-    u, w = den // e, den // torsion.den
-    k = [[[u * x + w * y for x, y in zip(cv, tv)] for cv, tv in zip(*rows)] for rows in zip(c, torsion.table)]
-    return _connection(_koszul(k), 2 * den)
+    den, t, c = _over_one_den(torsion.den, torsion.table, *g.structure_table)
+    k = [[[x + y for x, y in zip(cv, tv)] for cv, tv in zip(*rows)] for rows in zip(c, t)]
+    return Connection(g.dim, 2 * den, _koszul(k))
 
 
-def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int], Scalar]:
+def curvature(g: LieAlgebra, conn: Connection) -> Curvature:
     """(0,4) curvature on all basis 4-tuples, first-pair antisymmetric.
 
     R(a,b,c,d) = Sum_m (Gamma_bcm Gamma_amd - Gamma_acm Gamma_bmd - C_abm Gamma_mcd):
@@ -240,8 +261,8 @@ def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int]
     with a < b are computed and the others follow by antisymmetry.
     """
     n = g.dim
-    e, gam, br = _dense(conn, g)
-    blocks = {}
+    e, gam, br = _over_one_den(conn.den, conn.table, *g.structure_table)
+    table = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             r = [
@@ -251,19 +272,9 @@ def curvature(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int, int, int]
             for m, k in enumerate(br[a][b]):
                 if k:
                     r = [[x - k * y for x, y in zip(u, v)] for u, v in zip(r, gam[m])]
-            blocks[(a, b)] = r
-            blocks[(b, a)] = [[-x for x in row] for row in r]
-    zero = [[0] * n] * n
-    # one Fraction per distinct value: R is antisymmetric in (c, d) as well
-    fracs = {x: Fraction(x, e * e) for r in blocks.values() for row in r for x in row}
-    fracs[0] = Fraction(0)
-    return {
-        (a + 1, b + 1, c + 1, d + 1): fracs[x]
-        for a in range(n)
-        for b in range(n)
-        for c, row in enumerate(blocks.get((a, b), zero))
-        for d, x in enumerate(row)
-    }
+            table[a][b] = r
+            table[b][a] = [[-x for x in row] for row in r]
+    return Curvature(n, e * e, table)
 
 
 class Pipeline(Value):
@@ -278,7 +289,7 @@ class Pipeline(Value):
     endos: tuple[Matrix4, Matrix4, Matrix4]
     torsion: Torsion
     conn: Connection
-    riem: dict[tuple[int, int, int, int], Scalar]
+    riem: Curvature
 
 
 def normalize_scale(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]:
@@ -327,7 +338,7 @@ def audit(p: Pipeline) -> list[dict]:
     g, frame = p.g, p.frame
     n = g.dim
     checks: list[dict] = []
-    e, gam, br = _dense(p.conn, g)
+    e, gam, br = _over_one_den(p.conn.den, p.conn.table, *g.structure_table)
     t, tden = p.torsion.table, p.torsion.den
     hor, ver = [i - 1 for i in frame.horizontal], [i - 1 for i in frame.vertical]
     span = range(n)
@@ -372,14 +383,11 @@ def audit(p: Pipeline) -> list[dict]:
     )
     checks.append({"name": "torsion_endo_properties", "passed": ok})
 
-    # Sum_ab I_r[b][a] R(x, y, e_a, e_b) == 4 rho_r(x, y), with R on H cleared to r_den
-    h = frame.horizontal
-    keys = list(itertools.product(h, repeat=4))
-    r_den = common_denominator(p.riem[key] for key in keys)
-    ri = dict(zip(keys, scaled([[p.riem[key] for key in keys]], r_den)[0]))
+    # Sum_ab I_r[b][a] R(x, y, e_a, e_b) == 4 rho_r(x, y), both sides times q
+    rt, rden = p.riem.table, p.riem.den
     rho_mats = [_at_scalar(r, p.s_value) for r in p.rhos]
     ok = all(
-        Fraction(sum(m[b][a] * ri[(h[x], h[y], h[a], h[b])] for a in span4 for b in span4), q * r_den)
+        Fraction(sum(m[b][a] * rt[hor[x]][hor[y]][hor[a]][hor[b]] for a in span4 for b in span4), q * rden)
         == 4 * rm[x][y]
         for rm, m in zip(rho_mats, js)
         for x in span4
@@ -387,7 +395,7 @@ def audit(p: Pipeline) -> list[dict]:
     )
     checks.append({"name": "ricci_from_curvature", "passed": ok})
 
-    total = Fraction(sum(ri[(b, a, a, b)] for a in h for b in h), r_den)
+    total = Fraction(sum(rt[b][a][a][b] for a in hor for b in hor), rden)
     checks.append({"name": "scalar_from_curvature", "passed": total == 24 * p.s_value})
 
     # -T(xi_1, xi_2)_3 == S, cross-multiplied

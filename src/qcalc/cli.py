@@ -24,7 +24,7 @@ from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, ve
 from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, flag_texts, parse
 from .qc import check_bi1, check_compatibility
-from .report import _wqc_samples, build_report
+from .report import build_report, samples
 
 
 class _InputError(QcalcError):
@@ -272,7 +272,7 @@ def _cmd_wqc(args, fmt: str) -> int:
     out = {
         "name": g.name,
         "conformally_flat": is_qc_conformally_flat(w),
-        "samples": _wqc_samples(w),
+        "samples": samples(lambda a, b, c, d: w[a][b][c][d]),
     }
 
     def lines(o):

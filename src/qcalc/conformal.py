@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .biquard import Curvature
 from .linalg import common_denominator, matmul, scaled
 from .qc import Matrix4, QCFrame
-from .scalars import Scalar, is_zero
+from .scalars import is_zero
 
 Tensor4H = list  # [a][b][c][d] -> Scalar
 
@@ -35,7 +36,7 @@ def kulkarni_nomizu(mu: Matrix4, nu: Matrix4) -> Tensor4H:
 
 
 def wqc_tensor(
-    riem: dict[tuple[int, int, int, int], Scalar],
+    riem: Curvature,
     t0: Matrix4,
     s_value: Fraction,
     frame: QCFrame,
@@ -48,12 +49,12 @@ def wqc_tensor(
     D_s(X, Y) = T0(X, I_s Y) - T0(I_s X, Y).
 
     It is evaluated in integers: with T0 = T/q, I_s = J_s/q and S = sigma/q
-    over one q, and D_s = (T J_s - J_s^t T)/q^2,
+    over one q, D_s = (T J_s - J_s^t T)/q^2 and R read off its integer table,
     4 q^3 (W - R) = g @ (2 q^2 T + sigma q^2 g) + Sum_s [J_s @ (2 T J_s + sigma J_s)
     + 2 (J_s x D_s + D_s x J_s) + 4 sigma J_s x J_s].
     """
     i_mats = frame.complex_structures
-    h, r = frame.horizontal, range(4)
+    h, r = [x - 1 for x in frame.horizontal], range(4)
     q = common_denominator([s_value, *(x for m in (t0, *i_mats) for row in m for x in row)])
     t, js = scaled(t0, q), [scaled(m, q) for m in i_mats]
     sigma, qq, den = s_value.numerator * (q // s_value.denominator), q * q, 4 * q**3
@@ -71,8 +72,7 @@ def wqc_tensor(
         for j, dm, kn in terms:
             x += kn[a][b][c][d] + 2 * (j[a][b] * dm[c][d] + dm[a][b] * j[c][d])
             x += 4 * sigma * j[a][b] * j[c][d]
-        rv = riem[(h[a], h[b], h[c], h[d])]
-        return Fraction(rv.numerator * den + x * rv.denominator, rv.denominator * den)
+        return Fraction(riem.table[h[a]][h[b]][h[c]][h[d]] * den + x * riem.den, riem.den * den)
 
     return [[[[entry(a, b, c, d) for d in r] for c in r] for b in r] for a in r]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .biquard import Pipeline, audit, run_pipeline
+from .biquard import audit, run_pipeline
 from .conformal import is_qc_conformally_flat, wqc_tensor
 from .exterior import LieAlgebra
 from .family import fingerprint
@@ -26,21 +26,9 @@ def _matrix_strings(m) -> list[list[str]]:
     return [[str(x) for x in row] for row in m]
 
 
-def _r_samples(p: Pipeline) -> list[dict]:
-    h = p.frame.horizontal
-    out = []
-    for a, b, c, dd in SAMPLE_TUPLES:
-        value = p.riem[(h[a - 1], h[b - 1], h[c - 1], h[dd - 1])]
-        out.append({"idx": [a, b, c, dd], "value": str(value)})
-    return out
-
-
-def _wqc_samples(w) -> list[dict]:
-    out = []
-    for a, b, c, dd in SAMPLE_TUPLES:
-        value = w[a - 1][b - 1][c - 1][dd - 1]
-        out.append({"idx": [a, b, c, dd], "value": str(value)})
-    return out
+def samples(read) -> list[dict]:
+    """The SAMPLE_TUPLES entries of a tensor on H; read takes 0-based horizontal positions."""
+    return [{"idx": list(t), "value": str(read(*(i - 1 for i in t)))} for t in SAMPLE_TUPLES]
 
 
 def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
@@ -76,9 +64,9 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     report["torsion_nonzero"] = any(
         any(x != 0 for row in m for x in row) for m in p.endos
     )
-    report["R_samples"] = _r_samples(p)
+    report["R_samples"] = samples(lambda *pos: p.riem[tuple(p.frame.horizontal[i] for i in pos)])
     w = wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
-    report["wqc_samples"] = _wqc_samples(w)
+    report["wqc_samples"] = samples(lambda a, b, c, d: w[a][b][c][d])
     report["conformally_flat"] = is_qc_conformally_flat(w)
     checks = audit(p)
     report["audit"] = checks

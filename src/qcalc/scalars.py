@@ -27,8 +27,9 @@ class Value:
     and refuses assignment."""
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if "__annotations__" in cls.__dict__:  # else it keeps its base's fields
+            cls._fields = tuple(cls.__annotations__)
+            cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         values = dict(self._defaults)

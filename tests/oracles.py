@@ -8,7 +8,8 @@ is checked against, none of which the package calls:
   interior products, the identity metric, coordinate rows, brackets read off
   the differentials, d(d e^k) through `LieAlgebra.d`, the whole E * d_j, the
   horizontal helpers of a qc frame, the covariant derivative of a constant
-  field and the torsion recomputed from Christoffel coefficients;
+  field, the torsion recomputed from Christoffel coefficients, and a
+  `Connection` built from a dict of `Vec`s of Fractions;
 - solving a*S + b = 0 for a symbol S (with its two errors), and the
   connection and Ricci forms over `Poly` in S through `LieAlgebra.d` and
   `Form.wedge`;
@@ -157,6 +158,14 @@ def nabla_vec(conn: Connection, u: Vec, w: Vec) -> Vec:
                 continue
             out = out + (ca * cb) * conn.gamma[(a, b)]
     return out
+
+
+def connection_from_gamma(gamma: dict[tuple[int, int], Vec]) -> Connection:
+    """The Connection whose nabla(a, b) is gamma[(a, b)], over the least common
+    denominator of all the components."""
+    n = max(a for a, _ in gamma)
+    den = linalg.common_denominator(x for v in gamma.values() for x in v.comps)
+    return Connection(n, den, [linalg.scaled([gamma[(a, b)].comps for b in range(1, n + 1)], den) for a in range(1, n + 1)])
 
 
 def connection_torsion(g: LieAlgebra, conn: Connection) -> dict[tuple[int, int], Vec]:

@@ -1,11 +1,15 @@
 """The public surface of `qcalc`, and the line between it and the test oracles.
 
-Every name in `qcalc.__all__` resolves, once.  The reference calculus that
-only the tests use lives in `oracles`, and none of it is back in the module
-or class it came from.
+Every name in `qcalc.__all__` resolves, once, and README's Library example
+runs and prints g2's S, R(e_1, e_2, e_1, e_2) and a passing audit.  The
+reference calculus that only the tests use lives in `oracles`, and none of
+it is back in the module or class it came from.
 """
 
+import contextlib
 import importlib
+import io
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +58,12 @@ def test_moved_name_lives_only_in_the_oracles(module, owner, name):
     assert not hasattr(home, name)
     assert name not in qcalc.__all__ and not hasattr(qcalc, name)
     assert callable(getattr(oracles, name))
+
+
+def test_readme_library_example_prints_its_values():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == ["-1/6", "11/18", "True", "-1/6"]

@@ -5,6 +5,7 @@ import pytest
 
 from qcalc.biquard import (
     Connection,
+    Curvature,
     Torsion,
     biquard_connection,
     levi_civita,
@@ -25,6 +26,7 @@ from oracles import (
     S,
     apply_endo,
     bracket,
+    connection_from_gamma,
     connection_torsion,
     covector,
     document,
@@ -454,10 +456,46 @@ def test_integer_kernels_match_fraction_definitions(name, mu):
     assert p.conn.gamma == gamma
     assert list(p.conn.gamma) == list(gamma)
     assert all(isinstance(x, Fraction) for v in p.conn.gamma.values() for x in v.comps)
-    riem = reference_curvature(p.g, Connection(p.g.dim, gamma))
-    assert p.riem == riem
-    assert list(p.riem) == list(riem)
+    riem = reference_curvature(p.g, connection_from_gamma(gamma))
+    assert list(riem) == list(itertools.product(range(1, n + 1), repeat=4))
+    assert p.riem.values() == list(riem.values())
+    assert [p.riem[key] for key in riem] == list(riem.values())
     assert all(isinstance(x, Fraction) for x in p.riem.values())
+
+
+def _times(k, table):
+    return [_times(k, x) for x in table] if isinstance(table, list) else k * table
+
+
+def _entries(table):
+    return [y for x in table for y in _entries(x)] if isinstance(table, list) else [table]
+
+
+@pytest.mark.parametrize("name,mu", [*PIPELINE_CASES, ("g1_rot_h3", None)])
+def test_pipeline_tensors_hold_only_ints(name, mu):
+    p = rotated_h3_pipeline() if name == "g1_rot_h3" else case_pipeline(name, mu)
+    for tensor, rank in ((p.torsion, 3), (p.conn, 3), (p.riem, 4)):
+        entries = _entries(tensor.table)
+        assert len(entries) == p.g.dim**rank
+        assert all(type(x) is int for x in entries), type(tensor).__name__
+
+
+@pytest.mark.parametrize("name", ["g2", "g2_rot"])
+def test_tensors_compare_by_value(name):
+    p = case_pipeline(name)
+    for tensor in (p.torsion, p.conn, p.riem):
+        cls = type(tensor)
+        triple = cls(tensor.dim, 3 * tensor.den, _times(3, tensor.table))
+        assert triple == tensor and tensor == triple
+        changed = _times(3, tensor.table)
+        row = changed[1][0]
+        while isinstance(row[0], list):
+            row = row[2]
+        row[2] += 1
+        assert cls(tensor.dim, 3 * tensor.den, changed) != tensor
+    n, e = p.g.dim, p.g.structure_table[0]
+    zero = Torsion(n, 3 * e, [[[0] * n for _ in range(n)] for _ in range(n)])
+    assert biquard_connection(p.g, zero) == levi_civita(p.g)
 
 
 def _audit_results(p):
@@ -467,11 +505,13 @@ def _audit_results(p):
 @pytest.mark.parametrize("name", ["g2", "g2_rot"])
 def test_audit_fails_on_a_changed_christoffel_symbol(name):
     p = case_pipeline(name)
-    gamma = dict(p.conn.gamma)
-    comps = list(gamma[(1, 2)].comps)
-    comps[2] += Fraction(1, 7)
-    gamma[(1, 2)] = Vec(tuple(comps))
-    results = _audit_results(replace(p, conn=Connection(p.conn.dim, gamma)))
+    # Gamma_123 raised by 1/7: the table over 7 den, with den added at the key
+    table = _times(7, p.conn.table)
+    table[0][1][2] += p.conn.den
+    conn = Connection(p.conn.dim, 7 * p.conn.den, table)
+    assert conn[(1, 2, 3)] == p.conn[(1, 2, 3)] + Fraction(1, 7)
+    assert sum(x != 7 * y for x, y in zip(_entries(table), _entries(p.conn.table))) == 1
+    results = _audit_results(replace(p, conn=conn))
     assert results["metric_compatibility"] is False
     assert results["torsion_roundtrip"] is False
     assert results["ricci_from_curvature"] and results["scalar_from_curvature"]
@@ -509,7 +549,13 @@ def test_audit_fails_on_a_changed_horizontal_curvature_entry(name):
     p = case_pipeline(name)
     h = p.frame.horizontal
     key = (h[0], h[1], h[1], h[0])
-    riem = {**p.riem, key: p.riem[key] + Fraction(1, 5)}
+    # R at the key raised by 1/5: the table over 5 den, with den added at the key
+    table = _times(5, p.riem.table)
+    a, b = h[0] - 1, h[1] - 1
+    table[a][b][b][a] += p.riem.den
+    riem = Curvature(p.riem.dim, 5 * p.riem.den, table)
+    assert riem[key] == p.riem[key] + Fraction(1, 5)
+    assert sum(x != 5 * y for x, y in zip(_entries(table), _entries(p.riem.table))) == 1
     results = _audit_results(replace(p, riem=riem))
     assert results["ricci_from_curvature"] is False
     assert results["scalar_from_curvature"] is False

@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 import tracing  # noqa: E402
 
+from qcalc.biquard import run_pipeline  # noqa: E402
 from qcalc.parser import parse  # noqa: E402
 
 
@@ -45,6 +46,13 @@ def test_traced_rotated_report_records_the_fingerprint_spans():
     for name in ("family.fingerprint", "exterior.derived_and_central_series", "linalg.rank"):
         assert calls[name] > 0, name
     assert calls["report.build_report"] == 1
-    # read through Connection.gamma's Vecs, as in every traced benchmark run
-    sizes = tracer.sizes["biquard.biquard_connection"]
-    assert len(sizes) == 1 and sizes[0] > 0
+    # the size readers go through Connection.gamma's Vecs and Curvature.values(),
+    # as in every traced benchmark run, and count the tables' nonzero entries
+    p = run_pipeline(doc.algebra, doc.frame)
+    assert tracer.sizes["biquard.biquard_connection"] == [nonzero(p.conn.table)]
+    assert tracer.sizes["biquard.curvature"] == [nonzero(p.riem.table)]
+    assert 0 < nonzero(p.conn.table) and 0 < nonzero(p.riem.table)
+
+
+def nonzero(table) -> int:
+    return sum(map(nonzero, table)) if isinstance(table, list) else int(table != 0)
