@@ -214,8 +214,9 @@ class Connection(IntTensor):
 
 
 class Curvature(IntTensor):
-    """(0,4) curvature on all basis 4-tuples, antisymmetric in (a, b):
-    R(a, b, c, d) = table[a - 1][b - 1][c - 1][d - 1] / den."""
+    """(0,4) curvature tensor, antisymmetric in (a, b):
+    R(a, b, c, d) = table[a - 1][b - 1][c - 1][d - 1] / den, on all basis
+    4-tuples for R and on horizontal positions for W^qc."""
 
     def values(self) -> list[Fraction]:
         """Every entry as a Fraction, in index order."""

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import catalog
 from .biquard import run_pipeline
-from .conformal import is_qc_conformally_flat, wqc_tensor
 from .errors import (
     ParametricNotSupported,
     ParseError,
@@ -24,7 +23,7 @@ from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, ve
 from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, flag_texts, parse
 from .qc import check_bi1, check_compatibility
-from .report import build_report, samples
+from .report import build_report, wqc_block
 
 
 class _InputError(QcalcError):
@@ -135,15 +134,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _catalog_source(name: str) -> str:
+    try:
+        return catalog.source(name)
+    except KeyError:
+        raise _InputError(f"unknown catalog algebra {name!r}") from None
+
+
 def _load_document(args) -> AlgebraDocument:
     if args.catalog_name and args.file:
         raise _InputError("give either a file or --catalog, not both")
     if args.catalog_name:
-        try:
-            text = catalog.source(args.catalog_name)
-        except KeyError:
-            raise _InputError(f"unknown catalog algebra {args.catalog_name!r}") from None
-        return parse(text)
+        return parse(_catalog_source(args.catalog_name))
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse(fh.read())
@@ -194,6 +196,20 @@ def _bool(x) -> str:
     return "true" if x else "false"
 
 
+def _head_lines(o: dict):
+    """The four opening lines of `check` and `report`."""
+    yield f"name: {o['name']}"
+    yield f"jacobi: {_bool(o['jacobi'])}"
+    yield f"qc structure: {_bool(o['qc_valid'])}"
+    yield f"vertical duality conditions: {_bool(o['bi1'])}"
+
+
+def _sample_lines(label: str, samples: list[dict]):
+    """One `label[a,b,c,d] = value` line per sample of `report` and `wqc`."""
+    for s in samples:
+        yield f"{label}[{','.join(str(i) for i in s['idx'])}] = {s['value']}"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,14 +224,7 @@ def _cmd_check(args, fmt: str) -> int:
         if out["qc_valid"]:
             out["bi1"] = check_bi1(g, frame)[0]
         ok = bool(out["qc_valid"] and out["bi1"])
-
-    def lines(o):
-        yield f"name: {o['name']}"
-        yield f"jacobi: {_bool(o['jacobi'])}"
-        yield f"qc structure: {_bool(o['qc_valid'])}"
-        yield f"vertical duality conditions: {_bool(o['bi1'])}"
-
-    _emit(out, fmt, lines)
+    _emit(out, fmt, _head_lines)
     return 0 if ok else 1
 
 
@@ -225,10 +234,7 @@ def _cmd_report(args, fmt: str) -> int:
     report, ok = build_report(g, frame)
 
     def lines(o):
-        yield f"name: {o['name']}"
-        yield f"jacobi: {_bool(o['jacobi'])}"
-        yield f"qc structure: {_bool(o['qc_valid'])}"
-        yield f"vertical duality conditions: {_bool(o['bi1'])}"
+        yield from _head_lines(o)
         yield f"scalar curvature S: {o['S'] if o['S'] is not None else 'n/a'}"
         if o["T0"] is not None:
             yield "traceless torsion T0:"
@@ -242,11 +248,9 @@ def _cmd_report(args, fmt: str) -> int:
         yield f"torsion nonzero: {_bool(o['torsion_nonzero'])}"
         yield f"fundamental 4-form closed: {_bool(o['dOmega_zero'])}"
         yield f"vertical distribution integrable: {_bool(o['vertical_integrable'])}"
-        for label, samples in (("R", o["R_samples"]), ("Wqc", o["wqc_samples"])):
-            if samples is not None:
-                for s in samples:
-                    idx = ",".join(str(i) for i in s["idx"])
-                    yield f"{label}[{idx}] = {s['value']}"
+        for label, key in (("R", "R_samples"), ("Wqc", "wqc_samples")):
+            if o[key] is not None:
+                yield from _sample_lines(label, o[key])
         yield f"qc conformally flat: {_bool(o['conformally_flat'])}"
         if o["audit"] is not None:
             for c in o["audit"]:
@@ -267,19 +271,12 @@ def _cmd_wqc(args, fmt: str) -> int:
     if frame is None:
         raise _InputError(f"{g.name} has no qc block")
     _require_lie(g)
-    p = run_pipeline(g, frame)
-    w = wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
-    out = {
-        "name": g.name,
-        "conformally_flat": is_qc_conformally_flat(w),
-        "samples": samples(lambda a, b, c, d: w[a][b][c][d]),
-    }
+    wqc_samples, flat = wqc_block(run_pipeline(g, frame))
+    out = {"name": g.name, "conformally_flat": flat, "samples": wqc_samples}
 
     def lines(o):
         yield f"name: {o['name']}"
-        for s in o["samples"]:
-            idx = ",".join(str(i) for i in s["idx"])
-            yield f"Wqc[{idx}] = {s['value']}"
+        yield from _sample_lines("Wqc", o["samples"])
         yield f"qc conformally flat: {_bool(o['conformally_flat'])}"
 
     _emit(out, fmt, lines)
@@ -289,23 +286,15 @@ def _cmd_wqc(args, fmt: str) -> int:
 def _cmd_cohomology(args, fmt: str) -> int:
     g = _load_specialized(args).algebra
     _require_lie(g)
-    if args.k is not None:
+    if args.k is None:
+        out: dict = {"name": g.name, "betti": betti_numbers(g)}
+        degrees = list(enumerate(out["betti"]))
+    else:
         if not 0 <= args.k <= g.dim:
             raise _InputError(f"degree {args.k} outside 0..{g.dim}")
         out = {"name": g.name, "k": args.k, "betti": cohomology_dim(g, args.k)}
-
-        def lines(o):
-            yield f"b{o['k']}({o['name']}) = {o['betti']}"
-
-        _emit(out, fmt, lines)
-        return 0
-    out = {"name": g.name, "betti": betti_numbers(g)}
-
-    def lines(o):
-        for k, b in enumerate(o["betti"]):
-            yield f"b{k}({o['name']}) = {b}"
-
-    _emit(out, fmt, lines)
+        degrees = [(args.k, out["betti"])]
+    _emit(out, fmt, lambda o: (f"b{k}({o['name']}) = {b}" for k, b in degrees))
     return 0
 
 
@@ -383,10 +372,7 @@ def _cmd_catalog_list(args, fmt: str) -> int:
 
 
 def _cmd_catalog_show(args, fmt: str) -> int:
-    try:
-        text = catalog.source(args.name)
-    except KeyError:
-        raise _InputError(f"unknown catalog algebra {args.name!r}") from None
+    text = _catalog_source(args.name)
     if fmt == "json":
         print(json.dumps({"name": args.name, "source": text}, indent=2))
     else:

@@ -115,15 +115,6 @@ class Form(Value):
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
         return Form.make(self.dim, deg, out)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in self.terms.items():
-            name = "e" + "".join(str(i) for i in key) if key else "1"
-            parts.append(f"({c})*{name}")
-        return " + ".join(parts)
-
 
 class Vec(Value):
     """Vector in the e_1..e_n basis; components are Scalars."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .biquard import audit, run_pipeline
+from .biquard import Curvature, Pipeline, audit, run_pipeline
 from .conformal import is_qc_conformally_flat, wqc_tensor
 from .exterior import LieAlgebra
 from .family import fingerprint
@@ -26,9 +26,16 @@ def _matrix_strings(m) -> list[list[str]]:
     return [[str(x) for x in row] for row in m]
 
 
-def samples(read) -> list[dict]:
-    """The SAMPLE_TUPLES entries of a tensor on H; read takes 0-based horizontal positions."""
-    return [{"idx": list(t), "value": str(read(*(i - 1 for i in t)))} for t in SAMPLE_TUPLES]
+def samples(tensor: Curvature, at) -> list[dict]:
+    """The SAMPLE_TUPLES entries of a tensor on H, each index i read at at[i - 1]:
+    R at frame.horizontal, W^qc at its own positions 1-4."""
+    return [{"idx": list(t), "value": str(tensor[tuple(at[i - 1] for i in t)])} for t in SAMPLE_TUPLES]
+
+
+def wqc_block(p: Pipeline) -> tuple[list[dict], bool]:
+    """W^qc's samples and whether it vanishes (qc conformal flatness)."""
+    w = wqc_tensor(p)
+    return samples(w, (1, 2, 3, 4)), is_qc_conformally_flat(w)
 
 
 def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
@@ -64,10 +71,8 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     report["torsion_nonzero"] = any(
         any(x != 0 for row in m for x in row) for m in p.endos
     )
-    report["R_samples"] = samples(lambda *pos: p.riem[tuple(p.frame.horizontal[i] for i in pos)])
-    w = wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
-    report["wqc_samples"] = samples(lambda a, b, c, d: w[a][b][c][d])
-    report["conformally_flat"] = is_qc_conformally_flat(w)
+    report["R_samples"] = samples(p.riem, p.frame.horizontal)
+    report["wqc_samples"], report["conformally_flat"] = wqc_block(p)
     checks = audit(p)
     report["audit"] = checks
     if not all(c["passed"] for c in checks):

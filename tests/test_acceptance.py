@@ -298,14 +298,13 @@ def test_criterion_08():
         assert derived_sample("g2") == Fraction(5, 18)
 
         def w(name):
-            p = pipeline(name)
-            return wqc_tensor(p.riem, p.t0, p.s_value, p.frame)
+            return wqc_tensor(pipeline(name))
 
-        assert w("g1")[0][1][0][1] == Fraction(-1, 2)
+        assert w("g1")[(1, 2, 1, 2)] == Fraction(-1, 2)
         wh = w("heisenberg")
-        for a, b, c, d in itertools.product(range(4), repeat=4):
-            assert wh[a][b][c][d] == 0
-        assert w("g2")[0][1][0][1] == Fraction(5, 18)
+        for idx in itertools.product(range(1, 5), repeat=4):
+            assert wh[idx] == 0
+        assert w("g2")[(1, 2, 1, 2)] == Fraction(5, 18)
 
 
 def test_criterion_09():

@@ -9,6 +9,7 @@ import qcalc
 from qcalc.catalog import names, source
 from qcalc.exterior import verify_flag
 from qcalc.parser import parse
+from test_conformal import G2_ROTATED
 
 REPORT_KEYS = [
     "name",
@@ -304,6 +305,20 @@ def test_wqc():
     assert values[(1, 2, 1, 2)] == "-1/2"
     out = jout(run("wqc", "--catalog", "heisenberg", "--format", "json"))
     assert out["conformally_flat"] is True
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "heisenberg", "g2_rot"])
+def test_wqc_matches_the_report_block(name, tmp_path):
+    if name == "g2_rot":
+        path = tmp_path / "g2_rot.alg"
+        path.write_text(G2_ROTATED)
+        where = [str(path)]
+    else:
+        where = ["--catalog", name]
+    wqc = jout(run("wqc", *where, "--format", "json"))
+    report = jout(run("report", *where, "--format", "json"))
+    assert wqc["samples"] == report["wqc_samples"]
+    assert wqc["conformally_flat"] == report["conformally_flat"]
 
 
 def test_wqc_needs_qc_block(so3_r4):

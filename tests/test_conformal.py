@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from qcalc.biquard import run_pipeline
+from qcalc.biquard import Curvature, run_pipeline
 from qcalc.conformal import is_qc_conformally_flat, kulkarni_nomizu, wqc_tensor
 from qcalc.family import specialize
 from qcalc.parser import parse
@@ -68,7 +68,7 @@ def pipeline(name, mu=None):
 @lru_cache(maxsize=None)
 def wqc(name, mu=None):
     p = pipeline(name, mu)
-    return wqc_tensor(p.riem, p.t0, p.s_value, p.frame), p
+    return wqc_tensor(p), p
 
 
 # ---------------------------------------------------------------------------
@@ -132,42 +132,42 @@ def test_local_quaternionic_combination():
 
 def test_wqc_g1_samples():
     w, _ = wqc("g1")
-    assert w[0][1][0][1] == Fraction(-1, 2)
-    assert w[0][2][0][2] == Fraction(-1, 2)
-    assert w[0][3][0][3] == Fraction(1)
-    assert w[2][3][2][3] == Fraction(-1, 2)
+    assert w[(1, 2, 1, 2)] == Fraction(-1, 2)
+    assert w[(1, 3, 1, 3)] == Fraction(-1, 2)
+    assert w[(1, 4, 1, 4)] == Fraction(1)
+    assert w[(3, 4, 3, 4)] == Fraction(-1, 2)
     assert not is_qc_conformally_flat(w)
 
 
 def test_wqc_g2_samples():
     w, p = wqc("g2")
-    assert w[0][3][0][3] == Fraction(-5, 9)
+    assert w[(1, 4, 1, 4)] == Fraction(-5, 9)
     # the decomposition pins this slot to R + 2S, with opposite sign from
     # the (1,4,1,4) pattern
-    assert w[0][1][0][1] == p.riem[(1, 2, 1, 2)] + 2 * p.s_value
-    assert w[0][1][0][1] == Fraction(5, 18)
+    assert w[(1, 2, 1, 2)] == p.riem[(1, 2, 1, 2)] + 2 * p.s_value
+    assert w[(1, 2, 1, 2)] == Fraction(5, 18)
     assert not is_qc_conformally_flat(w)
 
 
 def test_wqc_heisenberg_vanishes_everywhere():
     w, _ = wqc("heisenberg")
-    for a, b, c, d in itertools.product(range(4), repeat=4):
-        assert w[a][b][c][d] == 0
+    for idx in itertools.product(range(1, 5), repeat=4):
+        assert w[idx] == 0
     assert is_qc_conformally_flat(w)
 
 
 @pytest.mark.parametrize("name", ["g1", "g2"])
 def test_wqc_pair_antisymmetries(name):
     w, _ = wqc(name)
-    for a, b, c, d in itertools.product(range(4), repeat=4):
-        assert w[a][b][c][d] == -w[b][a][c][d]
-        assert w[a][b][c][d] == -w[a][b][d][c]
+    for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+        assert w[(a, b, c, d)] == -w[(b, a, c, d)]
+        assert w[(a, b, c, d)] == -w[(a, b, d, c)]
 
 
 def test_wqc_dense_frame():
     w, p = wqc("g2_rot")
     assert p.s_value == Fraction(-1, 6)
-    assert w[0][1][0][1] == Fraction(55, 486)
+    assert w[(1, 2, 1, 2)] == Fraction(55, 486)
     assert not is_qc_conformally_flat(w)
 
 
@@ -175,7 +175,7 @@ def test_wqc_decomposition_slot_identity_g1():
     # on (e1, e2, e1, e2) every torsion term drops out for these algebras
     # and the value reduces to R + 2S
     w, p = wqc("g1")
-    assert w[0][1][0][1] == p.riem[(1, 2, 1, 2)] + 2 * p.s_value
+    assert w[(1, 2, 1, 2)] == p.riem[(1, 2, 1, 2)] + 2 * p.s_value
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +186,32 @@ def test_wqc_decomposition_slot_identity_g1():
 @pytest.mark.parametrize("name,mu", PIPELINE_CASES)
 def test_wqc_pair_symmetry(name, mu):
     w, _ = wqc(name, mu)
-    for a, b, c, d in itertools.product(range(4), repeat=4):
-        assert w[a][b][c][d] == w[c][d][a][b]
+    for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+        assert w[(a, b, c, d)] == w[(c, d, a, b)]
 
 
 @pytest.mark.parametrize("name,mu", PIPELINE_CASES)
 def test_wqc_first_bianchi(name, mu):
     w, _ = wqc(name, mu)
-    for a, b, c, d in itertools.product(range(4), repeat=4):
-        assert w[a][b][c][d] + w[b][c][a][d] + w[c][a][b][d] == 0
+    for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+        assert w[(a, b, c, d)] + w[(b, c, a, d)] + w[(c, a, b, d)] == 0
 
 
 @pytest.mark.parametrize("name,mu", PIPELINE_CASES)
 def test_wqc_metric_trace_vanishes(name, mu):
     w, _ = wqc(name, mu)
-    for b, d in itertools.product(range(4), repeat=2):
-        assert sum(w[a][b][a][d] for a in range(4)) == 0
+    for b, d in itertools.product(range(1, 5), repeat=2):
+        assert sum(w[(a, b, a, d)] for a in range(1, 5)) == 0
 
 
 @pytest.mark.parametrize("name,mu", PIPELINE_CASES)
 def test_wqc_omega_traces_vanish(name, mu):
     w, p = wqc(name, mu)
     for om in p.frame.omegas:
-        for c, d in itertools.product(range(4), repeat=2):
+        for c, d in itertools.product(range(1, 5), repeat=2):
             total = sum(
-                evaluate(om, [hvec(p.frame, a), hvec(p.frame, b)]) * w[a][b][c][d]
-                for a, b in itertools.product(range(4), repeat=2)
+                evaluate(om, [hvec(p.frame, a - 1), hvec(p.frame, b - 1)]) * w[(a, b, c, d)]
+                for a, b in itertools.product(range(1, 5), repeat=2)
             )
             assert total == 0
 
@@ -255,5 +255,17 @@ def test_wqc_matches_fraction_formula(name, mu):
     w, p = wqc(name, mu)
     ref = reference_wqc(p)
     for a, b, c, d in itertools.product(range(4), repeat=4):
-        assert isinstance(w[a][b][c][d], Fraction)
-        assert w[a][b][c][d] == ref[(a, b, c, d)], (a, b, c, d)
+        assert isinstance(w[(a + 1, b + 1, c + 1, d + 1)], Fraction)
+        assert w[(a + 1, b + 1, c + 1, d + 1)] == ref[(a, b, c, d)], (a, b, c, d)
+
+
+@pytest.mark.parametrize("name,mu", PIPELINE_CASES)
+def test_wqc_is_an_integer_tensor(name, mu):
+    w, _ = wqc(name, mu)
+    entries = [x for plane in w.table for block in plane for row in block for x in row]
+    assert len(entries) == 256
+    assert all(type(x) is int for x in entries)
+    tripled = [[[[3 * x for x in row] for row in block] for block in plane] for plane in w.table]
+    assert w == Curvature(4, 3 * w.den, tripled)
+    if name == "heisenberg":
+        assert not any(entries)

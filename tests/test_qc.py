@@ -134,7 +134,13 @@ def test_horizontal_matrix_and_structures_match_evaluate(case):
         for a in range(4):
             for b in range(4):
                 assert m[a][b] == evaluate(om, [hvec(frame, a), hvec(frame, b)])
-    assert derive_complex_structures(frame) == evaluated_structures(frame)
+    mats = derive_complex_structures(frame)
+    assert mats == evaluated_structures(frame)
+    for m in mats:
+        for a in range(4):
+            for b in range(4):
+                assert m[a][b] == -m[b][a]
+                assert sum(m[c][a] * m[c][b] for c in range(4)) == (1 if a == b else 0)
 
 
 def test_apply_endo():
