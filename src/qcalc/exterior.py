@@ -358,11 +358,17 @@ def _weight_zero_block(table, weights, j: int) -> list[list[int]]:
     return rows
 
 
+def _divide(coeffs: list[int], y: int) -> tuple[list[int], int]:
+    """(q, r) with coeffs = (x - y) q + r, integer polynomials low-first: synthetic division."""
+    acc = list(itertools.accumulate(reversed(coeffs), lambda a, c: a * y + c))
+    return acc[-2::-1], acc[-1]
+
+
 def _multiplicity(coeffs: list[int], y: int) -> int:
-    """How often x - y divides an integer polynomial (low-first): synthetic division."""
-    m = 0  # the last entry of q is the remainder, the others the quotient, high-first
-    while not (q := list(itertools.accumulate(reversed(coeffs), lambda acc, c: acc * y + c)))[-1]:
-        coeffs, m = q[-2::-1], m + 1
+    """How often x - y divides an integer polynomial (low-first)."""
+    m = 0
+    while not (qr := _divide(coeffs, y))[1]:
+        coeffs, m = qr[0], m + 1
     return m
 
 
@@ -473,46 +479,47 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
             [r[a] * s[b] - r[b] * s[a] for a, b in pairs]
             for r, s in itertools.combinations(rows, 2)
         ]
-        wedge_rank = linalg.rank(wedge_rows)
-        for t, r in enumerate(rows):
-            da = [sum(map(mul, r, table[a][b])) for a, b in pairs]
-            if any(da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
+        # i independent covectors have independent wedges; a failing level names its first covector
+        das = [[sum(map(mul, r, table[a][b])) for a, b in pairs] for r in rows]
+        if linalg.rank(wedge_rows + das) == len(wedge_rows):
+            continue
+        for t, da in enumerate(das):
+            if linalg.rank(wedge_rows + [da]) != len(wedge_rows):
                 return False, f"d of covector {t + 1} in level {i} leaves Lambda^2 V^{i}"
     return True, None
 
 
-def _common_eigenvector(table) -> list[Fraction] | None:
-    """The first common eigenvector of the adjoint maps of a table, or None.
+def _common_eigenvector(table, polys: list) -> list[Fraction] | None:
+    """The first common eigenvector of the adjoint maps of an integer table, or None.
 
-    Depth first over the rational eigenvalues of ad e_1, ad e_2, ..., each in
+    Depth first over the integer eigenvalues of ad e_1, ad e_2, ..., each in
     ascending order, skipping zero maps and cutting a branch once the common
     eigenspace is 0; the vector is the last row of the RREF of the first
-    nonzero one, so its leading entry is 1.
+    nonzero one, so its leading entry is 1.  polys[i] is the characteristic
+    polynomial of ad e_i, computed here and stored when None.
     """
     n = len(table)
     # maps[i][r][j] = r-component of [e_i, e_j]
     maps = [[[table[i][j][r] for j in range(n)] for r in range(n)] for i in range(n)]
 
     @cache
-    def eigenvalues(i: int) -> list[Fraction]:
-        d, cp = linalg.char_poly(maps[i])
-        return sorted(Fraction(y, d) for y in rational_roots(cp))
+    def eigenvalues(i: int) -> list[int]:
+        polys[i] = polys[i] or linalg.char_poly(maps[i])[1]  # d = 1 on an integer table
+        return sorted(int(y) for y in rational_roots(polys[i]))
 
     stack = [([], 0)]  # (rows whose annihilator is the current subspace, next map)
     while stack:
-        perp, i = stack.pop()
-        if linalg.rank(perp) == n:
+        rows, i = stack.pop()
+        perp = linalg.echelon(rows)[0]  # at most n rows: the cuts stay reduced
+        if len(perp) == n:
             continue
+        while i < n and not any(map(any, maps[i])):
+            i += 1
         if i == n:
             return linalg.rref(linalg.kernel(perp, n))[0][-1]
-        m = maps[i]
-        if not any(map(any, m)):
-            stack.append((perp, i + 1))
-            continue
-        for lam in reversed(eigenvalues(i)):  # popped in ascending order
-            # the rows of M - lam I annihilate exactly the lam-eigenspace of M
-            shifted = [[m[r][c] - (lam if r == c else 0) for c in range(n)] for r in range(n)]
-            stack.append((perp + shifted, i + 1))
+        for y in reversed(eigenvalues(i)):  # popped in ascending order
+            # the rows of M - y I annihilate exactly the y-eigenspace of M
+            stack.append((perp + [[x - y * (r == c) for c, x in enumerate(row)] for r, row in enumerate(maps[i])], i + 1))
     return None
 
 
@@ -525,23 +532,31 @@ def search_flag(g: LieAlgebra) -> Flag | None:
     ideals, so does g/I for every ideal I (the images, repeats dropped), so a
     quotient without one means g has none.  The search is complete, since a
     common eigenvector of rational maps has rational eigenvalues and every
-    combination of them is tried.  The table is E times the bracket table: the
-    same eigenspaces, in the same order.  idx holds g's basis index behind each
+    combination of them is tried.  Every table is a positive multiple of the
+    bracket table of its quotient, in plain ints: the same eigenspaces, their
+    eigenvalues in the same order.  idx holds g's basis index behind each
     quotient coordinate; level i annihilates the first n - i lifted vectors.
     """
     require_rational(g)
     n = g.dim
-    table, idx, lifted = g.structure_table[1], list(range(n)), []
+    table, idx, lifted, polys = g.structure_table[1], list(range(n)), [], [None] * n
     while table:
-        v = _common_eigenvector(table)
+        v = _common_eigenvector(table, polys)
         if v is None:
             return None
-        at = dict(zip(idx, v))
-        lifted.append([at.get(i, ZERO) for i in range(n)])
-        pivot = next(i for i, x in enumerate(v) if x)  # v[pivot] = 1
-        keep = [i for i in range(len(v)) if i != pivot]
-        # project each bracket w to w - w[pivot] v and drop the pivot coordinate
-        table = [[[w[i] - w[pivot] * v[i] for i in keep] for w in (table[a][b] for b in keep)] for a in keep]
+        u = linalg.scaled([v], linalg.common_denominator(v))[0]  # primitive, u[pivot] = p > 0
+        at = dict(zip(idx, u))
+        lifted.append([at.get(i, 0) for i in range(n)])
+        pivot = next(i for i, x in enumerate(u) if x)
+        p, keep = u[pivot], [i for i in range(len(u)) if i != pivot]  # p < 0 would reverse the order
+        # p ad e_k on the quotient by <u> has p^n chi_k(t / p) / (t - p lam_k), ad e_k u = lam_k u
+        for k in keep:
+            if cp := polys[k]:
+                rescaled = [c * p ** (len(cp) - 1 - e) for e, c in enumerate(cp)]
+                polys[k] = _divide(rescaled, sum(map(mul, u, (w[pivot] for w in table[k]))))[0]
+        # p times each bracket w projected to w - w[pivot] v, pivot coordinate dropped
+        table = [[[w[i] * p - w[pivot] * u[i] for i in keep] for w in (table[a][b] for b in keep)] for a in keep]
+        polys = [polys[k] for k in keep]
         del idx[pivot]
     levels = [linalg.kernel(lifted[: n - i], n) for i in range(1, n)] + [linalg.identity(n)]
     flag = Flag(n, tuple(tuple(map(tuple, rows)) for rows in levels))

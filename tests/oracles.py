@@ -16,18 +16,22 @@ is checked against, none of which the package calls:
 - the Betti numbers of the whole Chevalley-Eilenberg complex;
 - the flag search that backtracks over every 1-dimensional ideal of every
   quotient, and the flag it gives;
+- the flag check that ranks each covector's d against its level's wedges
+  on its own;
 - d Omega as Omega times the whole E * d_4 of each coefficient table.
 """
 
+import itertools
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from qcalc import linalg
 from qcalc.biquard import Connection
 from qcalc.catalog import source
-from qcalc.errors import IndeterminateMismatch, ParametricNotSupported, QcalcError
-from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials
+from qcalc.errors import IndeterminateMismatch, InvalidFlag, ParametricNotSupported, QcalcError
+from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials, require_rational
 from qcalc.parser import AlgebraDocument, parse
 from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form, restrict_h
 from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, rational_roots, variable
@@ -369,3 +373,46 @@ def exhaustive_flag(g: LieAlgebra) -> Flag | None:
             rows = linalg.kernel(chain[n - i - 1], n)
         levels.append(tuple(tuple(r) for r in rows))
     return Flag(n, tuple(levels))
+
+
+def verify_flag_per_covector(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
+    """Check dV^i subset of Lambda^2 V^i for every level; first violation if any.
+
+    One rank per covector per level, against the rank of the level's wedges.
+    """
+    require_rational(g)
+    if flag.parametric:
+        raise ParametricNotSupported("flag has parametric covectors")
+    n = g.dim
+    if flag.dim != n or len(flag.levels) != n:
+        raise InvalidFlag(f"flag must have {n} levels over dimension {n}")
+    rank_here = None  # rank of level i, when level i - 1's containment check computed it
+    for i in range(1, n + 1):
+        rows = flag.level_rows(i)
+        if len(rows) != i or any(len(r) != n for r in rows):
+            raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
+        if (linalg.rank(rows) if rank_here is None else rank_here) != i:
+            raise InvalidFlag(f"level {i} covectors are linearly dependent")
+        if i < n:
+            above = flag.level_rows(i + 1)
+            rank_here = linalg.rank(above)
+            if linalg.rank(above + rows) != rank_here:
+                raise InvalidFlag(f"level {i} is not contained in level {i + 1}")
+
+    # the rows of alpha ^ beta and of -E d alpha over the 2-monomials a < b
+    _, table = g.structure_table
+    pairs = list(itertools.combinations(range(n), 2))
+    for i in range(1, n + 1):
+        # scaling the covectors changes neither span tested below
+        rows = flag.level_rows(i)
+        rows = linalg.scaled(rows, linalg.common_denominator(x for r in rows for x in r))
+        wedge_rows = [
+            [r[a] * s[b] - r[b] * s[a] for a, b in pairs]
+            for r, s in itertools.combinations(rows, 2)
+        ]
+        wedge_rank = linalg.rank(wedge_rows)
+        for t, r in enumerate(rows):
+            da = [sum(map(mul, r, table[a][b])) for a, b in pairs]
+            if any(da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
+                return False, f"d of covector {t + 1} in level {i} leaves Lambda^2 V^{i}"
+    return True, None

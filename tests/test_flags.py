@@ -1,15 +1,23 @@
 import itertools
+import random
+import sys
 import time
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcalc import exterior, linalg
 from qcalc.errors import InvalidFlag
 from qcalc.exterior import Flag, Form, LieAlgebra, search_flag, verify_flag
 from qcalc.parser import parse
-from oracles import document, exhaustive_flag
+from oracles import document, exhaustive_flag, verify_flag_per_covector
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  (the benchmark's input generator; it never imports qcalc)
 
 # g1 in a dense orthonormal coframe of height 3, as written by perfbench/gen.py's
 # rotated_input(random.Random(3), "g1", 3, "g1_rot"): the characteristic
@@ -129,6 +137,60 @@ def test_flag_violation_messages_are_exact():
     assert reason == "d of covector 3 in level 3 leaves Lambda^2 V^3"
 
 
+@cache
+def flag_case(name: str, mu: str | None, h: int | None) -> tuple[LieAlgebra, tuple]:
+    """A catalog algebra (h None) or its gen.py rotation of height h, with two
+    covector bases: the standard one, and one adapted to its searched flag
+    (row i + 1 is the first row of level i + 1 outside level i)."""
+    if h is None:
+        g = alg(name, mu)
+    else:
+        g = parse(gen.rotated_input(random.Random(h), name, h, f"{name}_rot")[0]).algebra
+    flag = search_flag(g)
+    adapted = [flag.levels[0][0]]
+    for level in flag.levels[1:]:
+        adapted.append(next(r for r in level if linalg.rank(adapted + [r]) > len(adapted)))
+    return g, (tuple(map(tuple, linalg.identity(g.dim))), tuple(adapted))
+
+
+@st.composite
+def basis_order_flags(draw):
+    """(g, flag): level i holds the first i covectors of an order of a basis,
+    either a few adjacent swaps away from the basis order or any order, and
+    now and then an off-chain level of i covectors, repeats allowed."""
+    g, bases = flag_case(*draw(st.sampled_from(
+        [("heisenberg", None, None), ("g1", None, None), ("g2", None, None),
+         ("prop31_family", "-1/3", None), ("g1", None, 1), ("g2", None, 2)]
+    )))
+    basis, n = draw(st.sampled_from(bases)), g.dim
+    if draw(st.booleans()):
+        order = list(draw(st.permutations(range(n))))
+    else:
+        order = list(range(n))
+        for j in draw(st.lists(st.integers(0, n - 2), max_size=3)):
+            order[j], order[j + 1] = order[j + 1], order[j]
+    levels = []
+    for i in range(1, n + 1):
+        off = draw(st.integers(0, 9)) == 0
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=i, max_size=i)) if off else order[:i]
+        levels.append(tuple(basis[k] for k in picks))
+    return g, Flag(n, tuple(levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_order_flags())
+def test_level_span_check_matches_the_per_covector_one(case):
+    g, flag = case
+
+    def outcome(check):
+        try:
+            return check(g, flag)
+        except InvalidFlag as err:
+            return str(err)
+
+    assert outcome(verify_flag) == outcome(verify_flag_per_covector)
+
+
 def test_malformed_flag_raises():
     g = alg("heisenberg")
     flag = catalog_flag("heisenberg")
@@ -180,6 +242,17 @@ def test_search_dense_height3_finds_flag():
     assert ok, reason
 
 
+def test_search_computes_one_polynomial_per_map(monkeypatch):
+    # each quotient map's characteristic polynomial is deflated from its
+    # parent's, so every adjoint map of g costs at most one char_poly
+    g = parse(G1_ROTATED_H3).algebra
+    calls = []
+    char_poly = linalg.char_poly
+    monkeypatch.setattr(linalg, "char_poly", lambda m: calls.append(m) or char_poly(m))
+    assert search_flag(g) is not None
+    assert len(calls) <= g.dim
+
+
 def test_search_semisimple_factor_blocks_flag():
     assert search_flag(so3_r4()) is None
 
@@ -222,14 +295,16 @@ def test_flagless_dimension_7_returns_none():
 @st.composite
 def commuting_semidirect_products(draw):
     """R^k x| R^m, k in {1, 2} and k + m <= 7, in a shuffled basis: [x_s, v] = M_s v
-    with M_s = c0 I + c1 M for one integer M with entries in -2..2, upper
-    triangular half the time, so that both outcomes of the search occur."""
+    with M_s = c0 I + c1 M for one rational M with entries a/b, a in -2..2 and
+    b in 1..3, upper triangular half the time, so that both outcomes of the
+    search occur, and so do E > 1, eigenvectors with denominators and
+    repeated eigenvalues."""
     k = draw(st.integers(1, 2))
     m = draw(st.integers(1, 7 - k))
     n = k + m
     pos = draw(st.permutations(range(1, n + 1)))  # pos[i]: where logical index i sits
     upper = draw(st.booleans())
-    entry = st.integers(-2, 2)
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
     mat = [[draw(entry) if c >= r or not upper else 0 for c in range(m)] for r in range(m)]
     terms = [{} for _ in range(n)]
     for s in range(k):
@@ -244,11 +319,26 @@ def commuting_semidirect_products(draw):
     return LieAlgebra("semidirect", n, tuple(Form.make(n, 2, t) for t in terms), None)
 
 
+common_eigenvector = exterior._common_eigenvector
+
+
+def carried_polynomials_checked(table, polys):
+    """`_common_eigenvector`, after checking every polynomial the search carries
+    down against the characteristic polynomial of its quotient map."""
+    n = len(table)
+    for i, cp in enumerate(polys):
+        if cp is not None:
+            assert cp == linalg.char_poly([[table[i][j][r] for j in range(n)] for r in range(n)])[1]
+    return common_eigenvector(table, polys)
+
+
 @settings(max_examples=200, deadline=None)
 @given(commuting_semidirect_products())
 def test_greedy_search_matches_the_exhaustive_one(g):
     assert g.is_valid
-    assert search_flag(g) == exhaustive_flag(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exterior, "_common_eigenvector", carried_polynomials_checked)
+        assert search_flag(g) == exhaustive_flag(g)
 
 
 # ---------------------------------------------------------------------------
