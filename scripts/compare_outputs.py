@@ -13,9 +13,11 @@ and `--k 3`), `flag search`, `flag verify` and `family solve`, in JSON and in
 text.  The inputs are the catalog (`prop31_family` at both roots and
 unspecialized), `perfbench/gen.py` rotations of all four catalog algebras at
 heights 1-3, relabelled copies (the basis permuted, the qc split moved along,
-vertical sets like (1, 2, 3) and (2, 5, 7)), a document that fails the
-vertical duality conditions, one whose omega_1 has a term off H, one that
-is not a Lie algebra, two whose parameter appears only in the flag or only
+vertical sets like (1, 2, 3) and (2, 5, 7)), g2, heisenberg and
+`prop31_family` declared at scale 3 and at -1/2 (the vertical covectors
+multiplied to match, so the connection stage rebases them by factors other
+than 2), a document that fails the vertical duality conditions, one whose
+omega_1 has a term off H, one that is not a Lie algebra, two whose parameter appears only in the flag or only
 in omega_1 (each bare and at mu = 0 and 1), and four small families whose
 `family solve` outcomes are roots of a gcd with mu^2 terms, no root from
 coprime obstructions, no root from a constant obstruction, and every value,
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 import subprocess
 import sys
 import tempfile
@@ -95,6 +98,10 @@ SPECIAL = {
         "d e7 = e14 + e23", "d e7 = e14 + e23 + e56"
     ),
 }
+
+# declared at each scale with the vertical covectors multiplied to match
+DECLARED = ("g2", "heisenberg", "prop31_family")
+DECLARED_SCALES = (Fraction(3), Fraction(-1, 2))
 
 # the parameter appears only in the flag (V^3 is invariant at mu = 0 only) or only in omega_1
 # (compatible at mu = 0 only); each runs bare and under PROBES
@@ -168,6 +175,16 @@ def relabelled_text(name: str, eqs, scale, perm, parametric: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def declared_at(eqs, scale: Fraction, target: Fraction):
+    """The equations in the coframe c e^v, c = target / scale on each vertical v:
+    the coefficient of e^ij in d e^k picks up c_k / (c_i c_j)."""
+    c = {i: target / scale if i in gen.VERTICAL else Fraction(1) for i in range(1, gen.DIM + 1)}
+    return {
+        k: {(i, j): (c0 * c[k] / (c[i] * c[j]), c1 * c[k] / (c[i] * c[j])) for (i, j), (c0, c1) in terms.items()}
+        for k, terms in eqs.items()
+    }
+
+
 def documents() -> dict[str, tuple[str, list]]:
     """name -> (.alg text, --param values, None for none) for every generated input."""
     docs = {}
@@ -180,6 +197,10 @@ def documents() -> dict[str, tuple[str, list]]:
         scale, eqs = gen.source_equations(source)
         for t, perm in enumerate(RELABELLINGS):
             docs[f"{source}_relabel{t}"] = (relabelled_text(source, eqs, scale, perm, parametric), params)
+        if source in DECLARED:
+            for t, target in enumerate(DECLARED_SCALES):
+                name = f"{source}_scale{t}"
+                docs[name] = (gen.alg_text(name, declared_at(eqs, scale, target), target, parametric), params)
     scale, eqs = gen.source_equations("g2")
     rotated = gen.change_coframe(eqs, gen.block_matrix(*gen.random_rotation(random.Random(3), 1)))
     for t, perm in enumerate(RELABELLINGS):

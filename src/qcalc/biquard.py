@@ -1,11 +1,10 @@
 """The canonical connection pipeline on a qc Lie algebra.
 
-Order of play: sp(1)-connection 1-forms and horizontal Ricci 2-forms as
-affine functions of the unknown scalar curvature S, one rational division
-per Ricci form for S, horizontal
-torsion tensor and the three torsion endomorphisms, the full torsion as one
-integer table, the Christoffel coefficients of the canonical connection (one
-Koszul sum over the structure table plus the torsion), curvature, and a
+Order of play: sp(1)-connection 1-forms and horizontal Ricci 2-forms at
+S = 0, the scalar curvature S from each Ricci form at its known slope, the
+horizontal torsion tensor and the three torsion endomorphisms, the full torsion
+as one integer table, the Christoffel coefficients of the canonical connection
+(one Koszul sum over the structure table plus the torsion), curvature, and a
 self-consistency audit.
 """
 
@@ -23,17 +22,14 @@ from .linalg import common_denominator, matmul, scaled
 from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility
 from .scalars import Scalar, Value, replace
 
-Affine = tuple[Matrix4, Matrix4]  # (R0, R1): the matrix R0 + S R1 for the scalar curvature S
 
-
-def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[tuple[Form, Form], ...]:
-    """The three connection 1-forms as affine pairs (A0, A1) in the scalar S:
-    alpha_i = A0_i + S A1_i.
+def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form]:
+    """The three connection 1-forms at S = 0; at the scalar S, alpha_i is the
+    returned form minus S/2 eta_i.
 
     Horizontal values: alpha_i(X) = d eta_k(xi_j, X).  Vertical values:
     alpha_i(xi_s) = d eta_s(xi_j, xi_k) minus, on the diagonal s = i, half
-    the scalar plus half the cyclic sum of the d eta_r(xi_j, xi_k): the
-    slope A1_i is -eta_i / 2.
+    the scalar plus half the cyclic sum of the d eta_r(xi_j, xi_k).
     """
     ok, violations = check_bi1(g, frame)
     if not ok:
@@ -47,23 +43,22 @@ def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[tuple[Form, For
         for s in range(3):
             val = d_etas[s].pair(v[j], v[k])
             values[(v[s],)] = val - cyc_sum / 2 if s == i else val
-        alphas.append((Form.make(g.dim, 1, values), Form.make(g.dim, 1, {(v[i],): Fraction(-1, 2)})))
+        alphas.append(Form.make(g.dim, 1, values))
     return alphas[0], alphas[1], alphas[2]
 
 
-def ricci_forms(
-    g: LieAlgebra, frame: QCFrame, alphas: tuple[tuple[Form, Form], ...]
-) -> tuple[Affine, Affine, Affine]:
-    """Horizontal Ricci 2-forms 2 rho_k = (d alpha_k + alpha_i ^ alpha_j)|_H as
-    affine pairs of 4x4 matrices, rho_k(e_a, e_b) = R0_k[a][b] + S R1_k[a][b].
+def ricci_forms(g: LieAlgebra, frame: QCFrame, alphas: tuple[Form, Form, Form]) -> tuple[Matrix4, Matrix4, Matrix4]:
+    """Horizontal Ricci 2-forms 2 rho_k = (d alpha_k + alpha_i ^ alpha_j)|_H at
+    S = 0 as 4x4 matrices rho_k(e_a, e_b); at the scalar S, rho_k + S/2 I_k.
 
     (d alpha)(e_a, e_b) = -alpha([e_a, e_b]) contracts alpha with the table
-    (E, C), and the wedge is an antisymmetrized outer product.  The slopes A1
-    are vertical, so they drop out of every wedge on H.  All over E f^2.
+    (E, C), and the wedge is an antisymmetrized outer product.  The S-part
+    -S/2 eta_k of alpha_k drops out of every wedge on H, and its d adds
+    -S/2 d eta_k|_H = -S omega_k to 2 rho_k at scale 2.  All over E f^2.
     """
     e, table = g.structure_table
     h = [x - 1 for x in frame.horizontal]
-    coeffs = [[al.coeff((c,)) for c in range(1, g.dim + 1)] for pair in alphas for al in pair]
+    coeffs = [[al.coeff((c,)) for c in range(1, g.dim + 1)] for al in alphas]
     f = common_denominator(x for row in coeffs for x in row)
     ints = scaled(coeffs, f)
 
@@ -72,48 +67,38 @@ def ricci_forms(
 
     rhos = []
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        a0, a1, u, w = ints[2 * k], ints[2 * k + 1], ints[2 * i], ints[2 * j]
-        rhos.append((
-            on_h(lambda a, b: e * (u[a] * w[b] - u[b] * w[a]) - f * sum(map(mul, a0, table[a][b]))),
-            on_h(lambda a, b: -f * sum(map(mul, a1, table[a][b]))),
-        ))
+        a0, u, w = ints[k], ints[i], ints[j]
+        rhos.append(on_h(lambda a, b: e * (u[a] * w[b] - u[b] * w[a]) - f * sum(map(mul, a0, table[a][b]))))
     return rhos[0], rhos[1], rhos[2]
 
 
-def _at_scalar(pair: Affine, s_value: Fraction) -> Matrix4:
-    """The matrix R0 + S R1 of an affine pair at a value of the scalar."""
-    return [[x + s_value * y for x, y in zip(u, w)] for u, w in zip(*pair)]
-
-
-def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Affine, Affine, Affine]) -> Fraction:
-    """Contract each rho_r against I_r and solve the affine equation for the scalar.
+def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matrix4]) -> Fraction:
+    """Contract each rho_r at S = 0 against I_r and solve for the scalar.
 
     The trace identity Sum_a rho_r(e_a, I_r e_a) = Sum_ab R_r[a][b] I_r[b][a]
     = -4S holds in dimension 7 because the horizontal torsion is completely
-    trace-free; the three r give one linear equation each and must agree.
-    With the scale normalized to 2, R1_r = I_r / 2 contracts to -2.
+    trace-free.  The S-part S/2 I_r contracts to -2S, so the contraction c_r
+    at S = 0 gives c_r - 2S = -4S, S = -c_r / 2; the three r must agree.
     """
-    values = []
-    for r, ((r0, r1), m) in enumerate(zip(rhos, frame.complex_structures), 1):
-        c0, c1 = (sum(x[a][b] * m[b][a] for a in range(4) for b in range(4)) for x in (r0, r1))
-        if c1 == -4:  # c0 + S c1 = -4 S leaves S free or unsolvable (a scale of 4)
-            raise InconsistentCurvature(f"contraction {r} does not determine the scalar")
-        values.append(-c0 / (c1 + 4))
+    if frame.scale != 2:
+        raise InconsistentCurvature(f"scale {frame.scale} is not 2: rebase the frame with normalize_scale")
+    values = [
+        -sum(rho[a][b] * m[b][a] for a in range(4) for b in range(4)) / 2
+        for rho, m in zip(rhos, frame.complex_structures)
+    ]
     if len(set(values)) != 1:
         raise InconsistentCurvature(f"contractions disagree: {values}")
     return values[0]
 
 
-def t0_tensor(
-    frame: QCFrame, rhos: tuple[Affine, Affine, Affine], s_value: Fraction
-) -> Matrix4:
-    """Reconstruct the horizontal torsion 2-tensor from the Ricci 2-forms.
+def t0_tensor(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matrix4], s_value: Fraction) -> Matrix4:
+    """Reconstruct the horizontal torsion 2-tensor from the Ricci 2-forms at S.
 
     T0(X, Y) = Sum_r rho_r(X, -I_r Y) - 3 S g(X, Y), that is
     T0 = -Sum_r R_r I_r - 3 S g with R_r the matrix of rho_r; the result has
     to come out symmetric and trace-free, which is audited here.
     """
-    prods = [matmul(_at_scalar(pair, s_value), m) for pair, m in zip(rhos, frame.complex_structures)]
+    prods = [matmul(rho, m) for rho, m in zip(rhos, frame.complex_structures)]
     t0: Matrix4 = [
         [-sum(p[a][b] for p in prods) - (3 * s_value if a == b else 0) for b in range(4)]
         for a in range(4)
@@ -283,8 +268,8 @@ class Pipeline(Value):
 
     g: LieAlgebra
     frame: QCFrame
-    alphas: tuple[Form, Form, Form]  # at the solved scalar
-    rhos: tuple[Affine, Affine, Affine]
+    alphas: tuple[Form, Form, Form]  # at the solved scalar, like rhos
+    rhos: tuple[Matrix4, Matrix4, Matrix4]
     s_value: Fraction
     t0: Matrix4
     endos: tuple[Matrix4, Matrix4, Matrix4]
@@ -316,10 +301,14 @@ def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
             f"{g.name}: d eta_r restricted to H is not {frame.scale} * omega_r"
         )
     g, frame = normalize_scale(g, frame)
-    pairs = sp1_connection_forms(g, frame)
-    rhos = ricci_forms(g, frame, pairs)
+    alphas = sp1_connection_forms(g, frame)
+    rhos = ricci_forms(g, frame, alphas)
     s_value = solve_qc_scalar_curvature(frame, rhos)
-    alphas = tuple(a0 + s_value * a1 for a0, a1 in pairs)
+    half = s_value / 2
+    alphas = tuple(al - Form.monomial(g.dim, half, (x,)) for al, x in zip(alphas, frame.vertical))
+    rhos = tuple(
+        [[x + half * y for x, y in zip(u, w)] for u, w in zip(rho, m)] for rho, m in zip(rhos, frame.complex_structures)
+    )
     t0 = t0_tensor(frame, rhos, s_value)
     endos = torsion_endomorphisms(frame, t0)
     torsion = assemble_torsion(g, frame, endos, s_value)
@@ -386,11 +375,10 @@ def audit(p: Pipeline) -> list[dict]:
 
     # Sum_ab I_r[b][a] R(x, y, e_a, e_b) == 4 rho_r(x, y), both sides times q
     rt, rden = p.riem.table, p.riem.den
-    rho_mats = [_at_scalar(r, p.s_value) for r in p.rhos]
     ok = all(
         Fraction(sum(m[b][a] * rt[hor[x]][hor[y]][hor[a]][hor[b]] for a in span4 for b in span4), q * rden)
         == 4 * rm[x][y]
-        for rm, m in zip(rho_mats, js)
+        for rm, m in zip(p.rhos, js)
         for x in span4
         for y in span4
     )

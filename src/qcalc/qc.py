@@ -125,26 +125,17 @@ def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | No
     d eta_i must decompose as scale*omega_i + f_j ^ eta_k - f_k ^ eta_j modulo
     purely vertical 2-forms, with (i, j, k) cyclic: f_j(X) = d eta_i(X, xi_k)
     and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
-    Returns None when the pattern does not match.
+    The two readings of f_k, d eta_j(X, xi_i) and -d eta_i(X, xi_j), agree
+    and every d eta_i(X, xi_i) vanishes exactly when `check_bi1` holds, so
+    f_j(X) = d eta_i(X, xi_k) is read once per cycle.  Returns None when the
+    frame fails `check_compatibility` or `check_bi1`.
     """
-    if not check_compatibility(g, frame):
+    if not check_compatibility(g, frame) or not check_bi1(g, frame)[0]:
         return None
     v = frame.vertical
     d_etas = [g.differential(x) for x in v]
-
-    def along(i: int, r: int) -> Form:
-        """The horizontal 1-form X -> d eta_i(X, xi_r)."""
-        return Form.make(g.dim, 1, {(x,): d_etas[i].pair(x, v[r]) for x in frame.horizontal})
-
-    found: list[list[Form]] = [[], [], []]
-    for i, j, k in CYCLES:
-        if not along(i, i).is_zero:
-            return None
-        found[j].append(along(i, k))
-        found[k].append(-along(i, j))
-    if any(a != b for a, b in found):
-        return None
-    return found[0][0], found[1][0], found[2][0]
+    f = {j: Form.make(g.dim, 1, {(x,): d_etas[i].pair(x, v[k]) for x in frame.horizontal}) for i, j, k in CYCLES}
+    return f[0], f[1], f[2]
 
 
 def fundamental_form(frame: QCFrame) -> Form:

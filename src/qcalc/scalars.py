@@ -10,9 +10,10 @@ parameter" uniformly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IndeterminateMismatch, ZeroPolynomial
+from .linalg import _primitive
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -281,17 +282,8 @@ def poly_gcd(polys: list[Poly]) -> Scalar:
 
 
 # Integer polynomials below are low-first lists of ints without trailing
-# zeros; the empty list is the zero polynomial.
-
-
-def _primitive(coeffs: list[Fraction] | list[int]) -> list[int]:
-    """Integer multiple with coprime entries and a positive leading one."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-    return [v // content for v in ints]
+# zeros; the empty list is the zero polynomial.  `_primitive` keeps the sign:
+# rational_roots, poly_gcd, _int_gcd and _squarefree/_sturm give the same for -p.
 
 
 def _trim(p: list[int]) -> list[int]:

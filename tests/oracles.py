@@ -222,12 +222,16 @@ def linear_coeffs(x: Scalar, var: str) -> tuple[Fraction, Fraction]:
     return x.coeff(1), x.coeff(0)
 
 
-def symbolic(pair):
-    """A0 + S A1 for an affine pair of forms or of matrices, over Poly in S."""
-    a0, a1 = pair
-    if isinstance(a0, Form):
-        return a0 + S * a1
-    return [[x + S * y for x, y in zip(u, w)] for u, w in zip(a0, a1)]
+def symbolic(parts, frame) -> list:
+    """The three connection forms at S = 0 as alpha_i - S/2 eta_i, or the three
+    Ricci matrices at S = 0 as rho_k + S/2 I_k, over Poly in S (scale 2)."""
+    half = Fraction(1, 2) * S
+    if isinstance(parts[0], Form):
+        return [al - Form.monomial(al.dim, half, (x,)) for al, x in zip(parts, frame.vertical)]
+    return [
+        [[x + half * y for x, y in zip(u, w)] for u, w in zip(rho, m)]
+        for rho, m in zip(parts, frame.complex_structures)
+    ]
 
 
 def symbolic_connection_forms(g, frame) -> list[Form]:

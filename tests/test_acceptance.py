@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from qcalc.biquard import (
     CYCLES,
+    ricci_forms,
     run_pipeline,
     sp1_connection_forms,
 )
@@ -198,9 +199,10 @@ def test_criterion_04():
             p = pipeline(name)
             assert p.s_value == want
             structures = derive_complex_structures(p.frame)
+            rhos = symbolic(ricci_forms(p.g, p.frame, sp1_connection_forms(p.g, p.frame)), p.frame)
             for r in range(3):
                 total = Fraction(0)
-                rho = symbolic(p.rhos[r])
+                rho = rhos[r]
                 for pos in range(4):
                     iy = hcomps(p.frame, i_image(p.frame, structures[r], pos))
                     total = total + sum((rho[pos][b] * iy[b] for b in range(4)), Fraction(0))
@@ -213,7 +215,7 @@ def test_criterion_05():
         half = Fraction(1, 2)
         for name, c in (("g1", Fraction(1, 2)), ("g2", Fraction(1, 6))):
             g, frame = algebra(name)
-            alphas = sp1_connection_forms(g, frame)
+            alphas = symbolic(sp1_connection_forms(g, frame), frame)
             golden = (
                 (-half * (S - c)) * ev(5),
                 (-half * (S - c)) * ev(6),
@@ -221,7 +223,7 @@ def test_criterion_05():
             )
             s_value = pipeline(name).s_value
             for computed, target in zip(alphas, golden):
-                assert substitute_form(symbolic(computed), s_value) == substitute_form(
+                assert substitute_form(computed, s_value) == substitute_form(
                     target, s_value
                 )
 
@@ -408,7 +410,7 @@ def test_criterion_11():
                     wrong = vset if b in hset else hset
                     assert all(vec.comp(i) == 0 for i in wrong)
 
-            alphas_n = [substitute_form(symbolic(al), p.s_value) for al in sp1_connection_forms(p.g, frame)]
+            alphas_n = [substitute_form(al, p.s_value) for al in symbolic(sp1_connection_forms(p.g, frame), frame)]
             for i, j, k in CYCLES:
                 for a in range(1, 8):
                     ea = Vec.basis(7, a)
@@ -428,7 +430,9 @@ def test_criterion_11():
                         )
                         assert lhs == rhs
 
-            rhos_n = [[[substitute(c, p.s_value) for c in row] for row in symbolic(r)] for r in p.rhos]
+            rhos_s = symbolic(ricci_forms(p.g, frame, sp1_connection_forms(p.g, frame)), frame)
+            rhos_n = [[[substitute(c, p.s_value) for c in row] for row in r] for r in rhos_s]
+            assert rhos_n == list(p.rhos)
             for rho, m in zip(rhos_n, structures):
                 for xpos in range(4):
                     for ypos in range(4):

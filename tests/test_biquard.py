@@ -20,7 +20,7 @@ from qcalc.errors import InconsistentCurvature, NotIntegrable
 from qcalc.family import rescale_covectors
 from qcalc.exterior import Form, LieAlgebra, Vec, substitute_form
 from qcalc.parser import parse
-from qcalc.qc import derive_complex_structures, horizontal_matrix, standard_frame
+from qcalc.qc import check_compatibility, derive_complex_structures, horizontal_matrix, standard_frame
 from qcalc.scalars import is_zero, replace, substitute
 from oracles import (
     S,
@@ -69,7 +69,7 @@ def ev(i):
 
 def test_connection_forms_g1():
     g, frame = load("g1")
-    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
+    a1, a2, a3 = symbolic(sp1_connection_forms(g, frame), frame)
     half = Fraction(1, 2)
     assert a1 == (-half * (S - half)) * ev(5)
     assert a2 == (-half * (S - half)) * ev(6)
@@ -78,7 +78,7 @@ def test_connection_forms_g1():
 
 def test_connection_forms_g2():
     g, frame = load("g2")
-    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
+    a1, a2, a3 = symbolic(sp1_connection_forms(g, frame), frame)
     half, sixth = Fraction(1, 2), Fraction(1, 6)
     assert a1 == (-half * (S - sixth)) * ev(5)
     assert a2 == (-half * (S - sixth)) * ev(6)
@@ -87,7 +87,7 @@ def test_connection_forms_g2():
 
 def test_connection_forms_heisenberg():
     g, frame = normalize_scale(*load("heisenberg"))
-    a1, a2, a3 = map(symbolic, sp1_connection_forms(g, frame))
+    a1, a2, a3 = symbolic(sp1_connection_forms(g, frame), frame)
     for r, a in enumerate((a1, a2, a3)):
         assert a == (-S / 2) * covector(7, frame.vertical[r])
 
@@ -108,7 +108,7 @@ def test_connection_forms_require_duality_conditions():
 
 def test_ricci_forms_g1():
     g, frame = load("g1")
-    rhos = [symbolic(r) for r in ricci_forms(g, frame, sp1_connection_forms(g, frame))]
+    rhos = symbolic(ricci_forms(g, frame, sp1_connection_forms(g, frame)), frame)
     half = Fraction(1, 2)
     w1 = mono(1, 2) + mono(3, 4)
     w2 = mono(1, 3) + mono(4, 2)
@@ -120,15 +120,16 @@ def test_ricci_forms_g1():
 
 @pytest.mark.parametrize("name,mu", [*PIPELINE_CASES, ("g1_rot_h3", None)])
 def test_ricci_pairs_match_the_symbolic_route(name, mu):
-    # the affine pairs against alpha and rho built over Poly in S with LieAlgebra.d
-    # and Form.wedge; an S^2 term surviving on H would show as a degree-2 entry
+    # the S = 0 forms and matrices at their closed-form slopes against alpha and rho
+    # built over Poly in S with LieAlgebra.d and Form.wedge; a wrong slope would show
+    # in the S coefficient, and an S^2 term surviving on H as a degree-2 entry
     p = rotated_h3_pipeline() if name == "g1_rot_h3" else case_pipeline(name, mu)
-    pairs = sp1_connection_forms(p.g, p.frame)
-    assert [symbolic(a) for a in pairs] == symbolic_connection_forms(p.g, p.frame)
-    assert p.alphas == tuple(substitute_form(symbolic(a), p.s_value) for a in pairs)
+    alphas = sp1_connection_forms(p.g, p.frame)
+    assert symbolic(alphas, p.frame) == symbolic_connection_forms(p.g, p.frame)
+    assert list(p.alphas) == [substitute_form(a, p.s_value) for a in symbolic(alphas, p.frame)]
     expected = [horizontal_matrix(rho, p.frame) for rho in symbolic_ricci_forms(p.g, p.frame)]
-    assert [symbolic(r) for r in ricci_forms(p.g, p.frame, pairs)] == expected
-    assert [symbolic(r) for r in p.rhos] == expected
+    assert symbolic(ricci_forms(p.g, p.frame, alphas), p.frame) == expected
+    assert list(p.rhos) == [[[substitute(c, p.s_value) for c in row] for row in rho] for rho in expected]
 
 
 def test_ricci_pairs_match_the_symbolic_route_with_horizontal_wedges():
@@ -140,10 +141,10 @@ def test_ricci_pairs_match_the_symbolic_route_with_horizontal_wedges():
         "d e5 = 2(e12 + e34) + e27 - e36\nd e6 = 2(e13 + e42) + e35 - e17\nd e7 = 2(e14 + e23) + e16 - e25\n"
     ).algebra
     frame = standard_frame()
-    pairs = sp1_connection_forms(g, frame)
-    assert sum(any(a0.coeff((x,)) for x in frame.horizontal) for a0, _ in pairs) >= 2
+    alphas = sp1_connection_forms(g, frame)
+    assert sum(any(a.coeff((x,)) for x in frame.horizontal) for a in alphas) >= 2
     expected = [horizontal_matrix(rho, frame) for rho in symbolic_ricci_forms(g, frame)]
-    assert [symbolic(r) for r in ricci_forms(g, frame, pairs)] == expected
+    assert symbolic(ricci_forms(g, frame, alphas), frame) == expected
 
 
 def test_scalar_curvature_values():
@@ -153,13 +154,19 @@ def test_scalar_curvature_values():
         assert solve_qc_scalar_curvature(frame, rhos) == expected
 
 
-def test_scale_four_leaves_the_scalar_undetermined():
-    # at scale 4 the S-slope of each contraction is -4, the same as the -4 S it must
-    # equal: called without normalize_scale, the solve raises a qcalc error
-    g, frame = load("heisenberg")
-    g = rescale_covectors(g, {v: Fraction(4) for v in frame.vertical})
-    frame = replace(frame, scale=Fraction(4))
-    with pytest.raises(InconsistentCurvature, match="does not determine the scalar"):
+def declared_at(g, frame, scale):
+    """The same qc structure with the vertical covectors rescaled to the given scale."""
+    factor = Fraction(scale) / frame.scale
+    return rescale_covectors(g, {v: factor for v in frame.vertical}), replace(frame, scale=Fraction(scale))
+
+
+@pytest.mark.parametrize("scale", ["3", "1/2", "-2", "4"])
+def test_the_solve_rejects_a_scale_other_than_two(scale):
+    # the slope S/2 I_r of each rho_r holds at scale 2 only: called without
+    # normalize_scale, the chain raises a qcalc error instead of returning a wrong S
+    g, frame = declared_at(*load("g1"), scale)
+    assert check_compatibility(g, frame)
+    with pytest.raises(InconsistentCurvature, match="normalize_scale"):
         solve_qc_scalar_curvature(frame, ricci_forms(g, frame, sp1_connection_forms(g, frame)))
 
 
@@ -169,10 +176,11 @@ def test_three_contractions_agree(name):
     # substituting the solved value must satisfy all of them
     g, frame = load(name)
     structures = derive_complex_structures(frame)
-    rhos = ricci_forms(g, frame, sp1_connection_forms(g, frame))
-    s_value = solve_qc_scalar_curvature(frame, rhos)
+    at_zero = ricci_forms(g, frame, sp1_connection_forms(g, frame))
+    s_value = solve_qc_scalar_curvature(frame, at_zero)
+    rhos = symbolic(at_zero, frame)
     for r in range(3):
-        rho = [[substitute(c, s_value) for c in row] for row in symbolic(rhos[r])]
+        rho = [[substitute(c, s_value) for c in row] for row in rhos[r]]
         total = Fraction(0)
         for pos in range(4):
             ea = hvec(frame, pos)
@@ -385,6 +393,25 @@ def test_family_pipeline_equals_rescaled_twin(mu, twin):
     assert pf.t0 == pt.t0
     assert pf.endos == pt.endos
     assert pf.riem == pt.riem
+
+
+@pytest.mark.parametrize("scale", ["3", "1/2", "-2"])
+@pytest.mark.parametrize(
+    "name,mu",
+    [("g1", None), ("g2", None), ("heisenberg", None), ("prop31_family", "-1"), ("prop31_family", "-1/3"), ("g1_rot_h3", None)],
+)
+def test_declared_scale_leaves_the_pipeline_unchanged(name, mu, scale):
+    # the same structure declared at another scale, the vertical covectors rescaled
+    # to match: run_pipeline rebases both to scale 2, so every output coincides
+    if name == "g1_rot_h3":
+        doc = parse(G1_ROTATED_H3)
+        g, frame = doc.algebra, doc.frame
+    else:
+        g, frame = load(name, mu)
+    p, q = run_pipeline(g, frame), run_pipeline(*declared_at(g, frame, scale))
+    assert (q.s_value, q.t0, q.endos) == (p.s_value, p.t0, p.endos)
+    assert q.riem == p.riem
+    assert all(c["passed"] for c in audit(q))
 
 
 # ---------------------------------------------------------------------------
