@@ -15,25 +15,23 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import InconsistentCurvature, InconsistentTorsion, NotIntegrable, NotQuaternionic
+from .errors import InconsistentCurvature, InconsistentTorsion
 from .exterior import Form, LieAlgebra, Vec, require_rational
-from .family import rescale_covectors
 from .linalg import common_denominator, matmul, scaled
-from .qc import CYCLES, Matrix4, QCFrame, check_bi1, check_compatibility
-from .scalars import Scalar, Value, replace
+from .qc import CYCLES, Matrix4, QCFrame, adapt
+from .scalars import Scalar, Value
 
 
 def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form]:
     """The three connection 1-forms at S = 0; at the scalar S, alpha_i is the
     returned form minus S/2 eta_i.
 
+    Takes an adapted pair, as `qc.adapt` returns it (scale 2, a quaternionic
+    triple, the duality conditions hold); it checks none of that itself.
     Horizontal values: alpha_i(X) = d eta_k(xi_j, X).  Vertical values:
     alpha_i(xi_s) = d eta_s(xi_j, xi_k) minus, on the diagonal s = i, half
     the scalar plus half the cyclic sum of the d eta_r(xi_j, xi_k).
     """
-    ok, violations = check_bi1(g, frame)
-    if not ok:
-        raise NotIntegrable("; ".join(violations))
     v = frame.vertical
     d_etas = [g.differential(x) for x in v]
     cyc_sum: Scalar = sum((d_etas[i].pair(v[j], v[k]) for i, j, k in CYCLES), Fraction(0))
@@ -81,7 +79,7 @@ def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matr
     at S = 0 gives c_r - 2S = -4S, S = -c_r / 2; the three r must agree.
     """
     if frame.scale != 2:
-        raise InconsistentCurvature(f"scale {frame.scale} is not 2: rebase the frame with normalize_scale")
+        raise InconsistentCurvature(f"scale {frame.scale} is not 2: rebase the frame with adapt")
     values = [
         -sum(rho[a][b] * m[b][a] for a in range(4) for b in range(4)) / 2
         for rho, m in zip(rhos, frame.complex_structures)
@@ -278,29 +276,10 @@ class Pipeline(Value):
     riem: Curvature
 
 
-def normalize_scale(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]:
-    """Rescale the vertical covectors so the compatibility scale becomes 2.
-
-    The connection formulas assume the convention in which the differentials
-    of the vertical covectors restrict to twice the fundamental 2-forms, so
-    a document declared with another scale is rebased first.  The horizontal
-    covectors are untouched, hence every horizontal output (scalar curvature,
-    torsion tensor, curvature samples) is unchanged by the rebase.
-    """
-    if frame.scale == 2:
-        return g, frame
-    factor = Fraction(2) / frame.scale
-    rescaled = rescale_covectors(g, {v: factor for v in frame.vertical})
-    return rescaled, replace(frame, scale=Fraction(2))
-
-
 def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
+    """Every stage on the pair `qc.adapt` returns; raises what the gate raises."""
     require_rational(g)
-    if not check_compatibility(g, frame):
-        raise NotQuaternionic(
-            f"{g.name}: d eta_r restricted to H is not {frame.scale} * omega_r"
-        )
-    g, frame = normalize_scale(g, frame)
+    g, frame = adapt(g, frame)
     alphas = sp1_connection_forms(g, frame)
     rhos = ricci_forms(g, frame, alphas)
     s_value = solve_qc_scalar_curvature(frame, rhos)

@@ -22,7 +22,7 @@ from .errors import (
 from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, verify_flag
 from .family import ALL_VALUES, solve_family
 from .parser import AlgebraDocument, flag_texts, parse
-from .qc import check_bi1, check_compatibility
+from .qc import adapt, verdicts
 from .report import build_report, wqc_block
 
 
@@ -220,10 +220,8 @@ def _cmd_check(args, fmt: str) -> int:
     ok = g.is_valid
     out: dict = {"name": g.name, "jacobi": ok, "qc_valid": None, "bi1": None}
     if ok and frame is not None:
-        out["qc_valid"] = check_compatibility(g, frame)
-        if out["qc_valid"]:
-            out["bi1"] = check_bi1(g, frame)[0]
-        ok = bool(out["qc_valid"] and out["bi1"])
+        out["qc_valid"], out["bi1"], _ = verdicts(adapt, g, frame)
+        ok = bool(out["bi1"])
     _emit(out, fmt, _head_lines)
     return 0 if ok else 1
 

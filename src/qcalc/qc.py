@@ -12,10 +12,11 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NotQuaternionic
+from .errors import NotIntegrable, NotQuaternionic
 from .exterior import Form, LieAlgebra
+from .family import rescale_covectors
 from .linalg import matmul
-from .scalars import Scalar, Value, is_zero
+from .scalars import Scalar, Value, is_zero, replace
 
 Matrix4 = list[list[Scalar]]
 
@@ -119,6 +120,40 @@ def check_bi1(g: LieAlgebra, frame: QCFrame) -> tuple[bool, list[str]]:
     return not violations, violations
 
 
+def adapt(g: LieAlgebra, frame: QCFrame) -> tuple[LieAlgebra, QCFrame]:
+    """The one qc gate: the adapted pair (d eta_r|_H = 2 omega_r, omegas a
+    quaternionic triple, the duality conditions hold) the pipeline takes.
+
+    In order: `check_compatibility` fails with NotQuaternionic; a scale other
+    than 2 is rebased by multiplying the vertical covectors by 2/scale, which
+    changes no horizontal output and no duality verdict; reading
+    `frame.complex_structures` raises NotQuaternionic for a triple that is not
+    quaternionic (and caches them on the returned frame); `check_bi1` fails
+    with NotIntegrable, its violations joined by "; ".
+    """
+    if not check_compatibility(g, frame):
+        raise NotQuaternionic(f"{g.name}: d eta_r restricted to H is not {frame.scale} * omega_r")
+    if frame.scale != 2:
+        g = rescale_covectors(g, {v: Fraction(2) / frame.scale for v in frame.vertical})
+        frame = replace(frame, scale=Fraction(2))
+    frame.complex_structures
+    ok, violations = check_bi1(g, frame)
+    if not ok:
+        raise NotIntegrable("; ".join(violations))
+    return g, frame
+
+
+def verdicts(run, g: LieAlgebra, frame: QCFrame):
+    """(qc_valid, bi1, run(g, frame)) for a run that starts with `adapt`,
+    the verdicts read off the exception it raises."""
+    try:
+        return True, True, run(g, frame)
+    except NotQuaternionic:
+        return False, None, None
+    except NotIntegrable:
+        return True, False, None
+
+
 def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | None:
     """Extract the horizontal 1-forms f_1, f_2, f_3 of the adapted coframe shape.
 
@@ -127,10 +162,10 @@ def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | No
     and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
     The two readings of f_k, d eta_j(X, xi_i) and -d eta_i(X, xi_j), agree
     and every d eta_i(X, xi_i) vanishes exactly when `check_bi1` holds, so
-    f_j(X) = d eta_i(X, xi_k) is read once per cycle.  Returns None when the
-    frame fails `check_compatibility` or `check_bi1`.
+    f_j(X) = d eta_i(X, xi_k) is read once per cycle.  Returns None when
+    `adapt` rejects the frame.
     """
-    if not check_compatibility(g, frame) or not check_bi1(g, frame)[0]:
+    if not verdicts(adapt, g, frame)[1]:
         return None
     v = frame.vertical
     d_etas = [g.differential(x) for x in v]

@@ -6,13 +6,7 @@ from .biquard import Curvature, Pipeline, audit, run_pipeline
 from .conformal import is_qc_conformally_flat, wqc_tensor
 from .exterior import LieAlgebra
 from .family import fingerprint
-from .qc import (
-    QCFrame,
-    check_bi1,
-    check_compatibility,
-    d_fundamental_form,
-    vertical_integrable,
-)
+from .qc import QCFrame, d_fundamental_form, verdicts, vertical_integrable
 
 # the keys after "name" and "jacobi", in output order; each starts as None
 REPORT_KEYS = (
@@ -42,8 +36,8 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     """Build the report dict and an overall pass flag.
 
     The pass flag is False when the Jacobi identity fails, or when a qc
-    block is present and its compatibility, first Biquard identity, or any
-    audit check fails.  The closedness of the fundamental 4-form, vertical
+    block is present and fails the gate of `run_pipeline` or any audit
+    check.  The closedness of the fundamental 4-form, vertical
     integrability, and conformal flatness are reported as findings only.
     """
     jacobi = g.is_valid
@@ -53,18 +47,13 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     report["fingerprint"] = fingerprint(g)
     if frame is None:
         return report, True
-    ok = True
-    qc_valid = check_compatibility(g, frame)
-    report["qc_valid"] = qc_valid
-    if not qc_valid:
+    report["qc_valid"], report["bi1"], p = verdicts(run_pipeline, g, frame)
+    if not report["qc_valid"]:
         return report, False
     report["dOmega_zero"] = d_fundamental_form(g, frame).is_zero
     report["vertical_integrable"] = vertical_integrable(g, frame)
-    bi1_ok, _ = check_bi1(g, frame)
-    report["bi1"] = bi1_ok
-    if not bi1_ok:
+    if p is None:
         return report, False
-    p = run_pipeline(g, frame)
     report["S"] = str(p.s_value)
     report["T0"] = _matrix_strings(p.t0)
     report["torsion_endos"] = [_matrix_strings(m) for m in p.endos]
@@ -73,8 +62,5 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     )
     report["R_samples"] = samples(p.riem, p.frame.horizontal)
     report["wqc_samples"], report["conformally_flat"] = wqc_block(p)
-    checks = audit(p)
-    report["audit"] = checks
-    if not all(c["passed"] for c in checks):
-        ok = False
-    return report, ok
+    report["audit"] = audit(p)
+    return report, all(c["passed"] for c in report["audit"])

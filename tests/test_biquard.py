@@ -9,7 +9,6 @@ from qcalc.biquard import (
     Torsion,
     biquard_connection,
     levi_civita,
-    normalize_scale,
     ricci_forms,
     run_pipeline,
     solve_qc_scalar_curvature,
@@ -20,7 +19,7 @@ from qcalc.errors import InconsistentCurvature, NotIntegrable
 from qcalc.family import rescale_covectors
 from qcalc.exterior import Form, LieAlgebra, Vec, substitute_form
 from qcalc.parser import parse
-from qcalc.qc import check_compatibility, derive_complex_structures, horizontal_matrix, standard_frame
+from qcalc.qc import adapt, check_compatibility, derive_complex_structures, horizontal_matrix, standard_frame
 from qcalc.scalars import is_zero, replace, substitute
 from oracles import (
     S,
@@ -86,7 +85,7 @@ def test_connection_forms_g2():
 
 
 def test_connection_forms_heisenberg():
-    g, frame = normalize_scale(*load("heisenberg"))
+    g, frame = adapt(*load("heisenberg"))
     a1, a2, a3 = symbolic(sp1_connection_forms(g, frame), frame)
     for r, a in enumerate((a1, a2, a3)):
         assert a == (-S / 2) * covector(7, frame.vertical[r])
@@ -99,7 +98,9 @@ def test_connection_forms_require_duality_conditions():
     g = LieAlgebra("broken", 7, tuple(diffs), None)
     frame = standard_frame(scale=Fraction(1))
     with pytest.raises(NotIntegrable):
-        sp1_connection_forms(g, frame)
+        adapt(g, frame)
+    with pytest.raises(NotIntegrable):
+        run_pipeline(g, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ def test_ricci_pairs_match_the_symbolic_route_with_horizontal_wedges():
 
 def test_scalar_curvature_values():
     for name, expected in (("g1", Fraction(-1, 2)), ("g2", Fraction(-1, 6)), ("heisenberg", Fraction(0))):
-        g, frame = normalize_scale(*load(name))
+        g, frame = adapt(*load(name))
         rhos = ricci_forms(g, frame, sp1_connection_forms(g, frame))
         assert solve_qc_scalar_curvature(frame, rhos) == expected
 
@@ -163,10 +164,10 @@ def declared_at(g, frame, scale):
 @pytest.mark.parametrize("scale", ["3", "1/2", "-2", "4"])
 def test_the_solve_rejects_a_scale_other_than_two(scale):
     # the slope S/2 I_r of each rho_r holds at scale 2 only: called without
-    # normalize_scale, the chain raises a qcalc error instead of returning a wrong S
+    # adapt, the chain raises a qcalc error instead of returning a wrong S
     g, frame = declared_at(*load("g1"), scale)
     assert check_compatibility(g, frame)
-    with pytest.raises(InconsistentCurvature, match="normalize_scale"):
+    with pytest.raises(InconsistentCurvature, match="adapt"):
         solve_qc_scalar_curvature(frame, ricci_forms(g, frame, sp1_connection_forms(g, frame)))
 
 

@@ -1,15 +1,25 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcalc
+import qcalc.cli
 from qcalc.catalog import names, source
+from qcalc.errors import NotQuaternionic
 from qcalc.exterior import verify_flag
 from qcalc.parser import parse
+from qcalc.qc import adapt, adapted_shape
 from test_conformal import G2_ROTATED
+from test_relabel import NOT_BI1, OFF_H
 
 REPORT_KEYS = [
     "name",
@@ -42,6 +52,13 @@ def run(*args, env_extra=None, timeout=None):
         env=env,
         timeout=timeout,
     )
+
+
+def run_in_process(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = qcalc.cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 def jout(result):
@@ -362,11 +379,22 @@ def test_check_rejects_omega_off_h(tmp_path):
     assert "qc structure: false\n" in r.stdout
 
 
+# d eta_r|_H = 0 * omega_r holds on the abelian algebra, but a zero scale is no qc structure
+SCALE0 = (
+    "algebra flat dim 7\n" + "".join(f"d e{k} = 0\n" for k in range(1, 8))
+    + "qc horizontal 1 2 3 4 vertical 5 6 7 scale 0\nomega1 = e12 + e34\nomega2 = e13 + e42\nomega3 = e14 + e23\n"
+)
+
+# heisenberg with every d eta_r and omega_r doubled at scale 1: compatible, but
+# I_r^2 = -4 id, so the omegas are no quaternionic triple
+HEIS_SKEW2 = source("heisenberg").replace("algebra heisenberg", "algebra heis_skew2")
+for _form in ("e12 + e34", "e13 + e42", "e14 + e23"):
+    HEIS_SKEW2 = HEIS_SKEW2.replace(f"= {_form}\n", f"= 2({_form})\n")
+
+
 def test_scale_zero_is_not_qc(tmp_path):
-    # d eta_r|_H = 0 * omega_r holds on the abelian algebra, but a zero scale is no qc structure
-    qc = "qc horizontal 1 2 3 4 vertical 5 6 7 scale 0\nomega1 = e12 + e34\nomega2 = e13 + e42\nomega3 = e14 + e23\n"
     path = tmp_path / "scale0.alg"
-    path.write_text("algebra flat dim 7\n" + "".join(f"d e{k} = 0\n" for k in range(1, 8)) + qc)
+    path.write_text(SCALE0)
     for cmd in ("check", "report"):
         r = run(cmd, str(path))
         assert (r.returncode, r.stderr) == (1, "")
@@ -374,6 +402,64 @@ def test_scale_zero_is_not_qc(tmp_path):
     r = run("wqc", str(path))
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "error: flat: d eta_r restricted to H is not 0 * omega_r\n"
+
+
+def test_check_and_report_reject_a_triple_that_is_not_quaternionic(tmp_path):
+    path = tmp_path / "heis_skew2.alg"
+    path.write_text(HEIS_SKEW2)
+    doc = parse(HEIS_SKEW2)
+    assert doc.frame.omegas[0] == 2 * parse(source("heisenberg")).frame.omegas[0]
+    with pytest.raises(NotQuaternionic, match=r"^I_1\^2 != -id$"):
+        adapt(doc.algebra, doc.frame)
+    assert adapted_shape(doc.algebra, doc.frame) is None
+    for cmd in ("check", "report"):
+        r = run(cmd, str(path))
+        assert (r.returncode, r.stderr) == (1, "")
+        assert "qc structure: false\nvertical duality conditions: n/a\n" in r.stdout
+    r = run("wqc", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "error: I_1^2 != -id\n")
+
+
+# every base splits horizontal 1 2 3 4 | vertical 5 6 7
+VERDICT_BASES = [(source(n), ()) for n in ("heisenberg", "g1", "g2")] + [
+    (source("prop31_family"), ("--param", f"mu={mu}")) for mu in ("-1", "-1/3")
+] + [(text, ()) for text in (NOT_BI1, OFF_H, SCALE0, HEIS_SKEW2)]
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+@st.composite
+def verdict_documents(draw):
+    """A base document, unedited or with one omega scaled, one term touching a
+    vertical index added to one d e_v, or the declared scale changed."""
+    text, extra = draw(st.sampled_from(VERDICT_BASES))
+    edit = draw(st.sampled_from(("none", "omega", "vertical", "scale")))
+    if edit == "omega":
+        r = draw(st.integers(1, 3))
+        text = re.sub(rf"^omega{r} = (.*)$", rf"omega{r} = ({draw(NONZERO)})(\1)", text, flags=re.M)
+    elif edit == "vertical":
+        v = draw(st.sampled_from((5, 6, 7)))
+        a, b = draw(st.sampled_from([(a, b) for a in range(1, 8) for b in range(a + 1, 8) if b > 4]))
+        text = re.sub(rf"^(d e{v} = .*)$", rf"\1 + ({draw(NONZERO)})e{a}{b}", text, flags=re.M)
+    elif edit == "scale":
+        text = re.sub(r"scale \S+", f"scale {draw(st.fractions(-4, 4, max_denominator=5))}", text)
+    return text, extra
+
+
+@settings(max_examples=80, deadline=None)
+@given(verdict_documents())
+def test_check_and_report_give_one_verdict(doc):
+    # both commands read qc.adapt's verdict: the same qc_valid, bi1 and exit code
+    text, extra = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        results = [run_in_process(cmd, path, *extra, "--format", "json") for cmd in ("check", "report")]
+    (check_code, check_out, check_err), (report_code, report_out, report_err) = results
+    assert (check_err, report_err) == ("", "")
+    assert check_code == report_code
+    check, report = json.loads(check_out), json.loads(report_out)
+    assert (check["qc_valid"], check["bi1"]) == (report["qc_valid"], report["bi1"])
 
 
 def test_check_reads_a_form_over_a_rational(tmp_path):

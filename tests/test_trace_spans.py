@@ -46,6 +46,9 @@ def test_traced_rotated_report_records_the_fingerprint_spans():
     for name in ("family.fingerprint", "exterior.derived_and_central_series", "linalg.rank"):
         assert calls[name] > 0, name
     assert calls["report.build_report"] == 1
+    # qc.adapt is the one gate: each verdict is decided once per report
+    assert calls["qc.check_compatibility"] == 1
+    assert calls["qc.check_bi1"] == 1
     # the size readers go through Connection.gamma's Vecs and Curvature.values(),
     # as in every traced benchmark run, and count the tables' nonzero entries
     p = run_pipeline(doc.algebra, doc.frame)
