@@ -4,155 +4,51 @@ The package represents a Lie algebra by the structure equations of its dual
 coframe, checks the Jacobi identity as closedness of the differential, and
 computes the canonical-connection invariants of a quaternionic-contact
 structure in exact rational (or univariate polynomial) arithmetic.
+
+Every public name resolves on first access (PEP 562): `import qcalc` loads no
+submodule, and `qcalc.X` imports the module that defines X and binds X here,
+so `qcalc.X is qcalc.<module>.X`.
 """
 
-from .biquard import (
-    Connection,
-    Curvature,
-    Pipeline,
-    Torsion,
-    assemble_torsion,
-    audit,
-    biquard_connection,
-    curvature,
-    levi_civita,
-    ricci_forms,
-    run_pipeline,
-    solve_qc_scalar_curvature,
-    sp1_connection_forms,
-    t0_tensor,
-    torsion_endomorphisms,
-)
-from .conformal import is_qc_conformally_flat, kulkarni_nomizu, wqc_tensor
-from .errors import (
-    InconsistentCurvature,
-    InconsistentTorsion,
-    IndeterminateMismatch,
-    InternalError,
-    InvalidFlag,
-    NotALieAlgebra,
-    NotIntegrable,
-    NotQuaternionic,
-    ParametricNotSupported,
-    ParseError,
-    QcalcError,
-    ZeroPolynomial,
-)
-from .exterior import (
-    MAX_DIM,
-    Flag,
-    Form,
-    LieAlgebra,
-    Vec,
-    betti_numbers,
-    cohomology_dim,
-    derived_and_central_series,
-    monomials,
-    search_flag,
-    substitute_form,
-    verify_flag,
-)
-from .family import (
-    ALL_VALUES,
-    fingerprint,
-    jacobi_constraints,
-    rescale_covectors,
-    solve_family,
-    specialize,
-)
-from .parser import AlgebraDocument, form_text, parse, print_document
-from .qc import (
-    QCFrame,
-    adapt,
-    adapted_shape,
-    check_bi1,
-    check_compatibility,
-    d_fundamental_form,
-    derive_complex_structures,
-    fundamental_form,
-    standard_frame,
-    vertical_integrable,
-)
-from .report import build_report
-from .scalars import (
-    Poly,
-    Scalar,
-    is_zero,
-    poly,
-    rational_roots,
-    substitute,
-    variable,
-)
+import importlib
 
-__all__ = [
-    "ALL_VALUES",
-    "AlgebraDocument",
-    "Connection",
-    "Curvature",
-    "Flag",
-    "Form",
-    "InconsistentCurvature",
-    "InconsistentTorsion",
-    "IndeterminateMismatch",
-    "InternalError",
-    "InvalidFlag",
-    "LieAlgebra",
-    "MAX_DIM",
-    "NotALieAlgebra",
-    "NotIntegrable",
-    "NotQuaternionic",
-    "ParametricNotSupported",
-    "ParseError",
-    "Pipeline",
-    "Poly",
-    "QCFrame",
-    "QcalcError",
-    "Scalar",
-    "Torsion",
-    "Vec",
-    "ZeroPolynomial",
-    "adapt",
-    "adapted_shape",
-    "assemble_torsion",
-    "audit",
-    "betti_numbers",
-    "biquard_connection",
-    "build_report",
-    "check_bi1",
-    "check_compatibility",
-    "cohomology_dim",
-    "curvature",
-    "d_fundamental_form",
-    "derive_complex_structures",
-    "derived_and_central_series",
-    "fingerprint",
-    "form_text",
-    "fundamental_form",
-    "is_qc_conformally_flat",
-    "is_zero",
-    "jacobi_constraints",
-    "kulkarni_nomizu",
-    "levi_civita",
-    "monomials",
-    "parse",
-    "poly",
-    "print_document",
-    "rational_roots",
-    "rescale_covectors",
-    "ricci_forms",
-    "run_pipeline",
-    "search_flag",
-    "solve_family",
-    "solve_qc_scalar_curvature",
-    "sp1_connection_forms",
-    "specialize",
-    "standard_frame",
-    "substitute",
-    "substitute_form",
-    "t0_tensor",
-    "torsion_endomorphisms",
-    "variable",
-    "verify_flag",
-    "vertical_integrable",
-    "wqc_tensor",
-]
+_PUBLIC = {
+    "biquard": (
+        "Connection", "Curvature", "Pipeline", "Torsion", "assemble_torsion", "audit",
+        "biquard_connection", "curvature", "levi_civita", "ricci_forms", "run_pipeline",
+        "solve_qc_scalar_curvature", "sp1_connection_forms", "t0_tensor", "torsion_endomorphisms",
+    ),
+    "conformal": ("is_qc_conformally_flat", "kulkarni_nomizu", "wqc_tensor"),
+    "errors": (
+        "InconsistentCurvature", "InconsistentTorsion", "IndeterminateMismatch", "InternalError",
+        "InvalidFlag", "NotALieAlgebra", "NotIntegrable", "NotQuaternionic",
+        "ParametricNotSupported", "ParseError", "QcalcError", "ZeroPolynomial",
+    ),
+    "exterior": (
+        "MAX_DIM", "Flag", "Form", "LieAlgebra", "Vec", "betti_numbers", "cohomology_dim",
+        "derived_and_central_series", "monomials", "search_flag", "substitute_form", "verify_flag",
+    ),
+    "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "rescale_covectors", "solve_family", "specialize"),
+    "parser": ("AlgebraDocument", "form_text", "parse", "print_document"),
+    "qc": (
+        "QCFrame", "adapt", "adapted_shape", "check_bi1", "check_compatibility", "d_fundamental_form",
+        "derive_complex_structures", "fundamental_form", "standard_frame", "vertical_integrable",
+    ),
+    "report": ("build_report",),
+    "scalars": ("Poly", "Scalar", "is_zero", "poly", "rational_roots", "substitute", "variable"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 bad input
 (unreadable file, parse error, unknown catalog name, bad parameter use).
+
+Each command is one fresh process, so each handler imports only what it
+runs: `catalog` loads no arithmetic, and only `report` and `wqc` load the
+connection stack (`biquard`, `conformal`, `report`).
 """
 
 from __future__ import annotations
@@ -10,20 +14,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog
-from .biquard import run_pipeline
-from .errors import (
-    ParametricNotSupported,
-    ParseError,
-    QcalcError,
-)
-from .exterior import LieAlgebra, betti_numbers, cohomology_dim, search_flag, verify_flag
-from .family import ALL_VALUES, solve_family
-from .parser import AlgebraDocument, flag_texts, parse
-from .qc import adapt, verdicts
-from .report import build_report, wqc_block
+from .errors import ParametricNotSupported, ParseError, QcalcError
 
 
 class _InputError(QcalcError):
@@ -142,6 +135,8 @@ def _catalog_source(name: str) -> str:
 
 
 def _load_document(args) -> AlgebraDocument:
+    from .parser import parse
+
     if args.catalog_name and args.file:
         raise _InputError("give either a file or --catalog, not both")
     if args.catalog_name:
@@ -155,6 +150,8 @@ def _load_document(args) -> AlgebraDocument:
 def _parse_param(args, g: LieAlgebra) -> Fraction | None:
     if not args.param:
         return None
+    from fractions import Fraction
+
     if "=" not in args.param:
         raise _InputError("--param expects NAME=VALUE, e.g. --param mu=-1")
     name, _, text = args.param.partition("=")
@@ -215,6 +212,8 @@ def _sample_lines(label: str, samples: list[dict]):
 
 
 def _cmd_check(args, fmt: str) -> int:
+    from .qc import adapt, verdicts
+
     doc = _load_specialized(args)
     g, frame = doc.algebra, doc.frame
     ok = g.is_valid
@@ -227,6 +226,8 @@ def _cmd_check(args, fmt: str) -> int:
 
 
 def _cmd_report(args, fmt: str) -> int:
+    from .report import build_report
+
     doc = _load_specialized(args)
     g, frame = doc.algebra, doc.frame
     report, ok = build_report(g, frame)
@@ -264,6 +265,9 @@ def _cmd_report(args, fmt: str) -> int:
 
 
 def _cmd_wqc(args, fmt: str) -> int:
+    from .biquard import run_pipeline
+    from .report import wqc_block
+
     doc = _load_specialized(args)
     g, frame = doc.algebra, doc.frame
     if frame is None:
@@ -282,6 +286,8 @@ def _cmd_wqc(args, fmt: str) -> int:
 
 
 def _cmd_cohomology(args, fmt: str) -> int:
+    from .exterior import betti_numbers, cohomology_dim
+
     g = _load_specialized(args).algebra
     _require_lie(g)
     if args.k is None:
@@ -297,6 +303,8 @@ def _cmd_cohomology(args, fmt: str) -> int:
 
 
 def _cmd_flag_verify(args, fmt: str) -> int:
+    from .exterior import verify_flag
+
     doc = _load_specialized(args, flag=True)
     g = doc.algebra
     _require_lie(g)
@@ -314,6 +322,9 @@ def _cmd_flag_verify(args, fmt: str) -> int:
 
 
 def _cmd_flag_search(args, fmt: str) -> int:
+    from .exterior import search_flag
+    from .parser import flag_texts
+
     g = _load_specialized(args).algebra
     _require_lie(g)
     found = search_flag(g)
@@ -336,6 +347,8 @@ def _cmd_flag_search(args, fmt: str) -> int:
 
 
 def _cmd_family_solve(args, fmt: str) -> int:
+    from .family import ALL_VALUES, solve_family
+
     fam = _load_document(args).algebra
     if args.param:
         raise _InputError("family solve determines the parameter; drop --param")

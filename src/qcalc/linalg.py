@@ -56,7 +56,7 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
 
 def _primitive(row) -> list[int]:
     """The nonzero row cleared of denominators and divided by its content."""
-    ints = scaled([row], common_denominator(row))[0]
+    ints = row if all(type(x) is int for x in row) else scaled([row], common_denominator(row))[0]
     g = gcd(*ints)
     return [x // g for x in ints]
 

@@ -15,8 +15,8 @@ from functools import cached_property
 from .errors import NotIntegrable, NotQuaternionic
 from .exterior import Form, LieAlgebra
 from .family import rescale_covectors
-from .linalg import matmul
-from .scalars import Scalar, Value, is_zero, replace
+from .linalg import common_denominator, matmul, scaled
+from .scalars import Poly, Scalar, Value, is_zero, replace
 
 Matrix4 = list[list[Scalar]]
 
@@ -80,19 +80,25 @@ def horizontal_matrix(f: Form, frame: QCFrame) -> Matrix4:
 def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4]:
     """4x4 matrices of I_r on horizontal positions, from g(I_r e_b, e_a) = omega_r(e_b, e_a).
 
-    Checks I_r^2 = -id and I_1 I_2 = I_3.  Orthogonality needs no check: I_r
-    is read off a 2-form through `Form.pair`, so it is antisymmetric, and then
-    I_r^t I_r = -I_r^2 = id.
+    Checks I_r^2 = -id and I_1 I_2 = I_3 in plain ints on M_r = D I_r, D the
+    least common denominator of the three: M_r^2 = -D^2 id and M_1 M_2 = D M_3.
+    Orthogonality needs no check: I_r is read off a 2-form through
+    `Form.pair`, so it is antisymmetric, and then I_r^t I_r = -I_r^2 = id.
+    An I_r with a `Poly` entry fails I_r^2 = -id: the squares of each of its
+    rows would be polynomials summing to 1, hence constants.
     """
     mats = [[list(col) for col in zip(*horizontal_matrix(om, frame))] for om in frame.omegas]
-    m1, m2, m3 = mats
-    minus_id = [[Fraction(-1 if a == b else 0) for b in range(4)] for a in range(4)]
-    for r, m in enumerate(mats):
-        if matmul(m, m) != minus_id:
+    rational = [not any(isinstance(x, Poly) for row in m for x in row) for m in mats]
+    d = common_denominator(x for m, ok in zip(mats, rational) if ok for row in m for x in row)
+    ints = [scaled(m, d) if ok else None for m, ok in zip(mats, rational)]
+    minus = [[-d * d if a == b else 0 for b in range(4)] for a in range(4)]
+    for r, m in enumerate(ints):
+        if m is None or matmul(m, m) != minus:
             raise NotQuaternionic(f"I_{r + 1}^2 != -id")
-    if matmul(m1, m2) != m3:
+    m1, m2, m3 = ints
+    if matmul(m1, m2) != [[d * x for x in row] for row in m3]:
         raise NotQuaternionic("I_1 I_2 != I_3")
-    return m1, m2, m3
+    return mats[0], mats[1], mats[2]
 
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:

@@ -9,6 +9,9 @@ it is back in the module or class it came from.
 import contextlib
 import importlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,30 @@ def test_readme_library_example_prints_its_values():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == ["-1/6", "11/18", "True", "-1/6"]
+
+
+@pytest.mark.parametrize("read, loaded", [("pass", []), ("qcalc.QcalcError", ["qcalc.errors"])])
+def test_import_loads_only_the_home_modules_of_names_read(read, loaded):
+    code = f"import qcalc, sys; {read}; print(sorted(m for m in sys.modules if m.startswith('qcalc.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(qcalc.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
+
+
+def test_public_names_are_their_home_objects():
+    for name in qcalc.__all__:
+        home = importlib.import_module(f"qcalc.{qcalc._HOME[name]}")
+        obj = getattr(qcalc, name)
+        assert obj is getattr(home, name)
+        if callable(obj) and hasattr(obj, "__qualname__"):
+            assert obj.__module__ == home.__name__, name
+        # bound in the package after the first access
+        assert vars(qcalc)[name] is obj
+    assert set(qcalc.__all__) <= set(dir(qcalc))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "rank"])
+def test_unknown_names_raise_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(qcalc, name)

@@ -488,3 +488,64 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# what a fresh `python -S -m qcalc.cli ARGS` process has imported when it exits
+RUN_AND_LIST_MODULES = """
+import runpy, sys
+code = None
+try:
+    runpy.run_module("qcalc.cli", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print()
+print(code, *sorted(sys.modules))
+"""
+
+ARITHMETIC = {"fractions", "decimal", "numbers", "qcalc.parser", "qcalc.exterior", "qcalc.biquard"}
+CONNECTION_STACK = {"qcalc.biquard", "qcalc.conformal", "qcalc.report"}
+
+
+def loaded_modules(*args) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qcalc.__file__))}
+    env.pop("QCALC_FORMAT", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_AND_LIST_MODULES, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", (args, proc.stderr)
+    return set(modules)
+
+
+@pytest.mark.parametrize("args", [("catalog", "list"), ("catalog", "show", "g1", "--format", "json")])
+def test_catalog_commands_load_no_arithmetic(args):
+    loaded = loaded_modules(*args)
+    assert loaded & ARITHMETIC == set()
+    assert {m for m in loaded if m.startswith("qcalc")} == {"qcalc", "qcalc.catalog", "qcalc.errors"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "--catalog", "g2"),
+        ("cohomology", "--catalog", "g1"),
+        ("flag", "search", "--catalog", "g1"),
+        ("flag", "verify", "--catalog", "heisenberg"),
+        ("family", "solve", "--catalog", "prop31_family"),
+    ],
+    ids=" ".join,
+)
+def test_commands_without_a_connection_skip_its_modules(args):
+    loaded = loaded_modules(*args)
+    assert "qcalc.parser" in loaded
+    assert loaded & CONNECTION_STACK == set()
+
+
+@pytest.mark.parametrize("command", ["report", "wqc"])
+def test_connection_commands_load_the_connection_stack(command):
+    loaded = loaded_modules(command, "--catalog", "g2")
+    assert CONNECTION_STACK <= loaded
+    # the full import graph still needs none of these
+    assert loaded & {"dataclasses", "inspect", "typing"} == set()

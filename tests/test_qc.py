@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from qcalc.qc import (
     standard_omegas,
     vertical_integrable,
 )
-from qcalc.scalars import replace
+from qcalc.scalars import replace, variable
 from oracles import apply_endo, covector, document, evaluate, hvec, interior
+from test_cli import HEIS_SKEW2
 from test_conformal import G2_ROTATED
 
 
@@ -106,6 +108,53 @@ def test_degenerate_omegas_rejected():
     bad = (mono(1, 2), mono(1, 3), mono(1, 4))
     with pytest.raises(NotQuaternionic):
         derive_complex_structures(standard_frame(omegas=bad))
+
+
+def _omega_cases():
+    o1, o2, o3 = standard_omegas(7, (1, 2, 3, 4))
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    mu = variable("mu")
+    return {
+        "heis_skew2": (parse(HEIS_SKEW2).frame.omegas, "I_1^2 != -id"),
+        "half_I2": ((o1, Fraction(1, 2) * o2, o3), "I_2^2 != -id"),
+        "minus_I3": ((o1, o2, -1 * o3), "I_1 I_2 != I_3"),
+        "rotated_minus_I3": ((c * o1 + s * o2, -s * o1 + c * o2, -1 * o3), "I_1 I_2 != I_3"),
+        "swapped": ((o2, o1, o3), "I_1 I_2 != I_3"),
+        "parametric_I2": ((o1, mu * o2, o3), "I_2^2 != -id"),
+        "doubled_I1_before_parametric_I2": ((2 * o1, mu * o2, o3), "I_1^2 != -id"),
+        "parametric_off_H": ((o1 + mu * mono(1, 5), o2, o3), None),
+    }
+
+
+OMEGA_CASES = _omega_cases()
+
+
+@pytest.mark.parametrize("case", list(OMEGA_CASES))
+def test_complex_structures_name_the_identity_that_fails(case):
+    omegas, message = OMEGA_CASES[case]
+    frame = standard_frame(omegas=omegas)
+    assert fraction_verdict(frame) == message
+    if message is None:
+        assert derive_complex_structures(frame) == derive_complex_structures(standard_frame())
+    else:
+        with pytest.raises(NotQuaternionic, match=f"^{re.escape(message)}$"):
+            derive_complex_structures(frame)
+
+
+def fraction_verdict(frame):
+    """The first of I_r^2 = -id (r = 1, 2, 3) and I_1 I_2 = I_3 that fails, from
+    the I_r by determinant expansion and products summed as Fractions or Polys."""
+    mats = evaluated_structures(frame)
+
+    def product(x, y):
+        return [[sum(x[a][k] * y[k][b] for k in range(4)) for b in range(4)] for a in range(4)]
+
+    for r, m in enumerate(mats):
+        if product(m, m) != [[-1 if a == b else 0 for b in range(4)] for a in range(4)]:
+            return f"I_{r + 1}^2 != -id"
+    if product(mats[0], mats[1]) != mats[2]:
+        return "I_1 I_2 != I_3"
+    return None
 
 
 def evaluated_structures(frame):
