@@ -16,58 +16,49 @@ from math import lcm
 from operator import mul
 
 from .errors import InconsistentCurvature, InconsistentTorsion
-from .exterior import Form, LieAlgebra, Vec, require_rational
+from .exterior import LieAlgebra, Vec, require_rational
 from .linalg import common_denominator, matmul, scaled
 from .qc import CYCLES, Matrix4, QCFrame, adapt
-from .scalars import Scalar, Value
+from .scalars import Value
 
 
-def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form]:
-    """The three connection 1-forms at S = 0; at the scalar S, alpha_i is the
-    returned form minus S/2 eta_i.
+def sp1_connection_forms(g: LieAlgebra, frame: QCFrame) -> IntTensor:
+    """The three connection 1-forms at S = 0 as one IntTensor over 2E, read as
+    alpha_i(e_a) = alphas[i, a]; at the scalar S, alpha_i is this minus S/2 eta_i.
 
     Takes an adapted pair, as `qc.adapt` returns it (scale 2, a quaternionic
-    triple, the duality conditions hold); it checks none of that itself.
-    Horizontal values: alpha_i(X) = d eta_k(xi_j, X).  Vertical values:
-    alpha_i(xi_s) = d eta_s(xi_j, xi_k) minus, on the diagonal s = i, half
-    the scalar plus half the cyclic sum of the d eta_r(xi_j, xi_k).
+    triple, the duality conditions hold); it checks none of that itself.  With
+    d eta_k(e_a, e_b) = -C[a][b][v_k] / E off the structure table (E, C):
+    alpha_i(X) = d eta_k(xi_j, X) on H, alpha_i(xi_s) = d eta_s(xi_j, xi_k) less,
+    on the diagonal s = i, half the cyclic sum of the d eta_r(xi_j, xi_k).
     """
-    v = frame.vertical
-    d_etas = [g.differential(x) for x in v]
-    cyc_sum: Scalar = sum((d_etas[i].pair(v[j], v[k]) for i, j, k in CYCLES), Fraction(0))
-    alphas = []
+    e, c = g.structure_table
+    v = [x - 1 for x in frame.vertical]
+    cyc_sum = sum(c[v[j]][v[k]][v[i]] for i, j, k in CYCLES)
+    rows = []
     for i, j, k in CYCLES:
-        values = {(x,): d_etas[k].pair(v[j], x) for x in frame.horizontal}
-        for s in range(3):
-            val = d_etas[s].pair(v[j], v[k])
-            values[(v[s],)] = val - cyc_sum / 2 if s == i else val
-        alphas.append(Form.make(g.dim, 1, values))
-    return alphas[0], alphas[1], alphas[2]
+        rows.append([-2 * (c[v[j]][v[k]][x] if x in v else c[v[j]][x][v[k]]) for x in range(g.dim)])
+        rows[i][v[i]] += cyc_sum
+    return IntTensor(g.dim, 2 * e, rows)
 
 
-def ricci_forms(g: LieAlgebra, frame: QCFrame, alphas: tuple[Form, Form, Form]) -> tuple[Matrix4, Matrix4, Matrix4]:
+def ricci_forms(g: LieAlgebra, frame: QCFrame, alphas: IntTensor) -> tuple[Matrix4, Matrix4, Matrix4]:
     """Horizontal Ricci 2-forms 2 rho_k = (d alpha_k + alpha_i ^ alpha_j)|_H at
     S = 0 as 4x4 matrices rho_k(e_a, e_b); at the scalar S, rho_k + S/2 I_k.
 
     (d alpha)(e_a, e_b) = -alpha([e_a, e_b]) contracts alpha with the table
     (E, C), and the wedge is an antisymmetrized outer product.  The S-part
     -S/2 eta_k of alpha_k drops out of every wedge on H, and its d adds
-    -S/2 d eta_k|_H = -S omega_k to 2 rho_k at scale 2.  All over E f^2.
+    -S/2 d eta_k|_H = -S omega_k to 2 rho_k at scale 2.  All over E f^2, f = alphas.den.
     """
-    e, table = g.structure_table
+    e, c = g.structure_table
     h = [x - 1 for x in frame.horizontal]
-    coeffs = [[al.coeff((c,)) for c in range(1, g.dim + 1)] for al in alphas]
-    f = common_denominator(x for row in coeffs for x in row)
-    ints = scaled(coeffs, f)
+    f, t = alphas.den, alphas.table
 
-    def on_h(two_rho) -> Matrix4:  # two_rho(a, b): E f^2 times 2 rho(e_a, e_b)
-        return [[Fraction(two_rho(a, b), 2 * e * f * f) for b in h] for a in h]
+    def two_rho(k: int, i: int, j: int, a: int, b: int) -> int:  # E f^2 times 2 rho_k(e_a, e_b)
+        return e * (t[i][a] * t[j][b] - t[i][b] * t[j][a]) - f * sum(map(mul, t[k], c[a][b]))
 
-    rhos = []
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        a0, u, w = ints[k], ints[i], ints[j]
-        rhos.append(on_h(lambda a, b: e * (u[a] * w[b] - u[b] * w[a]) - f * sum(map(mul, a0, table[a][b]))))
-    return rhos[0], rhos[1], rhos[2]
+    return tuple([[Fraction(two_rho(k, i, j, a, b), 2 * e * f * f) for b in h] for a in h] for k, i, j in CYCLES)
 
 
 def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matrix4]) -> Fraction:
@@ -266,7 +257,7 @@ class Pipeline(Value):
 
     g: LieAlgebra
     frame: QCFrame
-    alphas: tuple[Form, Form, Form]  # at the solved scalar, like rhos
+    alphas: IntTensor  # at the solved scalar, like rhos: alpha_i(e_a) = alphas[i, a]
     rhos: tuple[Matrix4, Matrix4, Matrix4]
     s_value: Fraction
     t0: Matrix4
@@ -284,7 +275,10 @@ def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
     rhos = ricci_forms(g, frame, alphas)
     s_value = solve_qc_scalar_curvature(frame, rhos)
     half = s_value / 2
-    alphas = tuple(al - Form.monomial(g.dim, half, (x,)) for al, x in zip(alphas, frame.vertical))
+    den = lcm(alphas.den, half.denominator)
+    up, shift = den // alphas.den, half.numerator * (den // half.denominator)
+    rows = [[up * x - shift * (a == v) for a, x in enumerate(row, 1)] for row, v in zip(alphas.table, frame.vertical)]
+    alphas = IntTensor(g.dim, den, rows)
     rhos = tuple(
         [[x + half * y for x, y in zip(u, w)] for u, w in zip(rho, m)] for rho, m in zip(rhos, frame.complex_structures)
     )
@@ -323,9 +317,7 @@ def audit(p: Pipeline) -> list[dict]:
     i_mats = frame.complex_structures
     q = common_denominator(x for m in i_mats for row in m for x in row)
     js = [scaled(m, q) for m in i_mats]
-    alpha = [[al.coeff((a,)) for a in range(1, n + 1)] for al in p.alphas]
-    f = common_denominator(x for row in alpha for x in row)
-    al = scaled(alpha, f)
+    f, al = p.alphas.den, p.alphas.table
     ok = True
     for i, j, k in CYCLES:
         ji_t = [list(col) for col in zip(*js[i])]

@@ -162,8 +162,7 @@ class _LineParser:
     def atom(self):
         t = self.peek()
         if t.kind == "NUMBER":
-            self.next()
-            return Fraction(int(t.text))
+            return Fraction(self.number())
         if t.kind == "IDENT":
             self.next()
             m = _MONO_RE.match(t.text)
@@ -266,24 +265,30 @@ class _LineParser:
             )
         return value
 
-    def rational(self) -> Fraction:
-        neg = False
-        if self.at_sym("-"):
-            self.next()
-            neg = True
+    def number(self) -> int:
+        """The next token, a NUMBER, as an int: one with more digits than
+        int() takes (sys.get_int_max_str_digits()) is a ParseError at it."""
         t = self.expect("NUMBER")
-        val = Fraction(int(t.text))
+        try:
+            return int(t.text)
+        except ValueError:
+            raise ParseError(f"number of {len(t.text)} digits is too long", t.line, t.col) from None
+
+    def rational(self) -> Fraction:
+        neg = self.at_sym("-")
+        if neg:
+            self.next()
+        val = Fraction(self.number())
         if self.at_sym("/"):
             self.next()
-            den = self.expect("NUMBER")
-            if int(den.text) == 0:
-                raise ParseError("division by zero", den.line, den.col)
-            val = val / int(den.text)
+            t, den = self.peek(), self.number()
+            if den == 0:
+                raise ParseError("division by zero", t.line, t.col)
+            val = val / den
         return -val if neg else val
 
     def index(self) -> int:
-        t = self.expect("NUMBER")
-        i = int(t.text)
+        t, i = self.peek(), self.number()
         if not 1 <= i <= self.dim:
             raise ParseError(f"index {i} out of range for dimension {self.dim}", t.line, t.col)
         return i
@@ -341,8 +346,7 @@ def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:
     p.expect("IDENT", "algebra")
     name = p.expect("IDENT").text
     p.expect("IDENT", "dim")
-    t = p.expect("NUMBER")
-    dim = int(t.text)
+    t, dim = p.peek(), p.number()
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(f"dimension {dim} outside 1..{MAX_DIM}", t.line, t.col)
     param = None

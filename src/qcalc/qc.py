@@ -16,7 +16,7 @@ from .errors import NotIntegrable, NotQuaternionic
 from .exterior import Form, LieAlgebra
 from .family import rescale_covectors
 from .linalg import common_denominator, matmul, scaled
-from .scalars import Poly, Scalar, Value, is_zero, replace
+from .scalars import Poly, Scalar, Value, replace
 
 Matrix4 = list[list[Scalar]]
 
@@ -63,14 +63,6 @@ def standard_frame(
     return QCFrame(dim, tuple(horizontal), tuple(vertical), omegas, Fraction(scale))
 
 
-def restrict_h(f: Form, frame: QCFrame) -> Form:
-    """Drop every term that touches a vertical index."""
-    vert = set(frame.vertical)
-    return Form.make(
-        f.dim, f.degree, {k: c for k, c in f.terms.items() if not vert & set(k)}
-    )
-
-
 def horizontal_matrix(f: Form, frame: QCFrame) -> Matrix4:
     """M[a][b] = f(e_a, e_b) for a 2-form f, on horizontal positions."""
     h = frame.horizontal
@@ -102,24 +94,30 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
 
 
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:
-    """d eta_r restricted to horizontal pairs must equal scale * omega_r, scale nonzero."""
+    """d eta_r restricted to horizontal pairs must equal scale * omega_r, scale
+    nonzero: omega_r has no term off H and, with (E, C) the structure table,
+    -C[a][b][v_r] = E * scale * omega_r(e_a, e_b) for every a < b in H."""
+    e, c = g.structure_table
+    h = frame.horizontal
     return frame.scale != 0 and all(
-        restrict_h(g.differential(v), frame) == frame.scale * om
+        all(x in h for k in om.terms for x in k)
+        and all(-c[a - 1][b - 1][v - 1] == e * frame.scale * om.pair(a, b) for a, b in itertools.combinations(h, 2))
         for v, om in zip(frame.vertical, frame.omegas)
     )
 
 
 def check_bi1(g: LieAlgebra, frame: QCFrame) -> tuple[bool, list[str]]:
-    """The duality conditions on X -> d eta_k(xi_s, X), X horizontal, in dim 7."""
-    h, v = frame.horizontal, frame.vertical
-    d_etas = [g.differential(x) for x in v]
+    """The duality conditions on X -> d eta_k(xi_s, X) = -C[v_s][X][v_k] / E,
+    X horizontal, in dim 7."""
+    _, c = g.structure_table
+    h, v = [x - 1 for x in frame.horizontal], [x - 1 for x in frame.vertical]
     violations = []
     for s in range(3):
-        if any(not is_zero(d_etas[s].pair(v[s], x)) for x in h):
+        if any(c[v[s]][x][v[s]] for x in h):
             violations.append(f"(xi_{s + 1} . d eta_{s + 1})|_H != 0")
     for s in range(3):
         for k in range(s + 1, 3):
-            if any(not is_zero(d_etas[k].pair(v[s], x) + d_etas[s].pair(v[k], x)) for x in h):
+            if any(c[v[s]][x][v[k]] + c[v[k]][x][v[s]] for x in h):
                 violations.append(
                     f"(xi_{s + 1} . d eta_{k + 1})|_H != -(xi_{k + 1} . d eta_{s + 1})|_H"
                 )
@@ -168,14 +166,18 @@ def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | No
     and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
     The two readings of f_k, d eta_j(X, xi_i) and -d eta_i(X, xi_j), agree
     and every d eta_i(X, xi_i) vanishes exactly when `check_bi1` holds, so
-    f_j(X) = d eta_i(X, xi_k) is read once per cycle.  Returns None when
-    `adapt` rejects the frame.
+    f_j(X) = d eta_i(X, xi_k) = -C[X][v_k][v_i] / E is read once per cycle
+    off the structure table (E, C).  Returns None when `adapt` rejects the
+    frame.
     """
     if not verdicts(adapt, g, frame)[1]:
         return None
+    e, c = g.structure_table
     v = frame.vertical
-    d_etas = [g.differential(x) for x in v]
-    f = {j: Form.make(g.dim, 1, {(x,): d_etas[i].pair(x, v[k]) for x in frame.horizontal}) for i, j, k in CYCLES}
+    f = {
+        j: Form.make(g.dim, 1, {(x,): Fraction(-c[x - 1][v[k] - 1][v[i] - 1], e) for x in frame.horizontal})
+        for i, j, k in CYCLES
+    }
     return f[0], f[1], f[2]
 
 

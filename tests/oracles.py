@@ -10,6 +10,8 @@ is checked against, none of which the package calls:
   horizontal helpers of a qc frame, the covariant derivative of a constant
   field, the torsion recomputed from Christoffel coefficients, and a
   `Connection` built from a dict of `Vec`s of Fractions;
+- the qc compatibility and duality verdicts through `Form.pair` on the
+  differentials d eta_r;
 - solving a*S + b = 0 for a symbol S (with its two errors), and the
   connection and Ricci forms over `Poly` in S through `LieAlgebra.d` and
   `Form.wedge`;
@@ -28,12 +30,12 @@ from functools import cache
 from operator import mul
 
 from qcalc import linalg
-from qcalc.biquard import Connection
+from qcalc.biquard import Connection, IntTensor
 from qcalc.catalog import source
 from qcalc.errors import IndeterminateMismatch, InvalidFlag, ParametricNotSupported, QcalcError
 from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials, require_rational
 from qcalc.parser import AlgebraDocument, parse
-from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form, restrict_h
+from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form
 from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, rational_roots, variable
 
 
@@ -164,6 +166,40 @@ def nabla_vec(conn: Connection, u: Vec, w: Vec) -> Vec:
     return out
 
 
+def restrict_h(f: Form, frame: QCFrame) -> Form:
+    """Drop every term that touches a vertical index."""
+    vert = set(frame.vertical)
+    return Form.make(
+        f.dim, f.degree, {k: c for k, c in f.terms.items() if not vert & set(k)}
+    )
+
+
+def compatible(g: LieAlgebra, frame: QCFrame) -> bool:
+    """d eta_r restricted to H equals scale * omega_r as whole forms, scale nonzero."""
+    return frame.scale != 0 and all(
+        restrict_h(g.differential(v), frame) == frame.scale * om
+        for v, om in zip(frame.vertical, frame.omegas)
+    )
+
+
+def bi1_violations(g: LieAlgebra, frame: QCFrame) -> list[str]:
+    """The duality conditions on X -> d eta_k(xi_s, X), X horizontal, read
+    through `Form.pair` on the differentials."""
+    h, v = frame.horizontal, frame.vertical
+    d_etas = [g.differential(x) for x in v]
+    violations = []
+    for s in range(3):
+        if any(not is_zero(d_etas[s].pair(v[s], x)) for x in h):
+            violations.append(f"(xi_{s + 1} . d eta_{s + 1})|_H != 0")
+    for s in range(3):
+        for k in range(s + 1, 3):
+            if any(not is_zero(d_etas[k].pair(v[s], x) + d_etas[s].pair(v[k], x)) for x in h):
+                violations.append(
+                    f"(xi_{s + 1} . d eta_{k + 1})|_H != -(xi_{k + 1} . d eta_{s + 1})|_H"
+                )
+    return violations
+
+
 def connection_from_gamma(gamma: dict[tuple[int, int], Vec]) -> Connection:
     """The Connection whose nabla(a, b) is gamma[(a, b)], over the least common
     denominator of all the components."""
@@ -223,11 +259,16 @@ def linear_coeffs(x: Scalar, var: str) -> tuple[Fraction, Fraction]:
 
 
 def symbolic(parts, frame) -> list:
-    """The three connection forms at S = 0 as alpha_i - S/2 eta_i, or the three
-    Ricci matrices at S = 0 as rho_k + S/2 I_k, over Poly in S (scale 2)."""
+    """The three connection forms at S = 0 (an IntTensor, one row per alpha_i)
+    as Forms alpha_i - S/2 eta_i, or the three Ricci matrices at S = 0 as
+    rho_k + S/2 I_k, over Poly in S (scale 2)."""
     half = Fraction(1, 2) * S
-    if isinstance(parts[0], Form):
-        return [al - Form.monomial(al.dim, half, (x,)) for al, x in zip(parts, frame.vertical)]
+    if isinstance(parts, IntTensor):
+        return [
+            Form.make(parts.dim, 1, {(a,): parts[i, a] for a in range(1, parts.dim + 1)})
+            - Form.monomial(parts.dim, half, (x,))
+            for i, x in enumerate(frame.vertical, start=1)
+        ]
     return [
         [[x + half * y for x, y in zip(u, w)] for u, w in zip(rho, m)]
         for rho, m in zip(parts, frame.complex_structures)

@@ -35,6 +35,7 @@ MOVED = [
     ("qcalc.qc", None, "hcomps"),
     ("qcalc.qc", None, "from_hcomps"),
     ("qcalc.qc", "QCFrame", "hvec"),
+    ("qcalc.qc", None, "restrict_h"),
     ("qcalc.biquard", None, "connection_torsion"),
     ("qcalc.biquard", "Connection", "nabla_vec"),
     ("qcalc.catalog", None, "document"),

@@ -318,6 +318,22 @@ def test_division_rules():
         assert parse(tiny([f"d e4 = {spelling}"])).algebra.differential(4) == halved
 
 
+QC_LINE = "qc horizontal 1 2 3 4 vertical 5 6 7 scale "
+
+
+@pytest.mark.parametrize("text, line, col, digits", [
+    (tiny([f"d e1 = {'9' * 5000} e23"], dim=7), 2, 8, 5000),
+    (tiny([], dim=7) + QC_LINE + "1" * 5001 + "\n", 9, 44, 5001),
+    (tiny([], dim=7) + QC_LINE + "1/" + "3" * 4301 + "\n", 9, 46, 4301),
+    (tiny([], dim=7) + "qc horizontal 1 2 " + "0" * 4400 + "3 4 vertical 5 6 7\n", 9, 19, 4401),
+    ("algebra x dim " + "1" * 4401 + "\n", 1, 15, 4401),
+], ids=["coefficient", "scale", "denominator", "index", "dim"])
+def test_a_number_past_the_digit_limit_is_a_parse_error(text, line, col, digits):
+    # int() refuses more than 4300 digits; the limit stays, the token is rejected
+    e = err(text)
+    assert (e.line, e.col, e.message) == (line, col, f"number of {digits} digits is too long")
+
+
 def test_parse_error_str_contains_position():
     e = err(tiny(["d e4 = e15"]))
     assert str(e.line) in str(e)

@@ -1,9 +1,12 @@
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcalc.errors import NotQuaternionic
+from qcalc.catalog import names, source
+from qcalc.errors import NotQuaternionic, ParametricNotSupported
 from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.parser import parse
 from qcalc.qc import (
@@ -15,15 +18,15 @@ from qcalc.qc import (
     derive_complex_structures,
     fundamental_form,
     horizontal_matrix,
-    restrict_h,
     standard_frame,
     standard_omegas,
     vertical_integrable,
 )
 from qcalc.scalars import replace, variable
-from oracles import apply_endo, covector, document, evaluate, hvec, interior
+from oracles import apply_endo, bi1_violations, compatible, covector, document, evaluate, hvec, interior, restrict_h
 from test_cli import HEIS_SKEW2
 from test_conformal import G2_ROTATED
+from test_relabel import NOT_BI1, PERMS, relabel
 
 
 def load(name):
@@ -286,6 +289,72 @@ def test_bi1_cross_violations_keep_text_and_order():
         "(xi_1 . d eta_2)|_H != -(xi_2 . d eta_1)|_H",
         "(xi_2 . d eta_3)|_H != -(xi_3 . d eta_2)|_H",
     ])
+
+
+@cache
+def verdict_bases() -> list[tuple[LieAlgebra, QCFrame]]:
+    """Every catalog entry (prop31_family at its two roots) and NOT_BI1, in the
+    declared basis and in each relabelled one."""
+    docs = [parse(source(n)) for n in names()] + [parse(NOT_BI1)]
+    docs += [relabel(doc, perm) for doc in list(docs) for perm in PERMS]
+    out = []
+    for doc in docs:
+        for mu in ("-1", "-1/3") if doc.algebra.parametric else (None,):
+            d = doc if mu is None else doc.substitute(Fraction(mu))
+            out.append((d.algebra, d.frame))
+    return out
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+NONZERO = RATIONALS.filter(bool)
+
+
+@st.composite
+def edited_qc_pairs(draw):
+    """A base pair with one edit: a rational added to a d e_v coefficient on an
+    (h, h), (v, h) or (v, v') pair, one omega scaled or given a term off H, or
+    the declared scale changed."""
+    g, frame = draw(st.sampled_from(verdict_bases()))
+    h, v = frame.horizontal, frame.vertical
+    edit = draw(st.sampled_from(("hh", "vh", "vv", "omega_scaled", "omega_off_h", "scale")))
+    if edit in ("hh", "vh", "vv"):
+        first, second = {"hh": (h, h), "vh": (v, h), "vv": (v, v)}[edit]
+        a, b = draw(st.sampled_from([(a, b) for a in first for b in second if a != b]))
+        k = draw(st.sampled_from(v))
+        diffs = list(g.differentials)
+        diffs[k - 1] = diffs[k - 1] + Form.monomial(7, draw(NONZERO), (a, b))
+        g = LieAlgebra(g.name, 7, tuple(diffs), None)
+    elif edit.startswith("omega"):
+        r = draw(st.integers(0, 2))
+        omegas = list(frame.omegas)
+        if edit == "omega_scaled":
+            omegas[r] = draw(RATIONALS) * omegas[r]
+        else:
+            pair = (draw(st.sampled_from(h + v)), draw(st.sampled_from(v)))
+            omegas[r] = omegas[r] + Form.monomial(7, draw(NONZERO), pair)
+        frame = replace(frame, omegas=tuple(omegas))
+    else:
+        frame = replace(frame, scale=draw(RATIONALS))
+    return g, frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_qc_pairs())
+def test_table_read_verdicts_match_the_form_definitions(pair):
+    # the gate reads C[a][b][v_k] off the structure table; the oracles read the
+    # same conditions through restrict_h and Form.pair on the differentials
+    g, frame = pair
+    assert check_compatibility(g, frame) == compatible(g, frame)
+    violations = bi1_violations(g, frame)
+    assert check_bi1(g, frame) == (not violations, violations)
+
+
+def test_the_gate_rejects_a_parametric_algebra():
+    # like structure_table: every command specializes before the gate
+    doc = document("prop31_family")
+    for check in (check_compatibility, check_bi1, adapted_shape):
+        with pytest.raises(ParametricNotSupported):
+            check(doc.algebra, doc.frame)
 
 
 # ---------------------------------------------------------------------------
