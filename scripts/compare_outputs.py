@@ -1,12 +1,23 @@
-"""Compare the qcalc command line of two source trees, run by run.
+"""Compare the qcalc parser and command line of two source trees.
 
 Run as:  python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories holding the `qcalc` package; the
 parent commit's tree can be had with
 `git archive HEAD src | tar -x -C /tmp/parent` (then pass /tmp/parent/src).
-Each run is one `python -m qcalc.cli` process per tree, with PYTHONPATH set
-to that tree, and stdout, stderr and the exit code must be identical.
+
+The parse pass comes first.  Its documents are the catalog sources, the
+gen.py rotations below (heights 1-3) and 20,000 seeded edits of them, each
+edit as tests/test_parser.py::edited_sources makes them (one to three
+insertions of a grammar token after a piece of one line, or deletions of a
+piece), with `+ - * = , | @ x` among the tokens.  Each tree parses all of
+them in one `python` process, and for every document the two must agree on
+the `print_document` text, or on the ParseError message, line and column, or
+on the type of any other exception.
+
+Then the command line: each run is one `python -m qcalc.cli` process per
+tree, with PYTHONPATH set to that tree, and stdout, stderr and the exit code
+must be identical.
 
 Every input goes through `report`, `wqc`, `check`, `cohomology` (all degrees
 and `--k 3`), `flag search`, `flag verify` and `family solve`, in JSON and in
@@ -31,14 +42,16 @@ two basis elements.
 `prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
 standard library is used; gen.py is imported read-only.
 
-Exits 0 when every run agrees and 1 at the first difference, printing its
-argv and the differing field.
+Exits 0 when every document and every run agrees and 1 at the first
+difference, printing the document or the argv and the differing field.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import re
 from fractions import Fraction
 import subprocess
 import sys
@@ -66,6 +79,27 @@ MISUSED = ("nu=-1", "mu=1/0", "mu")
 HEIGHTS = (1, 2, 3)
 TIMEOUT_S = 300
 JOBS = 4
+
+EDITS = 20000
+EDIT_TOKENS = ("/", "^", "e0", "e102", "mu", "(", ")", "0", "1", "2", "7", "+", "-", "*", "=", ",", "|", "@", "x")
+# a monomial's last digit is its own piece, so an edit can land inside it (e1/2)
+PIECE_RE = re.compile(r"e\d(?=\d)|\w+|\S")
+
+CATALOG_SOURCES = "import json; from qcalc.catalog import names, source; print(json.dumps([source(n) for n in names()]))"
+PARSE_ALL = """
+import json, sys
+from qcalc.errors import ParseError
+from qcalc.parser import parse, print_document
+out = []
+for text in json.load(sys.stdin):
+    try:
+        out.append(["printed", print_document(parse(text))])
+    except ParseError as e:
+        out.append(["ParseError", e.message, e.line, e.col])
+    except Exception as e:
+        out.append(["raised", type(e).__name__])
+json.dump(out, sys.stdout)
+"""
 
 # old position -> new index, for positions 1..7; the qc split moves along
 RELABELLINGS = (
@@ -218,6 +252,45 @@ def documents() -> dict[str, tuple[str, list]]:
     return docs
 
 
+def edited(rng: random.Random, text: str) -> str:
+    """One to three edits on one line of text, as edited_sources makes them."""
+    lines = text.splitlines()
+    k = rng.randrange(len(lines))
+    for _ in range(rng.randint(1, 3)):
+        start, end = rng.choice([m.span() for m in PIECE_RE.finditer(lines[k])] or [(0, 0)])
+        if rng.random() < 0.5:
+            lines[k] = lines[k][:end] + rng.choice(EDIT_TOKENS) + lines[k][end:]
+        else:
+            lines[k] = lines[k][:start] + lines[k][end:]
+    return "\n".join(lines)
+
+
+def python(src: str, code: str, stdin: str = "") -> str:
+    """stdout of `python -c code` with PYTHONPATH set to src; exits 1 with its
+    stderr when the process fails."""
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        sys.exit(f"{src}: {done.stderr}")
+    return done.stdout
+
+
+def parse_pass(trees: list[str]) -> int:
+    """The parse pass: 0 when both trees agree on every document, else 1."""
+    bases = json.loads(python(trees[0], CATALOG_SOURCES))
+    bases += [text for name, (text, _) in documents().items() if "_rot_h" in name]
+    rng = random.Random("parse pass")
+    docs = bases + [edited(rng, rng.choice(bases)) for _ in range(EDITS)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        old, new = pool.map(lambda tree: json.loads(python(tree, PARSE_ALL, json.dumps(docs))), trees)
+    for text, a, b in zip(docs, old, new):
+        if a != b:
+            print(f"parse of:\n{text}\n  old: {a}\n  new: {b}")
+            return 1
+    print(f"{len(docs)} documents, parse results identical")
+    return 0
+
+
 def argvs(workdir: Path) -> list[list[str]]:
     inputs = []  # (where, param variants)
     for source in gen.SOURCES:
@@ -273,6 +346,8 @@ def main(argv: list[str]) -> int:
         if not (Path(tree) / "qcalc" / "cli.py").is_file():
             print(f"{tree} holds no qcalc package", file=sys.stderr)
             return 2
+    if parse_pass(trees):
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         runs = argvs(workdir)

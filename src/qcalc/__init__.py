@@ -21,14 +21,15 @@ _PUBLIC = {
     "conformal": ("is_qc_conformally_flat", "kulkarni_nomizu", "wqc_tensor"),
     "errors": (
         "InconsistentCurvature", "InconsistentTorsion", "IndeterminateMismatch", "InternalError",
-        "InvalidFlag", "NotALieAlgebra", "NotIntegrable", "NotQuaternionic",
+        "InvalidFlag", "NotALieAlgebra", "NotIntegrable", "NotQuaternionic", "NumberTooLong",
         "ParametricNotSupported", "ParseError", "QcalcError", "ZeroPolynomial",
     ),
     "exterior": (
         "MAX_DIM", "Flag", "Form", "LieAlgebra", "Vec", "betti_numbers", "cohomology_dim",
-        "derived_and_central_series", "monomials", "search_flag", "substitute_form", "verify_flag",
+        "derived_and_central_series", "monomials", "rescale_covectors", "search_flag", "substitute_form",
+        "verify_flag",
     ),
-    "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "rescale_covectors", "solve_family", "specialize"),
+    "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "solve_family", "specialize"),
     "parser": ("AlgebraDocument", "form_text", "parse", "print_document"),
     "qc": (
         "QCFrame", "adapt", "adapted_shape", "check_bi1", "check_compatibility", "d_fundamental_form",

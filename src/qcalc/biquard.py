@@ -16,7 +16,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InconsistentCurvature, InconsistentTorsion
-from .exterior import LieAlgebra, Vec, require_rational
+from .exterior import LieAlgebra, Vec
 from .linalg import common_denominator, matmul, scaled
 from .qc import CYCLES, Matrix4, QCFrame, adapt
 from .scalars import Value
@@ -269,7 +269,6 @@ class Pipeline(Value):
 
 def run_pipeline(g: LieAlgebra, frame: QCFrame) -> Pipeline:
     """Every stage on the pair `qc.adapt` returns; raises what the gate raises."""
-    require_rational(g)
     g, frame = adapt(g, frame)
     alphas = sp1_connection_forms(g, frame)
     rhos = ricci_forms(g, frame, alphas)

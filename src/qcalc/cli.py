@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 bad input
-(unreadable file, parse error, unknown catalog name, bad parameter use).
+(unreadable file, parse error, unknown catalog name, bad parameter use, a
+result with a number too long to print).
 
 Each command is one fresh process, so each handler imports only what it
 runs: `catalog` loads no arithmetic, and only `report` and `wqc` load the
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import catalog
-from .errors import ParametricNotSupported, ParseError, QcalcError
+from .errors import NumberTooLong, ParametricNotSupported, ParseError, QcalcError
 
 
 class _InputError(QcalcError):
@@ -31,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         _emit_error(e.message, fmt, line=e.line, col=e.col)
         return 2
-    except (_InputError, ParametricNotSupported) as e:
+    except (_InputError, ParametricNotSupported, NumberTooLong) as e:
         _emit_error(str(e), fmt)
         return 2
     except OSError as e:
@@ -348,6 +349,7 @@ def _cmd_flag_search(args, fmt: str) -> int:
 
 def _cmd_family_solve(args, fmt: str) -> int:
     from .family import ALL_VALUES, solve_family
+    from .scalars import render
 
     fam = _load_document(args).algebra
     if args.param:
@@ -358,7 +360,7 @@ def _cmd_family_solve(args, fmt: str) -> int:
     if roots is ALL_VALUES:
         out: dict = {"name": fam.name, "param": fam.param, "roots": "all"}
     else:
-        out = {"name": fam.name, "param": fam.param, "roots": [str(r) for r in sorted(roots)]}
+        out = {"name": fam.name, "param": fam.param, "roots": [render(r) for r in sorted(roots)]}
 
     def lines(o):
         if o["roots"] == "all":

@@ -53,5 +53,9 @@ class ParametricNotSupported(QcalcError):
     """A pipeline stage was asked to run with an unresolved parameter."""
 
 
+class NumberTooLong(QcalcError):
+    """A number with more digits than Python converts to a string."""
+
+
 class InternalError(QcalcError):
     """An invariant the code relies on was violated; indicates a bug."""

@@ -242,6 +242,16 @@ class LieAlgebra(Value):
         return LieAlgebra(self.name, self.dim, subs, None)
 
 
+def rescale_covectors(g: LieAlgebra, factors: dict[int, Fraction]) -> LieAlgebra:
+    """Pass to the coframe f^k = c_k e^k; structure constants pick up c_k/(c_i c_j)."""
+    c = {i: Fraction(factors.get(i, 1)) for i in range(1, g.dim + 1)}
+    diffs = tuple(
+        Form.make(g.dim, 2, {(i, j): x * c[k] / (c[i] * c[j]) for (i, j), x in f.terms.items()})
+        for k, f in enumerate(g.differentials, 1)
+    )
+    return LieAlgebra(g.name, g.dim, diffs, g.param)
+
+
 def substitute_form(f: Form, value: Fraction) -> Form:
     """Specialize every parametric coefficient of the form."""
     return Form.make(f.dim, f.degree, {k: substitute(c, value) for k, c in f.terms.items()})
@@ -415,7 +425,6 @@ def _weight_split(g: LieAlgebra) -> tuple[list, tuple[int, ...]]:
 
 def betti_numbers(g: LieAlgebra) -> list[int]:
     """dim H^k for k = 0..n, building and ranking each weight-zero block once."""
-    require_rational(g)
     table, weights = _weight_split(g)
     blocks = [_weight_zero_block(table, weights, j) for j in range(g.dim + 1)]
     ranks = [0] + [linalg.rank(d) for d in blocks]  # ranks[j + 1] = rank d_j
@@ -537,7 +546,6 @@ def search_flag(g: LieAlgebra) -> Flag | None:
     eigenvalues in the same order.  idx holds g's basis index behind each
     quotient coordinate; level i annihilates the first n - i lifted vectors.
     """
-    require_rational(g)
     n = g.dim
     table, idx, lifted, polys = g.structure_table[1], list(range(n)), [], [None] * n
     while table:

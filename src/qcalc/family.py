@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import NotALieAlgebra
-from .exterior import Form, LieAlgebra, betti_numbers, derived_and_central_series, jacobi_sum
+from .exterior import LieAlgebra, betti_numbers, derived_and_central_series, jacobi_sum
 from .scalars import Poly, Scalar, poly, poly_gcd, rational_roots
 
 
@@ -79,16 +79,6 @@ def specialize(fam: LieAlgebra, value: Fraction) -> LieAlgebra:
             f"{fam.name} at {fam.param or 'parameter'}={value}: d^2 != 0"
         )
     return g
-
-
-def rescale_covectors(g: LieAlgebra, factors: dict[int, Fraction]) -> LieAlgebra:
-    """Pass to the coframe f^k = c_k e^k; structure constants pick up c_k/(c_i c_j)."""
-    c = {i: Fraction(factors.get(i, 1)) for i in range(1, g.dim + 1)}
-    diffs = tuple(
-        Form.make(g.dim, 2, {(i, j): x * c[k] / (c[i] * c[j]) for (i, j), x in f.terms.items()})
-        for k, f in enumerate(g.differentials, 1)
-    )
-    return LieAlgebra(g.name, g.dim, diffs, g.param)
 
 
 def fingerprint(g: LieAlgebra) -> dict:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .exterior import MAX_DIM, Flag, Form, LieAlgebra, substitute_form
 from .qc import QCFrame
-from .scalars import ZERO, Poly, Scalar, Value, is_zero, replace, substitute, variable
+from .scalars import ZERO, Poly, Scalar, Value, is_zero, render, replace, substitute, variable
 
 _TOKEN_RE = re.compile(r"(?P<NUMBER>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()=,|])|\S")
 _MONO_RE = re.compile(r"^e([1-9][0-9]*)$")
@@ -96,11 +96,8 @@ class _LineParser:
         return self.next()
 
     def at_sym(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "SYM" and t.text in texts
-
-    def done(self) -> bool:
-        return self.peek().kind == "END"
+        # no NUMBER, IDENT or END token has a symbol's text, so the text decides
+        return self.toks[self.pos].text in texts
 
     def expect_end(self) -> None:
         t = self.peek()
@@ -120,14 +117,14 @@ class _LineParser:
             self.next()
         value = self.term()
         if negate:
-            value = self._negate(value)
+            value = -value
         run = None  # the terms of value, while value heads a run of forms
         while self.at_sym("+", "-"):
             op = self.next()
             rhs = self.term()
             if op.text == "-":
-                rhs = self._negate(rhs)
-            if self._is_form(value) and self._is_form(rhs) and value.degree == rhs.degree:
+                rhs = -rhs
+            if isinstance(value, Form) and isinstance(rhs, Form) and value.degree == rhs.degree:
                 run = dict(value.terms) if run is None else run
                 for k, v in rhs.terms.items():
                     run[k] = run.get(k, ZERO) + v
@@ -140,14 +137,12 @@ class _LineParser:
     def term(self):
         value = self.factor()
         while True:
-            if self.at_sym("*"):
-                op = self.next()
-                value = self._mul(value, self.factor(), op)
-            elif self.at_sym("/"):
-                op = self.next()
-                value = self._div(value, self.factor(), op)
-            elif self.peek().kind in ("NUMBER", "IDENT") or self.at_sym("("):
-                op = self.peek()
+            op = self.peek()
+            if op.text in ("*", "/"):
+                self.next()
+                rhs = self.factor()
+                value = self._mul(value, rhs, op) if op.text == "*" else self._div(value, rhs, op)
+            elif op.kind in ("NUMBER", "IDENT") or op.text == "(":
                 value = self._mul(value, self.factor(), op)
             else:
                 return value
@@ -170,11 +165,7 @@ class _LineParser:
                 idx = tuple(int(ch) for ch in m.group(1))
                 for i in idx:
                     if not 1 <= i <= self.dim:
-                        raise ParseError(
-                            f"index {i} out of range for dimension {self.dim}",
-                            t.line,
-                            t.col,
-                        )
+                        raise ParseError(f"index {i} out of range for dimension {self.dim}", t.line, t.col)
                 return Form.monomial(self.dim, Fraction(1), idx)
             if self.param is not None and t.text == self.param:
                 return variable(self.param)
@@ -186,60 +177,48 @@ class _LineParser:
             return value
         raise ParseError(f"expected a value, found {t.text or 'end of line'}", t.line, t.col)
 
-    @staticmethod
-    def _is_form(v) -> bool:
-        return isinstance(v, Form)
-
-    def _negate(self, v):
-        return -v
-
     def _add(self, a, b, tok: Token):
-        if self._is_form(a) and self._is_form(b):
-            # expression() sums forms of one degree itself
-            if a.is_zero:
-                return b
-            if b.is_zero:
-                return a
-            raise ParseError(
-                f"cannot add a degree-{a.degree} and a degree-{b.degree} form",
-                tok.line,
-                tok.col,
-            )
-        if self._is_form(a) or self._is_form(b):
-            form, scal = (a, b) if self._is_form(a) else (b, a)
-            if is_zero(scal):
-                return form
-            raise ParseError("cannot add a scalar and a form", tok.line, tok.col)
-        return a + b
+        """a + b where expression() does not sum them itself: two scalars, or a
+        form and a term of another kind or degree.  A zero scalar or form gives
+        way to a form; a form cancelled to zero stays a form, so a nonzero
+        scalar does not add to it."""
+        if not isinstance(a, Form) and not isinstance(b, Form):
+            return a + b
+        for zero, other in ((a, b), (b, a)):
+            if isinstance(other, Form) and (zero.is_zero if isinstance(zero, Form) else is_zero(zero)):
+                return other
+        both = isinstance(a, Form) and isinstance(b, Form)
+        what = f"a degree-{a.degree} and a degree-{b.degree} form" if both else "a scalar and a form"
+        raise ParseError(f"cannot add {what}", tok.line, tok.col)
 
     def _mul(self, a, b, tok: Token):
-        if self._is_form(a) and self._is_form(b):
+        if isinstance(a, Form) and isinstance(b, Form):
             return self._bounded(a.wedge(b), tok)
-        return self._bounded(b * a if self._is_form(a) else a * b, tok)  # a scalar goes on the left
+        return self._bounded(b * a if isinstance(a, Form) else a * b, tok)  # a scalar goes on the left
 
     def _bounded(self, product, tok: Token):
         """The product, unless its degree in the parameter is above MAX_EXPONENT;
         checked on every product, so that a run of factors cannot grow it."""
-        coeffs = product.terms.values() if self._is_form(product) else (product,)
+        coeffs = product.terms.values() if isinstance(product, Form) else (product,)
         degree = max((c.degree for c in coeffs if isinstance(c, Poly)), default=0)
         if degree > MAX_EXPONENT:
             raise ParseError(f"degree {degree} in {self.param} is above {MAX_EXPONENT}", tok.line, tok.col)
         return product
 
     def _div(self, a, b, tok: Token):
-        if self._is_form(b) or isinstance(b, Poly):
+        if isinstance(b, (Form, Poly)):
             raise ParseError("can only divide by a rational", tok.line, tok.col)
         if b == 0:
             raise ParseError("division by zero", tok.line, tok.col)
-        return (1 / b) * a if self._is_form(a) else a / b
+        return (1 / b) * a if isinstance(a, Form) else a / b
 
     def _pow(self, a, b, tok: Token):
-        if self._is_form(a) and self._is_form(b):
+        if isinstance(a, Form) and isinstance(b, Form):
             return self._bounded(a.wedge(b), tok)
-        if not self._is_form(a) and isinstance(b, Fraction) and b.denominator == 1 and b >= 0:
+        if not isinstance(a, Form) and isinstance(b, Fraction) and b.denominator == 1 and b >= 0:
             degree = b * (a.degree if isinstance(a, Poly) else 1)
             if degree > MAX_EXPONENT:
-                what = f"exponent {b}" if degree == b else f"degree {degree} in {a.var}"
+                what = f"exponent {b}" if degree == b else f"degree {render(degree)} in {a.var}"
                 raise ParseError(f"{what} is above {MAX_EXPONENT}", tok.line, tok.col)
             out: Scalar = Fraction(1)
             for _ in range(int(b)):
@@ -248,21 +227,15 @@ class _LineParser:
         raise ParseError("'^' joins two forms or raises a scalar to an integer", tok.line, tok.col)
 
     def form_expression(self, degree: int, what: str) -> Form:
+        """The expression, a form of the given degree; a zero scalar or a zero
+        form of any degree is the zero form of that degree."""
         value = self.expression()
-        if not self._is_form(value):
-            if is_zero(value):
-                return Form.zero(self.dim, degree)
-            raise ParseError(
-                f"{what} must be a degree-{degree} form", self.peek().line, 1
-            )
-        if value.is_zero and value.degree != degree:
+        is_form = isinstance(value, Form)
+        if value.is_zero if is_form else is_zero(value):
             return Form.zero(self.dim, degree)
-        if value.degree != degree:
-            raise ParseError(
-                f"{what} must be a degree-{degree} form, got degree {value.degree}",
-                self.peek().line,
-                1,
-            )
+        if not is_form or value.degree != degree:
+            got = f", got degree {value.degree}" if is_form else ""
+            raise ParseError(f"{what} must be a degree-{degree} form{got}", self.peek().line, 1)
         return value
 
     def number(self) -> int:
@@ -310,20 +283,16 @@ def parse(text: str) -> AlgebraDocument:
             continue
         head = tokens[0]
         p = _LineParser(tokens, header[1], header[2])
-        if head.kind == "IDENT" and head.text == "d":
+        if head.text == "d":
             _parse_differential(p, diffs)
-        elif head.kind == "IDENT" and head.text == "qc":
+        elif head.text == "qc":
             split = _parse_qc(p, split)
-        elif head.kind == "IDENT" and re.match(r"^omega[123]$", head.text):
+        elif head.text in ("omega1", "omega2", "omega3"):
             _parse_omega(p, split, omegas)
-        elif head.kind == "IDENT" and head.text == "flag":
+        elif head.text == "flag":
             flag = _parse_flag(p, flag)
         else:
-            raise ParseError(
-                f"expected 'd', 'qc', 'omegaN' or 'flag', found {head.text!r}",
-                head.line,
-                head.col,
-            )
+            raise ParseError(f"expected 'd', 'qc', 'omegaN' or 'flag', found {head.text!r}", head.line, head.col)
     if header is None:
         raise ParseError("empty document", last_line, 1)
     name, dim, param = header
@@ -350,7 +319,7 @@ def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(f"dimension {dim} outside 1..{MAX_DIM}", t.line, t.col)
     param = None
-    if p.peek().kind == "IDENT" and p.peek().text == "param":
+    if p.peek().text == "param":
         p.next()
         param = p.expect("IDENT").text
     p.expect_end()
@@ -386,7 +355,7 @@ def _parse_qc(p: _LineParser, split: tuple | None) -> tuple:
     if len(set(used)) != 7:
         raise ParseError("horizontal and vertical indices must cover 7 distinct basis directions", head.line, head.col)
     scale = Fraction(2)
-    if not p.done():
+    if p.peek().kind != "END":
         p.expect("IDENT", "scale")
         scale = p.rational()
     p.expect_end()
@@ -423,14 +392,10 @@ def _parse_flag(p: _LineParser, flag: Flag | None) -> Flag:
         break
     p.expect_end()
     if len(levels) != p.dim:
-        raise ParseError(
-            f"flag must list {p.dim} levels, got {len(levels)}", t.line, t.col
-        )
+        raise ParseError(f"flag must list {p.dim} levels, got {len(levels)}", t.line, t.col)
     for i, level in enumerate(levels, start=1):
         if len(level) != i:
-            raise ParseError(
-                f"flag level {i} must list {i} covectors, got {len(level)}", t.line, t.col
-            )
+            raise ParseError(f"flag level {i} must list {i} covectors, got {len(level)}", t.line, t.col)
     cols = range(1, p.dim + 1)
     return Flag(p.dim, tuple(tuple(tuple(f.coeff((j,)) for j in cols) for f in level) for level in levels))
 
@@ -447,9 +412,7 @@ def _coeff_text(c: Scalar) -> tuple[str, str]:
     a = abs(c)
     if a == 1:
         return sign, ""
-    if a.denominator == 1:
-        return sign, str(a)
-    return sign, f"({a})"
+    return sign, render(a) if a.denominator == 1 else f"({render(a)})"
 
 
 def form_text(f: Form) -> str:
@@ -483,7 +446,7 @@ def print_document(doc: AlgebraDocument) -> str:
     if b is not None:
         h = " ".join(str(i) for i in b.horizontal)
         v = " ".join(str(i) for i in b.vertical)
-        lines.append(f"qc horizontal {h} vertical {v} scale {b.scale}")
+        lines.append(f"qc horizontal {h} vertical {v} scale {render(b.scale)}")
         for r, omega in enumerate(b.omegas, start=1):
             lines.append(f"omega{r} = {form_text(omega)}")
     if doc.flag is not None:

@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotIntegrable, NotQuaternionic
-from .exterior import Form, LieAlgebra
-from .family import rescale_covectors
+from .exterior import Form, LieAlgebra, rescale_covectors
 from .linalg import common_denominator, matmul, scaled
 from .scalars import Poly, Scalar, Value, replace
 

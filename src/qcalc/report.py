@@ -7,6 +7,7 @@ from .conformal import is_qc_conformally_flat, wqc_tensor
 from .exterior import LieAlgebra
 from .family import fingerprint
 from .qc import QCFrame, d_fundamental_form, verdicts, vertical_integrable
+from .scalars import render
 
 # the keys after "name" and "jacobi", in output order; each starts as None
 REPORT_KEYS = (
@@ -17,13 +18,13 @@ SAMPLE_TUPLES = ((1, 2, 1, 2), (1, 3, 1, 3), (1, 4, 1, 4), (3, 4, 3, 4))
 
 
 def _matrix_strings(m) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m]
+    return [[render(x) for x in row] for row in m]
 
 
 def samples(tensor: Curvature, at) -> list[dict]:
     """The SAMPLE_TUPLES entries of a tensor on H, each index i read at at[i - 1]:
     R at frame.horizontal, W^qc at its own positions 1-4."""
-    return [{"idx": list(t), "value": str(tensor[tuple(at[i - 1] for i in t)])} for t in SAMPLE_TUPLES]
+    return [{"idx": list(t), "value": render(tensor[tuple(at[i - 1] for i in t)])} for t in SAMPLE_TUPLES]
 
 
 def wqc_block(p: Pipeline) -> tuple[list[dict], bool]:
@@ -54,7 +55,7 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     report["vertical_integrable"] = vertical_integrable(g, frame)
     if p is None:
         return report, False
-    report["S"] = str(p.s_value)
+    report["S"] = render(p.s_value)
     report["T0"] = _matrix_strings(p.t0)
     report["torsion_endos"] = [_matrix_strings(m) for m in p.endos]
     report["torsion_nonzero"] = any(

@@ -9,10 +9,11 @@ parameter" uniformly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import IndeterminateMismatch, ZeroPolynomial
+from .errors import IndeterminateMismatch, NumberTooLong, ZeroPolynomial
 from .linalg import _primitive
 
 ZERO = Fraction(0)
@@ -146,9 +147,9 @@ class Poly(Value):
             if c == 0:
                 continue
             if k == 0:
-                mono = str(c)
+                mono = render(c)
             else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+                head = "" if c == 1 else ("-" if c == -1 else f"{render(c)}*")
                 mono = f"{head}{self.var}" + (f"^{k}" if k > 1 else "")
             if not terms:
                 terms.append(mono)
@@ -160,6 +161,17 @@ class Poly(Value):
 
 
 Scalar = Fraction | Poly
+
+
+def render(x: Scalar | int) -> str:
+    """str(x), the text of every number qcalc prints.  A numerator or
+    denominator past int-to-string's digit limit (sys.get_int_max_str_digits(),
+    bounding a conversion that is quadratic in the digits) is NumberTooLong."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise NumberTooLong(f"a number of more than {limit} digits is too long to print") from None
 
 
 def _coerce(x: Scalar | int, var: str) -> Poly:

@@ -28,11 +28,12 @@ from qcalc.exterior import (
     Vec,
     cohomology_dim,
     derived_and_central_series,
+    rescale_covectors,
     search_flag,
     substitute_form,
     verify_flag,
 )
-from qcalc.family import rescale_covectors, solve_family, specialize
+from qcalc.family import solve_family, specialize
 from qcalc.parser import parse, print_document
 from qcalc.qc import (
     check_bi1,

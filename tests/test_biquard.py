@@ -17,8 +17,7 @@ from qcalc.biquard import (
     audit,
 )
 from qcalc.errors import InconsistentCurvature, NotIntegrable
-from qcalc.family import rescale_covectors
-from qcalc.exterior import Form, LieAlgebra, Vec, substitute_form
+from qcalc.exterior import Form, LieAlgebra, Vec, rescale_covectors, substitute_form
 from qcalc.parser import parse
 from qcalc.qc import (
     adapt,

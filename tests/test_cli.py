@@ -15,9 +15,10 @@ import qcalc
 import qcalc.cli
 from qcalc.catalog import names, source
 from qcalc.errors import NotQuaternionic
-from qcalc.exterior import verify_flag
-from qcalc.parser import parse
+from qcalc.exterior import LieAlgebra, verify_flag
+from qcalc.parser import AlgebraDocument, parse, print_document
 from qcalc.qc import adapt, adapted_shape
+from qcalc.scalars import replace
 from test_conformal import G2_ROTATED
 from test_relabel import NOT_BI1, OFF_H
 
@@ -213,6 +214,45 @@ def test_catalog_show_verbatim():
 def test_family_solve():
     out = jout(run("family", "solve", "--catalog", "prop31_family", "--format", "json"))
     assert out == {"name": "prop31_family", "param": "mu", "roots": ["-1", "-1/3"]}
+
+
+def g1_times(factor: int) -> str:
+    """g1 with every structure constant and the declared scale multiplied by factor."""
+    doc = parse(source("g1"))
+    g = LieAlgebra(doc.algebra.name, doc.algebra.dim, tuple(factor * f for f in doc.algebra.differentials))
+    return print_document(AlgebraDocument(g, replace(doc.frame, scale=factor * doc.frame.scale)))
+
+
+# the parser takes literals of up to 4300 digits, and arithmetic makes longer numbers of them:
+# S and W^qc of g1 times 10^2200, and the root N^2 of a family
+TOO_LONG = {
+    "wqc": g1_times(10**2200),
+    "family solve": f"algebra f dim 4 param mu\nd e1 = 0\nd e2 = 0\nd e3 = e12\nd e4 = (mu - {'9' * 3000}^2) e34\n",
+}
+
+
+def assert_too_long_to_print(result, fmt):
+    message = f"a number of more than {sys.get_int_max_str_digits()} digits is too long to print"
+    assert (result.returncode, result.stdout) == (2, "")
+    if fmt == "json":
+        assert json.loads(result.stderr) == {"error": {"message": message}}
+    else:
+        assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", TOO_LONG)
+def test_a_number_too_long_to_print_exits_2(command, fmt, tmp_path):
+    path = tmp_path / "long.alg"
+    path.write_text(TOO_LONG[command])
+    assert_too_long_to_print(run(*command.split(), str(path), "--format", fmt), fmt)
+
+
+def test_report_of_a_number_too_long_to_print_exits_2(tmp_path):
+    # one run: the fingerprint of the long algebra takes seconds
+    path = tmp_path / "long.alg"
+    path.write_text(TOO_LONG["wqc"])
+    assert_too_long_to_print(run("report", str(path), "--format", "text"), "text")
 
 
 def test_family_solve_rejects_param_flag():
@@ -541,6 +581,7 @@ def test_commands_without_a_connection_skip_its_modules(args):
     loaded = loaded_modules(*args)
     assert "qcalc.parser" in loaded
     assert loaded & CONNECTION_STACK == set()
+    assert ("qcalc.family" in loaded) == (args[0] == "family")
 
 
 @pytest.mark.parametrize("command", ["report", "wqc"])

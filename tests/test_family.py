@@ -15,11 +15,10 @@ from qcalc.family import (
     AllValues,
     fingerprint,
     jacobi_constraints,
-    rescale_covectors,
     solve_family,
     specialize,
 )
-from qcalc.exterior import Form, LieAlgebra
+from qcalc.exterior import Form, LieAlgebra, rescale_covectors
 from qcalc.parser import parse
 from qcalc.scalars import Poly, poly_gcd, rational_roots, variable
 from oracles import document, jacobi_check

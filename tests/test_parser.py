@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcalc.catalog import names, source
-from qcalc.errors import ParseError
+from qcalc.errors import NumberTooLong, ParseError
 from qcalc.exterior import Form
 from qcalc.parser import MAX_EXPONENT, form_text, parse, print_document
 
@@ -106,6 +106,9 @@ def test_exponent_is_bounded():
     # nesting cannot get round the bound: it holds for the degree in the parameter
     e = err(tiny([f"d e4 = (mu^2 + 1)^{MAX_EXPONENT} e12"], header_extra=" param mu"))
     assert e.message == f"degree {2 * MAX_EXPONENT} in mu is above {MAX_EXPONENT}"
+    # a degree too long to name is NumberTooLong, exit 2 on the command line
+    with pytest.raises(NumberTooLong):
+        parse(tiny([f"d e4 = (mu^2)^{'9' * 4300} e12"], header_extra=" param mu"))
     d4 = parse(tiny([f"d e4 = mu^2 e12 + mu^{MAX_EXPONENT} e13"], header_extra=" param mu")).algebra.differential(4)
     assert str(d4.coeff((1, 2))) == "mu^2"
     assert d4.coeff((1, 3)).degree == MAX_EXPONENT
@@ -202,6 +205,8 @@ def test_degree_mismatch():
     e = err("algebra x dim 2\nd e1 = e2\nd e2 = 0\n")
     assert "degree-2" in e.message
     assert e.line == 2
+    e = err(tiny(["d e4 = 2"]))  # a nonzero scalar: no degree to name
+    assert (e.line, e.col, e.message) == (2, 1, "d e4 must be a degree-2 form")
 
 
 def test_sum_errors_name_the_operator():
@@ -214,11 +219,26 @@ def test_sum_errors_name_the_operator():
     assert (e.line, e.col) == (2, 18)
     e = err(tiny(["d e4 = e12 - e12 + e3"]))  # a zero sum gives way to e3
     assert e.message == "d e4 must be a degree-2 form, got degree 1"
+    # a form cancelled to zero stays a form: a nonzero scalar does not add to it
+    e = err(tiny(["d e4 = e12 - e12 + 1"]))
+    assert (e.line, e.col, e.message) == (2, 18, "cannot add a scalar and a form")
+    e = err(tiny(["d e4 = 1 + e12"]))
+    assert (e.line, e.col, e.message) == (2, 10, "cannot add a scalar and a form")
 
 
 def test_zero_sums_give_way_to_other_degrees():
     doc = parse(tiny(["d e4 = e12 - e12 + e3 - e3 + 0 + e13 + 2 e23"]))
     assert doc.algebra.differential(4) == Form.make(4, 2, {(1, 3): Fraction(1), (2, 3): Fraction(2)})
+    assert parse(tiny(["d e4 = 0 + e12"])).algebra.differential(4) == Form.monomial(4, Fraction(1), (1, 2))
+    for zero in ("1 - 1", "e1 - e1"):
+        assert parse(tiny([f"d e4 = {zero}"])).algebra.differential(4) == Form.zero(4, 2)
+
+
+@pytest.mark.parametrize("line", ["= e12", "7 = e12", "omega4 = e12"])
+def test_a_line_starts_with_d_qc_omega_or_flag(line):
+    e = err(tiny([line]))
+    head = line.split()[0]
+    assert (e.line, e.col, e.message) == (2, 1, f"expected 'd', 'qc', 'omegaN' or 'flag', found {head!r}")
 
 
 signed_terms = st.lists(

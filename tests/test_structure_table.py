@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc import linalg
-from qcalc.biquard import assemble_torsion
+from qcalc.biquard import assemble_torsion, run_pipeline
 from qcalc.errors import ParametricNotSupported
 from qcalc.exterior import (
     Form,
@@ -30,9 +30,11 @@ from qcalc.exterior import (
     cohomology_dim,
     derived_and_central_series,
     monomials,
+    rescale_covectors,
     scaled_bracket,
+    search_flag,
+    verify_flag,
 )
-from qcalc.family import rescale_covectors
 from qcalc.parser import parse
 from qcalc.qc import d_fundamental_form, standard_frame
 from qcalc.scalars import variable
@@ -277,11 +279,23 @@ def test_assembled_torsion_matches_bracket_definition(case):
 
 
 def test_structure_table_requires_a_rational_algebra():
-    fam = document("prop31_family").algebra
-    with pytest.raises(ParametricNotSupported):
-        fam.structure_table
-    with pytest.raises(ParametricNotSupported):
-        fam.is_valid
+    doc = document("prop31_family")
+    fam = doc.algebra
+    calls = [
+        lambda: fam.structure_table,
+        lambda: fam.is_valid,
+        lambda: run_pipeline(fam, doc.frame),
+        lambda: betti_numbers(fam),
+        lambda: search_flag(fam),
+        lambda: derived_and_central_series(fam),
+        lambda: cohomology_dim(fam, 2),
+        lambda: cohomology_dim(fam, 99),
+        lambda: verify_flag(fam, doc.flag),
+    ]
+    for call in calls:
+        with pytest.raises(ParametricNotSupported) as info:
+            call()
+        assert str(info.value) == "prop31_family carries parameter 'mu'; substitute a value first"
     assert jacobi_check(fam) != []  # the Form diagnostic still works on families
 
 
