@@ -10,8 +10,10 @@ The parse pass comes first.  Its documents are the catalog sources, the
 gen.py rotations below (heights 1-3) and 20,000 seeded edits of them, each
 edit as tests/test_parser.py::edited_sources makes them (one to three
 insertions of a grammar token after a piece of one line, or deletions of a
-piece), with `+ - * = , | @ x` among the tokens.  Each tree parses all of
-them in one `python` process, and for every document the two must agree on
+piece), with `+ - * = , | @ x`, a space and `#` among the tokens.  A space
+inside a term and a comment after one move a line across the edge of the
+parser's one-pass reading of sums.  Each tree parses all of them in one
+`python` process, and for every document the two must agree on
 the `print_document` text, or on the ParseError message, line and column, or
 on the type of any other exception.
 
@@ -81,7 +83,7 @@ TIMEOUT_S = 300
 JOBS = 4
 
 EDITS = 20000
-EDIT_TOKENS = ("/", "^", "e0", "e102", "mu", "(", ")", "0", "1", "2", "7", "+", "-", "*", "=", ",", "|", "@", "x")
+EDIT_TOKENS = ("/", "^", "e0", "e102", "mu", "(", ")", "0", "1", "2", "7", "+", "-", "*", "=", ",", "|", "@", "x", " ", "#")
 # a monomial's last digit is its own piece, so an edit can land inside it (e1/2)
 PIECE_RE = re.compile(r"e\d(?=\d)|\w+|\S")
 

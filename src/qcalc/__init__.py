@@ -32,7 +32,7 @@ _PUBLIC = {
     "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "solve_family", "specialize"),
     "parser": ("AlgebraDocument", "form_text", "parse", "print_document"),
     "qc": (
-        "QCFrame", "adapt", "adapted_shape", "check_bi1", "check_compatibility", "d_fundamental_form",
+        "QCFrame", "adapt", "check_bi1", "check_compatibility", "d_fundamental_form",
         "derive_complex_structures", "fundamental_form", "standard_frame", "vertical_integrable",
     ),
     "report": ("build_report",),

@@ -25,7 +25,8 @@ class _InputError(QcalcError):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     fmt = _resolve_format(args)
     try:
         return args.handler(args, fmt)
@@ -77,12 +78,21 @@ def _emit(obj: dict, fmt: str, text_lines) -> None:
 # argument plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("check", "report", "wqc", "cohomology", "flag", "family", "catalog")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv[0] names a command it holds that
+    command's subparser alone, since a process runs one command, and a metavar
+    that keeps the usage line the same; otherwise it holds every subparser,
+    and argparse's errors name the missing or unknown `command`."""
     top = argparse.ArgumentParser(
         prog="qcalc",
         description="Exact invariants of 7-dimensional quaternionic-contact Lie algebras.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), help="output format (default: QCALC_FORMAT or text)")
@@ -92,38 +102,45 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--catalog", dest="catalog_name", metavar="NAME", help="use a built-in algebra")
     src.add_argument("--param", metavar="NAME=VALUE", help="specialize the parameter, e.g. mu=-1")
 
-    p = sub.add_parser("check", parents=[src], help="validate the Jacobi identity and qc structure")
-    p.set_defaults(handler=_cmd_check)
+    if only in (None, "check"):
+        p = sub.add_parser("check", parents=[src], help="validate the Jacobi identity and qc structure")
+        p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("report", parents=[src], help="compute the full invariant report")
-    p.set_defaults(handler=_cmd_report)
+    if only in (None, "report"):
+        p = sub.add_parser("report", parents=[src], help="compute the full invariant report")
+        p.set_defaults(handler=_cmd_report)
 
-    p = sub.add_parser("wqc", parents=[src], help="evaluate the conformal curvature tensor")
-    p.set_defaults(handler=_cmd_wqc)
+    if only in (None, "wqc"):
+        p = sub.add_parser("wqc", parents=[src], help="evaluate the conformal curvature tensor")
+        p.set_defaults(handler=_cmd_wqc)
 
-    p = sub.add_parser("cohomology", parents=[src], help="Betti numbers of the Chevalley-Eilenberg complex")
-    p.add_argument("--k", type=int, default=None, help="single degree to compute")
-    p.set_defaults(handler=_cmd_cohomology)
+    if only in (None, "cohomology"):
+        p = sub.add_parser("cohomology", parents=[src], help="Betti numbers of the Chevalley-Eilenberg complex")
+        p.add_argument("--k", type=int, default=None, help="single degree to compute")
+        p.set_defaults(handler=_cmd_cohomology)
 
-    flag = sub.add_parser("flag", help="ascending invariant flags")
-    fsub = flag.add_subparsers(dest="flag_command", required=True)
-    p = fsub.add_parser("verify", parents=[src], help="verify the flag declared in the document")
-    p.set_defaults(handler=_cmd_flag_verify)
-    p = fsub.add_parser("search", parents=[src], help="search for an invariant flag")
-    p.set_defaults(handler=_cmd_flag_search)
+    if only in (None, "flag"):
+        flag = sub.add_parser("flag", help="ascending invariant flags")
+        fsub = flag.add_subparsers(dest="flag_command", required=True)
+        p = fsub.add_parser("verify", parents=[src], help="verify the flag declared in the document")
+        p.set_defaults(handler=_cmd_flag_verify)
+        p = fsub.add_parser("search", parents=[src], help="search for an invariant flag")
+        p.set_defaults(handler=_cmd_flag_search)
 
-    family = sub.add_parser("family", help="one-parameter families")
-    fsub = family.add_subparsers(dest="family_command", required=True)
-    p = fsub.add_parser("solve", parents=[src], help="parameter values satisfying the Jacobi identity")
-    p.set_defaults(handler=_cmd_family_solve)
+    if only in (None, "family"):
+        family = sub.add_parser("family", help="one-parameter families")
+        fsub = family.add_subparsers(dest="family_command", required=True)
+        p = fsub.add_parser("solve", parents=[src], help="parameter values satisfying the Jacobi identity")
+        p.set_defaults(handler=_cmd_family_solve)
 
-    cat = sub.add_parser("catalog", help="built-in algebras")
-    csub = cat.add_subparsers(dest="catalog_command", required=True)
-    p = csub.add_parser("list", parents=[fmt], help="list catalog names")
-    p.set_defaults(handler=_cmd_catalog_list)
-    p = csub.add_parser("show", parents=[fmt], help="print a catalog source")
-    p.add_argument("name")
-    p.set_defaults(handler=_cmd_catalog_show)
+    if only in (None, "catalog"):
+        cat = sub.add_parser("catalog", help="built-in algebras")
+        csub = cat.add_subparsers(dest="catalog_command", required=True)
+        p = csub.add_parser("list", parents=[fmt], help="list catalog names")
+        p.set_defaults(handler=_cmd_catalog_list)
+        p = csub.add_parser("show", parents=[fmt], help="print a catalog source")
+        p.add_argument("name")
+        p.set_defaults(handler=_cmd_catalog_show)
 
     return top
 

@@ -11,6 +11,12 @@ A document is line-oriented:
 
 Digit monomials e12 mean e^1 wedge e^2 (dimension is capped at 9 so single
 digits are unambiguous); e1^e2 is always accepted.  '#' starts a comment.
+
+A `d eK` or `omegaR` line whose right side is a plain sum of signed terms,
+each an optional coefficient times a 2-digit monomial, is read in one pass
+(`_read_sum`); every other line, and every line that pass does not take in
+full, goes through the tokenizer and the recursive descent, which raise
+every ParseError.
 """
 
 from __future__ import annotations
@@ -21,10 +27,18 @@ from fractions import Fraction
 from .errors import ParseError
 from .exterior import MAX_DIM, Flag, Form, LieAlgebra, substitute_form
 from .qc import QCFrame
-from .scalars import ZERO, Poly, Scalar, Value, is_zero, render, replace, substitute, variable
+from .scalars import ZERO, Poly, Scalar, Value, is_zero, poly, render, replace, substitute, variable
 
 _TOKEN_RE = re.compile(r"(?P<NUMBER>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYM>[-+*/^()=,|])|\S")
 _MONO_RE = re.compile(r"^e([1-9][0-9]*)$")
+# the head of a line _read_sum may take, and one term of its sum: a sign, a coefficient
+# N, (±R), (±R p) or (±R ± R p) with R = N or N/M and p an identifier, and a monomial
+_SUM_HEAD_RE = re.compile(r"\s*(?:d\s+e([1-9])|omega([123]))\s*=")
+_R = r"([0-9]+)(?:\s*/\s*([0-9]+))?"
+_SUM_TERM_RE = re.compile(
+    rf"\s*([+-]?)\s*(?:([0-9]+)|\(\s*([+-]?)\s*{_R}\s*(?:([+-])\s*{_R}\s*)?([A-Za-z_][A-Za-z0-9_]*)?\s*\))?"
+    r"\s*e([1-9])([1-9])\s*"
+)
 MAX_EXPONENT = 64  # bounds n in x^n, and the degree in the parameter of mu^n or (mu^2 + 1)^n
 
 
@@ -269,17 +283,29 @@ class _LineParser:
 
 def parse(text: str) -> AlgebraDocument:
     """Parse a full .alg document."""
-    header = split = flag = None
+    header = split = flag = sum_param = None
     diffs: dict[int, Form] = {}
     omegas: dict[int, Form] = {}
     last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        sum_head = _SUM_HEAD_RE.match(raw) if header is not None else None
+        if sum_head is not None:
+            k, r = sum_head.groups()
+            into, key = (diffs, int(k)) if k else (omegas, int(r))
+            if (key <= header[1] if k else split is not None) and key not in into:
+                form = _read_sum(raw, sum_head.end(), header[1], sum_param)
+                if form is not None:
+                    into[key] = form
+                    last_line = lineno
+                    continue
         tokens = _tokenize_line(raw, lineno)
         if tokens[0].kind == "END":
             continue
         last_line = lineno
         if header is None:
             header = _parse_header(tokens)
+            # the descent reads a parameter spelled like a monomial (param e12) as one
+            sum_param = None if header[2] is None or _MONO_RE.match(header[2]) else header[2]
             continue
         head = tokens[0]
         p = _LineParser(tokens, header[1], header[2])
@@ -308,6 +334,51 @@ def parse(text: str) -> AlgebraDocument:
         frame = QCFrame(dim, horizontal, vertical, (omegas[1], omegas[2], omegas[3]), scale)
     algebra = LieAlgebra(name, dim, tuple(diffs[k] for k in range(1, dim + 1)), param)
     return AlgebraDocument(algebra, frame, flag)
+
+
+def _read_sum(line: str, pos: int, dim: int, param: str | None) -> Form | None:
+    """The 2-form line[pos:] spells, when it is a sum of _SUM_TERM_RE terms, the
+    first with an optional sign and each other with one, over two distinct
+    indices up to dim, with param the only identifier.  None otherwise, and for
+    a zero denominator or a number past int()'s digit limit: the descent then
+    reads the line and raises its ParseError."""
+    terms: dict[tuple[int, int], Scalar] = {}
+    end, first = len(line), True
+    try:
+        while first or pos < end:
+            m = _SUM_TERM_RE.match(line, pos)
+            if m is None or not (first or m[1]):
+                return None
+            first, pos = False, m.end()
+            sign, n, s0, n0, m0, s1, n1, m1, ident, i, j = m.groups()
+            i, j = int(i), int(j)
+            if i == j or i > dim or j > dim or (ident is not None and ident != param):
+                return None
+            if n is not None:
+                c0, c1 = Fraction(int(n)), ZERO
+            elif n0 is None:
+                c0, c1 = Fraction(1), ZERO
+            else:
+                c0 = _signed(s0, n0, m0)
+                c1 = ZERO if s1 is None else _signed(s1, n1, m1)
+                if ident is None:
+                    if s1 is not None:
+                        return None
+                elif s1 is None:
+                    c0, c1 = ZERO, c0
+            if (sign == "-") != (i > j):
+                c0, c1 = -c0, -c1
+            key = (i, j) if i < j else (j, i)
+            coeff = poly(param, c0, c1) if c1 else c0
+            terms[key] = terms[key] + coeff if key in terms else coeff
+    except (ValueError, ZeroDivisionError):  # int() past sys.get_int_max_str_digits(), or N/0
+        return None
+    return Form.make(dim, 2, terms)
+
+
+def _signed(sign: str, num: str, den: str | None) -> Fraction:
+    q = Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return -q if sign == "-" else q
 
 
 def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:

@@ -157,29 +157,6 @@ def verdicts(run, g: LieAlgebra, frame: QCFrame):
         return True, False, None
 
 
-def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | None:
-    """Extract the horizontal 1-forms f_1, f_2, f_3 of the adapted coframe shape.
-
-    d eta_i must decompose as scale*omega_i + f_j ^ eta_k - f_k ^ eta_j modulo
-    purely vertical 2-forms, with (i, j, k) cyclic: f_j(X) = d eta_i(X, xi_k)
-    and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
-    The two readings of f_k, d eta_j(X, xi_i) and -d eta_i(X, xi_j), agree
-    and every d eta_i(X, xi_i) vanishes exactly when `check_bi1` holds, so
-    f_j(X) = d eta_i(X, xi_k) = -C[X][v_k][v_i] / E is read once per cycle
-    off the structure table (E, C).  Returns None when `adapt` rejects the
-    frame.
-    """
-    if not verdicts(adapt, g, frame)[1]:
-        return None
-    e, c = g.structure_table
-    v = frame.vertical
-    f = {
-        j: Form.make(g.dim, 1, {(x,): Fraction(-c[x - 1][v[k] - 1][v[i] - 1], e) for x in frame.horizontal})
-        for i, j, k in CYCLES
-    }
-    return f[0], f[1], f[2]
-
-
 def fundamental_form(frame: QCFrame) -> Form:
     total = Form.zero(frame.dim, 4)
     for om in frame.omegas:

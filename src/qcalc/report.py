@@ -40,21 +40,27 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     block is present and fails the gate of `run_pipeline` or any audit
     check.  The closedness of the fundamental 4-form, vertical
     integrability, and conformal flatness are reported as findings only.
+    The fingerprint comes last: a number too long to print (NumberTooLong)
+    ends the report before its seconds of rank work on such numbers.
     """
     jacobi = g.is_valid
     report: dict = {"name": g.name, "jacobi": jacobi, **dict.fromkeys(REPORT_KEYS)}
     if not jacobi:
         return report, False
+    ok = frame is None or _qc_findings(report, g, frame)
     report["fingerprint"] = fingerprint(g)
-    if frame is None:
-        return report, True
+    return report, ok
+
+
+def _qc_findings(report: dict, g: LieAlgebra, frame: QCFrame) -> bool:
+    """Fill in the report's qc keys; False when the gate or an audit check fails."""
     report["qc_valid"], report["bi1"], p = verdicts(run_pipeline, g, frame)
     if not report["qc_valid"]:
-        return report, False
+        return False
     report["dOmega_zero"] = d_fundamental_form(g, frame).is_zero
     report["vertical_integrable"] = vertical_integrable(g, frame)
     if p is None:
-        return report, False
+        return False
     report["S"] = render(p.s_value)
     report["T0"] = _matrix_strings(p.t0)
     report["torsion_endos"] = [_matrix_strings(m) for m in p.endos]
@@ -64,4 +70,4 @@ def build_report(g: LieAlgebra, frame: QCFrame | None) -> tuple[dict, bool]:
     report["R_samples"] = samples(p.riem, p.frame.horizontal)
     report["wqc_samples"], report["conformally_flat"] = wqc_block(p)
     report["audit"] = audit(p)
-    return report, all(c["passed"] for c in report["audit"])
+    return all(c["passed"] for c in report["audit"])

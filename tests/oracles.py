@@ -11,7 +11,8 @@ is checked against, none of which the package calls:
   field, the torsion recomputed from Christoffel coefficients, and a
   `Connection` built from a dict of `Vec`s of Fractions;
 - the qc compatibility and duality verdicts through `Form.pair` on the
-  differentials d eta_r;
+  differentials d eta_r, and the horizontal 1-forms of the adapted coframe
+  shape;
 - solving a*S + b = 0 for a symbol S (with its two errors), and the
   connection and Ricci forms over `Poly` in S through `LieAlgebra.d` and
   `Form.wedge`;
@@ -35,7 +36,7 @@ from qcalc.catalog import source
 from qcalc.errors import IndeterminateMismatch, InvalidFlag, ParametricNotSupported, QcalcError
 from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials, require_rational
 from qcalc.parser import AlgebraDocument, parse
-from qcalc.qc import CYCLES, Matrix4, QCFrame, fundamental_form
+from qcalc.qc import CYCLES, Matrix4, QCFrame, adapt, fundamental_form, verdicts
 from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, rational_roots, variable
 
 
@@ -198,6 +199,29 @@ def bi1_violations(g: LieAlgebra, frame: QCFrame) -> list[str]:
                     f"(xi_{s + 1} . d eta_{k + 1})|_H != -(xi_{k + 1} . d eta_{s + 1})|_H"
                 )
     return violations
+
+
+def adapted_shape(g: LieAlgebra, frame: QCFrame) -> tuple[Form, Form, Form] | None:
+    """Extract the horizontal 1-forms f_1, f_2, f_3 of the adapted coframe shape.
+
+    d eta_i must decompose as scale*omega_i + f_j ^ eta_k - f_k ^ eta_j modulo
+    purely vertical 2-forms, with (i, j, k) cyclic: f_j(X) = d eta_i(X, xi_k)
+    and f_k(X) = -d eta_i(X, xi_j) for horizontal X, and d eta_i(X, xi_i) = 0.
+    The two readings of f_k, d eta_j(X, xi_i) and -d eta_i(X, xi_j), agree
+    and every d eta_i(X, xi_i) vanishes exactly when `check_bi1` holds, so
+    f_j(X) = d eta_i(X, xi_k) = -C[X][v_k][v_i] / E is read once per cycle
+    off the structure table (E, C).  Returns None when `adapt` rejects the
+    frame.
+    """
+    if not verdicts(adapt, g, frame)[1]:
+        return None
+    e, c = g.structure_table
+    v = frame.vertical
+    f = {
+        j: Form.make(g.dim, 1, {(x,): Fraction(-c[x - 1][v[k] - 1][v[i] - 1], e) for x in frame.horizontal})
+        for i, j, k in CYCLES
+    }
+    return f[0], f[1], f[2]
 
 
 def connection_from_gamma(gamma: dict[tuple[int, int], Vec]) -> Connection:

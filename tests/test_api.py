@@ -36,6 +36,7 @@ MOVED = [
     ("qcalc.qc", None, "from_hcomps"),
     ("qcalc.qc", "QCFrame", "hvec"),
     ("qcalc.qc", None, "restrict_h"),
+    ("qcalc.qc", None, "adapted_shape"),
     ("qcalc.biquard", None, "connection_torsion"),
     ("qcalc.biquard", "Connection", "nabla_vec"),
     ("qcalc.catalog", None, "document"),

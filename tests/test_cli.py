@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 import qcalc
 import qcalc.cli
+import qcalc.report
 from qcalc.catalog import names, source
-from qcalc.errors import NotQuaternionic
+from qcalc.errors import NotQuaternionic, NumberTooLong
 from qcalc.exterior import LieAlgebra, verify_flag
 from qcalc.parser import AlgebraDocument, parse, print_document
-from qcalc.qc import adapt, adapted_shape
+from qcalc.qc import adapt
 from qcalc.scalars import replace
+from oracles import adapted_shape
 from test_conformal import G2_ROTATED
 from test_relabel import NOT_BI1, OFF_H
 
@@ -226,6 +228,7 @@ def g1_times(factor: int) -> str:
 # the parser takes literals of up to 4300 digits, and arithmetic makes longer numbers of them:
 # S and W^qc of g1 times 10^2200, and the root N^2 of a family
 TOO_LONG = {
+    "report": g1_times(10**2200),
     "wqc": g1_times(10**2200),
     "family solve": f"algebra f dim 4 param mu\nd e1 = 0\nd e2 = 0\nd e3 = e12\nd e4 = (mu - {'9' * 3000}^2) e34\n",
 }
@@ -248,11 +251,12 @@ def test_a_number_too_long_to_print_exits_2(command, fmt, tmp_path):
     assert_too_long_to_print(run(*command.split(), str(path), "--format", fmt), fmt)
 
 
-def test_report_of_a_number_too_long_to_print_exits_2(tmp_path):
-    # one run: the fingerprint of the long algebra takes seconds
-    path = tmp_path / "long.alg"
-    path.write_text(TOO_LONG["wqc"])
-    assert_too_long_to_print(run("report", str(path), "--format", "text"), "text")
+def test_report_stops_at_a_number_too_long_before_the_fingerprint(monkeypatch):
+    # the fingerprint of the long algebra takes seconds, so it comes after S is rendered
+    doc = parse(TOO_LONG["report"])
+    monkeypatch.setattr(qcalc.report, "fingerprint", lambda g: pytest.fail("fingerprint computed"))
+    with pytest.raises(NumberTooLong):
+        qcalc.report.build_report(doc.algebra, doc.frame)
 
 
 def test_family_solve_rejects_param_flag():
@@ -590,3 +594,29 @@ def test_connection_commands_load_the_connection_stack(command):
     assert CONNECTION_STACK <= loaded
     # the full import graph still needs none of these
     assert loaded & {"dataclasses", "inspect", "typing"} == set()
+
+
+SUBCOMMANDS = {"flag": ["verify", "search"], "family": ["solve"], "catalog": ["list", "show"]}
+HELP_ARGVS = [[c, *s, "--help"] for c in qcalc.cli.COMMANDS for s in [[]] + [[x] for x in SUBCOMMANDS.get(c, [])]]
+MISUSE_ARGVS = [
+    [], ["--help"], ["bogus"], ["report", "--bogus"], ["flag", "search", "--catalog", "g1", "--bogus"],
+    ["flag"], ["family"], ["catalog"], ["flag", "bogus"], ["report", "--format", "xml"],
+    ["catalog", "list", "--format", "yaml"], ["cohomology", "--k", "x"], ["report", "a", "b"],
+    ["cohomology", "--catalog", "g1", "--k", "3"], ["catalog", "show", "g1"],
+]
+
+
+def parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, args = 0, vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code, args = e.code, None
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS + MISUSE_ARGVS, ids=lambda a: " ".join(a) or "-")
+def test_the_per_command_parser_prints_what_the_full_parser_prints(argv):
+    full = qcalc.cli._build_parser([])
+    assert parse_outcome(qcalc.cli._build_parser(argv), argv) == parse_outcome(full, argv)

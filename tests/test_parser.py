@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qcalc.catalog import names, source
 from qcalc.errors import NumberTooLong, ParseError
 from qcalc.exterior import Form
-from qcalc.parser import MAX_EXPONENT, form_text, parse, print_document
+from qcalc.parser import MAX_EXPONENT, _read_sum, form_text, parse, print_document
 
 
 def tiny(body, dim=4, header_extra=""):
@@ -255,6 +255,76 @@ def test_a_sum_is_the_sum_of_its_terms(terms):
     for c, m in terms:
         expected = expected + Form.monomial(4, Fraction(c), tuple(int(i) for i in m[1:]))
     assert parse(tiny([f"d e4 = {text}"])).algebra.differential(4) == expected
+
+
+# one term of a sum for the one-pass reader: (text, whether the reader takes it), over
+# signs and spacing, each coefficient shape with zero parts, and monomials that are out of
+# range, repeated or of the wrong degree
+spaces = st.sampled_from(["", " ", "  ", "\t"])
+numbers = st.integers(0, 12).map(str)
+rationals = st.tuples(numbers, st.sampled_from(["", "/"]), spaces, st.integers(0, 9)).map(
+    lambda t: (t[0] + (f"{t[2]}/{t[2]}{t[3]}" if t[1] else ""), not t[1] or t[3] != 0)
+)
+
+
+@st.composite
+def sum_terms(draw, first, param):
+    sign = draw(st.sampled_from(["", "+", "-", "+", "-", "-"]))
+    ok = bool(sign) or first
+    kind = draw(st.sampled_from(["none", "N", "(R)", "(R p)", "(R + R p)", "(R + R)"]))
+    s0, s1 = draw(st.sampled_from(["", "-", "+"])), draw(st.sampled_from(["+", "-"]))
+    (r0, ok0), (r1, ok1) = draw(rationals), draw(rationals)
+    ident = draw(st.sampled_from([param, param, param, "nu", "e12" if param == "mu" else "mu"]))
+    sp = draw(spaces)
+    coeff = {
+        "none": ("", True),
+        "N": (draw(numbers), True),
+        "(R)": (f"({sp}{s0}{r0}{sp})", ok0),
+        "(R p)": (f"({s0}{r0}{sp} {ident})", ok0 and ident == param),
+        "(R + R p)": (f"({s0}{r0}{sp}{s1}{sp}{r1} {ident}{sp})", ok0 and ok1 and ident == param),
+        "(R + R)": (f"({s0}{r0} {s1} {r1})", False),
+    }[kind]
+    digits = draw(st.sampled_from(["12", "21", "13", "31", "23", "17", "71"] * 3 + ["11", "18", "80", "1", "123"]))
+    in_range = len(digits) == 2 and digits[0] != digits[1] and "0" not in digits and max(digits) <= "7"
+    text = f"{draw(spaces)}{sign}{draw(spaces)}{coeff[0]}{draw(spaces)}e{digits}{draw(spaces)}"
+    return text, ok and coeff[1] and in_range
+
+
+@st.composite
+def sum_lines(draw):
+    """(param, the sum, whether the one-pass reader takes it); param e12 is a
+    monomial to the descent, so the reader takes no sum that uses it."""
+    param = draw(st.sampled_from(["mu", "e12"]))
+    terms = [draw(sum_terms(True, param))] + draw(st.lists(sum_terms(False, param), max_size=5))
+    return param, "".join(t for t, _ in terms), param == "mu" and all(ok for _, ok in terms)
+
+
+def outcome(text):
+    try:
+        return print_document(parse(text))
+    except ParseError as e:
+        return e.message, e.line, e.col
+
+
+@settings(max_examples=400)
+@given(sum_lines(), st.sampled_from(["d e5 = ", "omega2 = "]))
+def test_the_one_pass_sum_reads_what_the_descent_reads(line, head):
+    """A line with a trailing comment goes to the descent, which must read the
+    same form or raise the same error; the one-pass reader takes every line in
+    its grammar, so the comparison covers it."""
+    param, rhs, in_grammar = line
+    omega2 = head + rhs if head.startswith("omega") else "omega2 = e13 + e42"
+    d5 = head + rhs if head.startswith("d") else "d e5 = e12 + e34"
+    lines = [d5, "qc horizontal 1 2 3 4 vertical 5 6 7", "omega1 = e12 + e34", omega2, "omega3 = e14 + e23"]
+    text = tiny(lines, dim=7, header_extra=f" param {param}")
+    lineno = text.splitlines().index(head + rhs) + 1
+    fast = outcome(text)
+    slow = outcome(text.replace(head + rhs, head + rhs + " #"))
+    if isinstance(slow, tuple) and slow[1:] == (lineno, len(head + rhs) + 3):
+        slow = slow[0], lineno, len(head + rhs) + 1  # the end of the line moved by the comment
+    assert fast == slow
+    if in_grammar:
+        assert _read_sum(head + rhs, len(head), 7, param) is not None
 
 
 def test_index_out_of_range():

@@ -11,7 +11,6 @@ from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.parser import parse
 from qcalc.qc import (
     QCFrame,
-    adapted_shape,
     check_bi1,
     check_compatibility,
     d_fundamental_form,
@@ -23,7 +22,7 @@ from qcalc.qc import (
     vertical_integrable,
 )
 from qcalc.scalars import replace, variable
-from oracles import apply_endo, bi1_violations, compatible, covector, document, evaluate, hvec, interior, restrict_h
+from oracles import adapted_shape, apply_endo, bi1_violations, compatible, covector, document, evaluate, hvec, interior, restrict_h
 from test_cli import HEIS_SKEW2
 from test_conformal import G2_ROTATED
 from test_relabel import NOT_BI1, PERMS, relabel

@@ -18,10 +18,10 @@ from qcalc.catalog import source
 from qcalc.exterior import Form, LieAlgebra
 from qcalc.family import specialize
 from qcalc.parser import AlgebraDocument, parse, print_document
-from qcalc.qc import adapted_shape, check_bi1, check_compatibility
+from qcalc.qc import check_bi1, check_compatibility
 from qcalc.report import build_report
 from qcalc.scalars import replace
-from oracles import document
+from oracles import adapted_shape, document
 from test_conformal import G2_ROTATED, PIPELINE_CASES
 
 # p(1), ..., p(7): vertical sets (1, 2, 3), (2, 5, 7), then neither block increasing
