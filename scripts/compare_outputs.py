@@ -7,12 +7,15 @@ parent commit's tree can be had with
 `git archive HEAD src | tar -x -C /tmp/parent` (then pass /tmp/parent/src).
 
 The parse pass comes first.  Its documents are the catalog sources, the
-gen.py rotations below (heights 1-3) and 20,000 seeded edits of them, each
-edit as tests/test_parser.py::edited_sources makes them (one to three
-insertions of a grammar token after a piece of one line, or deletions of a
-piece), with `+ - * = , | @ x`, a space and `#` among the tokens.  A space
-inside a term and a comment after one move a line across the edge of the
-parser's one-pass reading of sums.  Each tree parses all of them in one
+gen.py rotations below (heights 1-3), the same rotations with a comment
+after every `d` and `omega` line, so that each tree's recursive descent
+reads their dense sums, and 20,000 seeded edits of the sources and the
+plain rotations, each edit as tests/test_parser.py::edited_sources makes
+them (one to three insertions of a grammar token after a piece of one
+line, or deletions of a piece), with `+ - * = , | @ x`, a space and `#`
+among the tokens: 20,028 documents.  A space inside a term and a comment
+after one move a line across the edge of the parser's one-pass reading of
+sums.  Each tree parses all of them in one
 `python` process, and for every document the two must agree on
 the `print_document` text, or on the ParseError message, line and column, or
 on the type of any other exception.
@@ -86,6 +89,7 @@ EDITS = 20000
 EDIT_TOKENS = ("/", "^", "e0", "e102", "mu", "(", ")", "0", "1", "2", "7", "+", "-", "*", "=", ",", "|", "@", "x", " ", "#")
 # a monomial's last digit is its own piece, so an edit can land inside it (e1/2)
 PIECE_RE = re.compile(r"e\d(?=\d)|\w+|\S")
+COMMENTED_RE = re.compile(r"^(?:d |omega).*$", re.M)
 
 CATALOG_SOURCES = "import json; from qcalc.catalog import names, source; print(json.dumps([source(n) for n in names()]))"
 PARSE_ALL = """
@@ -279,10 +283,11 @@ def python(src: str, code: str, stdin: str = "") -> str:
 
 def parse_pass(trees: list[str]) -> int:
     """The parse pass: 0 when both trees agree on every document, else 1."""
-    bases = json.loads(python(trees[0], CATALOG_SOURCES))
-    bases += [text for name, (text, _) in documents().items() if "_rot_h" in name]
+    rotations = [text for name, (text, _) in documents().items() if "_rot_h" in name]
+    bases = json.loads(python(trees[0], CATALOG_SOURCES)) + rotations
+    commented = [COMMENTED_RE.sub(r"\g<0>  # dense", text) for text in rotations]
     rng = random.Random("parse pass")
-    docs = bases + [edited(rng, rng.choice(bases)) for _ in range(EDITS)]
+    docs = bases + commented + [edited(rng, rng.choice(bases)) for _ in range(EDITS)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         old, new = pool.map(lambda tree: json.loads(python(tree, PARSE_ALL, json.dumps(docs))), trees)
     for text, a, b in zip(docs, old, new):

@@ -5,16 +5,8 @@ Sources are stored verbatim; `catalog show` prints them unchanged.
 
 from __future__ import annotations
 
-_SOURCES: dict[str, str] = {}
-
-
-def _register(name: str, source: str) -> None:
-    _SOURCES[name] = source
-
-
-_register(
-    "heisenberg",
-    """algebra heisenberg dim 7
+_SOURCES: dict[str, str] = {
+    "heisenberg": """algebra heisenberg dim 7
 d e1 = 0
 d e2 = 0
 d e3 = 0
@@ -28,11 +20,7 @@ omega2 = e13 + e42
 omega3 = e14 + e23
 flag = e1 | e1, e2 | e1, e2, e3 | e1, e2, e3, e4 | e1, e2, e3, e4, e5 | e1, e2, e3, e4, e5, e6 | e1, e2, e3, e4, e5, e6, e7
 """,
-)
-
-_register(
-    "g1",
-    """algebra g1 dim 7
+    "g1": """algebra g1 dim 7
 d e1 = 0
 d e2 = (1/2)e15 - e34 + (1/2)e46
 d e3 = (1/2)e16 + e24 - (1/2)e45
@@ -45,11 +33,7 @@ omega1 = e12 + e34
 omega2 = e13 + e42
 omega3 = e14 + e23
 """,
-)
-
-_register(
-    "g2",
-    """algebra g2 dim 7
+    "g2": """algebra g2 dim 7
 d e1 = 0
 d e2 = (2/3)e12 + (1/6)e15 - (1/3)e34 + (1/6)e46
 d e3 = -(2/3)e13 + (1/6)e16 - e24 - (1/6)e45
@@ -62,11 +46,7 @@ omega1 = e12 + e34
 omega2 = e13 + e42
 omega3 = e14 + e23
 """,
-)
-
-_register(
-    "prop31_family",
-    """algebra prop31_family dim 7 param mu
+    "prop31_family": """algebra prop31_family dim 7 param mu
 d e1 = 0
 d e2 = (1 + mu)e12 - mu e15 + mu e34 - mu e46
 d e3 = -(1 + mu)e13 - (2 + 3 mu)e24 - mu e16 + mu e45
@@ -80,7 +60,7 @@ omega2 = e13 + e42
 omega3 = e14 + e23
 flag = e1 | e1, e4 | e1, e4, e2 - mu e5 | e1, e4, e2 - mu e5, e3 + e6 | e1, e4, e2 - mu e5, e3 + e6, e5 | e1, e4, e2 - mu e5, e3 + e6, e5, e6 | e1, e4, e2 - mu e5, e3 + e6, e5, e6, e7
 """,
-)
+}
 
 
 def names() -> list[str]:

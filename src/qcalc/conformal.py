@@ -55,8 +55,8 @@ def wqc_tensor(p: Pipeline) -> Curvature:
     base = kulkarni_nomizu(delta, [[2 * qq * t[a][b] + sigma * qq * delta[a][b] for b in r] for a in r])
     terms = []
     for j in js:
-        tj, jt_t = matmul(t, j), matmul([list(col) for col in zip(*j)], t)
-        dm = [[tj[a][b] - jt_t[a][b] for b in r] for a in r]
+        tj = matmul(t, j)
+        dm = [[tj[a][b] - tj[b][a] for b in r] for a in r]  # J^t T = (T J)^t, T symmetric
         kn = kulkarni_nomizu(j, [[2 * tj[a][b] + sigma * j[a][b] for b in r] for a in r])
         terms.append((j, dm, kn))
 

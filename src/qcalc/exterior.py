@@ -121,9 +121,6 @@ class Vec(Value):
 
     comps: tuple[Scalar, ...]
 
-    def __init__(self, comps: tuple[Scalar, ...]) -> None:
-        self.__dict__["comps"] = comps
-
     @staticmethod
     def zero(dim: int) -> Vec:
         return Vec((Fraction(0),) * dim)

@@ -121,8 +121,7 @@ class _LineParser:
     # values are Scalars or Forms; combination rules live in the helpers below
 
     def expression(self):
-        """Sum of terms.  A run of same-degree form terms is summed in one
-        dict, made into a Form once at its end."""
+        """Sum of terms, added pairwise by _add."""
         negate = False
         if self.at_sym("-"):
             self.next()
@@ -132,21 +131,11 @@ class _LineParser:
         value = self.term()
         if negate:
             value = -value
-        run = None  # the terms of value, while value heads a run of forms
         while self.at_sym("+", "-"):
             op = self.next()
             rhs = self.term()
-            if op.text == "-":
-                rhs = -rhs
-            if isinstance(value, Form) and isinstance(rhs, Form) and value.degree == rhs.degree:
-                run = dict(value.terms) if run is None else run
-                for k, v in rhs.terms.items():
-                    run[k] = run.get(k, ZERO) + v
-                continue
-            if run is not None:
-                value, run = Form.make(self.dim, value.degree, run), None
-            value = self._add(value, rhs, op)
-        return value if run is None else Form.make(self.dim, value.degree, run)
+            value = self._add(value, -rhs if op.text == "-" else rhs, op)
+        return value
 
     def term(self):
         value = self.factor()
@@ -192,23 +181,20 @@ class _LineParser:
         raise ParseError(f"expected a value, found {t.text or 'end of line'}", t.line, t.col)
 
     def _add(self, a, b, tok: Token):
-        """a + b where expression() does not sum them itself: two scalars, or a
-        form and a term of another kind or degree.  A zero scalar or form gives
-        way to a form; a form cancelled to zero stays a form, so a nonzero
-        scalar does not add to it."""
-        if not isinstance(a, Form) and not isinstance(b, Form):
+        """a + b for two scalars, or two forms of one degree.  Otherwise a zero
+        scalar or form gives way to a form; a form cancelled to zero stays a
+        form, so a nonzero scalar does not add to it."""
+        a_form, b_form = isinstance(a, Form), isinstance(b, Form)
+        if a_form == b_form and (not a_form or a.degree == b.degree):
             return a + b
         for zero, other in ((a, b), (b, a)):
             if isinstance(other, Form) and (zero.is_zero if isinstance(zero, Form) else is_zero(zero)):
                 return other
-        both = isinstance(a, Form) and isinstance(b, Form)
-        what = f"a degree-{a.degree} and a degree-{b.degree} form" if both else "a scalar and a form"
+        what = f"a degree-{a.degree} and a degree-{b.degree} form" if a_form and b_form else "a scalar and a form"
         raise ParseError(f"cannot add {what}", tok.line, tok.col)
 
     def _mul(self, a, b, tok: Token):
-        if isinstance(a, Form) and isinstance(b, Form):
-            return self._bounded(a.wedge(b), tok)
-        return self._bounded(b * a if isinstance(a, Form) else a * b, tok)  # a scalar goes on the left
+        return self._bounded(a.wedge(b) if isinstance(a, Form) and isinstance(b, Form) else a * b, tok)
 
     def _bounded(self, product, tok: Token):
         """The product, unless its degree in the parameter is above MAX_EXPONENT;

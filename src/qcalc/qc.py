@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NotIntegrable, NotQuaternionic
+from .errors import NotIntegrable, NotQuaternionic, ParametricNotSupported
 from .exterior import Form, LieAlgebra, rescale_covectors
 from .linalg import common_denominator, matmul, scaled
 from .scalars import Poly, Scalar, Value, replace
@@ -62,12 +62,6 @@ def standard_frame(
     return QCFrame(dim, tuple(horizontal), tuple(vertical), omegas, Fraction(scale))
 
 
-def horizontal_matrix(f: Form, frame: QCFrame) -> Matrix4:
-    """M[a][b] = f(e_a, e_b) for a 2-form f, on horizontal positions."""
-    h = frame.horizontal
-    return [[f.pair(x, y) for y in h] for x in h]
-
-
 def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4]:
     """4x4 matrices of I_r on horizontal positions, from g(I_r e_b, e_a) = omega_r(e_b, e_a).
 
@@ -78,7 +72,8 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
     An I_r with a `Poly` entry fails I_r^2 = -id: the squares of each of its
     rows would be polynomials summing to 1, hence constants.
     """
-    mats = [[list(col) for col in zip(*horizontal_matrix(om, frame))] for om in frame.omegas]
+    h = frame.horizontal
+    mats = [[[om.pair(b, a) for b in h] for a in h] for om in frame.omegas]
     rational = [not any(isinstance(x, Poly) for row in m for x in row) for m in mats]
     d = common_denominator(x for m, ok in zip(mats, rational) if ok for row in m for x in row)
     ints = [scaled(m, d) if ok else None for m, ok in zip(mats, rational)]
@@ -95,8 +90,13 @@ def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4
 def check_compatibility(g: LieAlgebra, frame: QCFrame) -> bool:
     """d eta_r restricted to horizontal pairs must equal scale * omega_r, scale
     nonzero: omega_r has no term off H and, with (E, C) the structure table,
-    -C[a][b][v_r] = E * scale * omega_r(e_a, e_b) for every a < b in H."""
+    -C[a][b][v_r] = E * scale * omega_r(e_a, e_b) for every a < b in H.  Like
+    structure_table, raises ParametricNotSupported for a parametric omega."""
     e, c = g.structure_table
+    for r, om in enumerate(frame.omegas, 1):
+        for x in om.terms.values():
+            if isinstance(x, Poly):
+                raise ParametricNotSupported(f"{g.name}: omega{r} carries parameter {x.var!r}; substitute a value first")
     h = frame.horizontal
     return frame.scale != 0 and all(
         all(x in h for k in om.terms for x in k)

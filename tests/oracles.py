@@ -129,6 +129,12 @@ def differential_matrix(g: LieAlgebra, j: int) -> list[list[int]]:
     return _weight_zero_block(g.structure_table[1], (0,) * g.dim, j)
 
 
+def horizontal_matrix(f: Form, frame: QCFrame) -> Matrix4:
+    """M[a][b] = f(e_a, e_b) for a 2-form f, on horizontal positions."""
+    h = frame.horizontal
+    return [[f.pair(x, y) for y in h] for x in h]
+
+
 def hvec(frame: QCFrame, pos: int) -> Vec:
     """Horizontal basis vector by position 0..3."""
     return Vec.basis(frame.dim, frame.horizontal[pos])

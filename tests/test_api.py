@@ -37,6 +37,7 @@ MOVED = [
     ("qcalc.qc", "QCFrame", "hvec"),
     ("qcalc.qc", None, "restrict_h"),
     ("qcalc.qc", None, "adapted_shape"),
+    ("qcalc.qc", None, "horizontal_matrix"),
     ("qcalc.biquard", None, "connection_torsion"),
     ("qcalc.biquard", "Connection", "nabla_vec"),
     ("qcalc.catalog", None, "document"),

@@ -24,7 +24,6 @@ from qcalc.qc import (
     check_bi1,
     check_compatibility,
     derive_complex_structures,
-    horizontal_matrix,
     standard_frame,
     standard_omegas,
 )
@@ -39,6 +38,7 @@ from oracles import (
     document,
     dot,
     evaluate,
+    horizontal_matrix,
     hvec,
     nabla_vec,
     symbolic,

@@ -234,13 +234,16 @@ TOO_LONG = {
 }
 
 
-def assert_too_long_to_print(result, fmt):
-    message = f"a number of more than {sys.get_int_max_str_digits()} digits is too long to print"
+def assert_input_error(result, fmt, message):
     assert (result.returncode, result.stdout) == (2, "")
     if fmt == "json":
         assert json.loads(result.stderr) == {"error": {"message": message}}
     else:
         assert result.stderr == f"error: {message}\n"
+
+
+def assert_too_long_to_print(result, fmt):
+    assert_input_error(result, fmt, f"a number of more than {sys.get_int_max_str_digits()} digits is too long to print")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -421,6 +424,34 @@ def test_check_rejects_omega_off_h(tmp_path):
     r = run("check", str(path))
     assert r.returncode == 1
     assert "qc structure: false\n" in r.stdout
+
+
+# the parameter appears only in omega_1, which is compatible at mu = 0 only
+PARAM_IN_OMEGA = source("heisenberg").replace(" dim 7\n", " dim 7 param mu\n").replace(
+    "omega1 = e12 + e34", "omega1 = e12 + e34 + mu e13"
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["check", "report", "wqc"])
+def test_a_parameter_only_in_an_omega_exits_2(command, fmt, tmp_path):
+    path = tmp_path / "param_in_omega.alg"
+    path.write_text(PARAM_IN_OMEGA)
+    message = "heisenberg: omega1 carries parameter 'mu'; substitute a value first"
+    assert_input_error(run(command, str(path), "--format", fmt), fmt, message)
+
+
+def test_a_parameter_only_in_an_omega_is_specialized_or_unread(tmp_path):
+    path = tmp_path / "param_in_omega.alg"
+    path.write_text(PARAM_IN_OMEGA)
+    r = run("check", str(path), "--param", "mu=0")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "qc structure: true\n" in r.stdout
+    # commands that read no omega run on the bare document as on heisenberg
+    for cmd in (["cohomology"], ["flag", "search"]):
+        bare, catalog = run(*cmd, str(path)), run(*cmd, "--catalog", "heisenberg")
+        assert bare.returncode == 0
+        assert (bare.returncode, bare.stdout, bare.stderr) == (catalog.returncode, catalog.stdout, catalog.stderr)
 
 
 # d eta_r|_H = 0 * omega_r holds on the abelian algebra, but a zero scale is no qc structure

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -259,43 +260,53 @@ def test_a_sum_is_the_sum_of_its_terms(terms):
 
 # one term of a sum for the one-pass reader: (text, whether the reader takes it), over
 # signs and spacing, each coefficient shape with zero parts, and monomials that are out of
-# range, repeated or of the wrong degree
-spaces = st.sampled_from(["", " ", "  ", "\t"])
-numbers = st.integers(0, 12).map(str)
-rationals = st.tuples(numbers, st.sampled_from(["", "/"]), spaces, st.integers(0, 9)).map(
-    lambda t: (t[0] + (f"{t[2]}/{t[2]}{t[3]}" if t[1] else ""), not t[1] or t[3] != 0)
-)
+# range, repeated or of the wrong degree; pick(options) makes each choice.  A dense term is
+# one the reader takes, on any of the 21 pairs of 1..7 in either order.
+SPACES = ["", " ", "  ", "\t"]
+NUMBERS = [str(n) for n in range(13)]
+PAIRS = [f"{i}{j}" for i in range(1, 8) for j in range(1, 8) if i != j]
 
 
-@st.composite
-def sum_terms(draw, first, param):
-    sign = draw(st.sampled_from(["", "+", "-", "+", "-", "-"]))
+def sum_term(pick, first, param, dense=False):
+    def rational():
+        num, slash, sp, den = pick(NUMBERS), pick(["", "/"]), pick(SPACES), pick(range(1 if dense else 0, 10))
+        return num + (f"{sp}/{sp}{den}" if slash else ""), not slash or den != 0
+
+    sign = pick(["+", "-"] if dense and not first else ["", "+", "-", "+", "-", "-"])
     ok = bool(sign) or first
-    kind = draw(st.sampled_from(["none", "N", "(R)", "(R p)", "(R + R p)", "(R + R)"]))
-    s0, s1 = draw(st.sampled_from(["", "-", "+"])), draw(st.sampled_from(["+", "-"]))
-    (r0, ok0), (r1, ok1) = draw(rationals), draw(rationals)
-    ident = draw(st.sampled_from([param, param, param, "nu", "e12" if param == "mu" else "mu"]))
-    sp = draw(spaces)
+    kind = pick(["none", "N", "(R)", "(R p)", "(R + R p)"] + ([] if dense else ["(R + R)"]))
+    s0, s1 = pick(["", "-", "+"]), pick(["+", "-"])
+    (r0, ok0), (r1, ok1) = rational(), rational()
+    ident = param if dense else pick([param, param, param, "nu", "e12" if param == "mu" else "mu"])
+    sp = pick(SPACES)
     coeff = {
         "none": ("", True),
-        "N": (draw(numbers), True),
+        "N": (pick(NUMBERS), True),
         "(R)": (f"({sp}{s0}{r0}{sp})", ok0),
         "(R p)": (f"({s0}{r0}{sp} {ident})", ok0 and ident == param),
         "(R + R p)": (f"({s0}{r0}{sp}{s1}{sp}{r1} {ident}{sp})", ok0 and ok1 and ident == param),
         "(R + R)": (f"({s0}{r0} {s1} {r1})", False),
     }[kind]
-    digits = draw(st.sampled_from(["12", "21", "13", "31", "23", "17", "71"] * 3 + ["11", "18", "80", "1", "123"]))
+    digits = pick(PAIRS if dense else ["12", "21", "13", "31", "23", "17", "71"] * 3 + ["11", "18", "80", "1", "123"])
     in_range = len(digits) == 2 and digits[0] != digits[1] and "0" not in digits and max(digits) <= "7"
-    text = f"{draw(spaces)}{sign}{draw(spaces)}{coeff[0]}{draw(spaces)}e{digits}{draw(spaces)}"
+    text = f"{pick(SPACES)}{sign}{pick(SPACES)}{coeff[0]}{pick(SPACES)}e{digits}{pick(SPACES)}"
     return text, ok and coeff[1] and in_range
 
 
 @st.composite
 def sum_lines(draw):
     """(param, the sum, whether the one-pass reader takes it); param e12 is a
-    monomial to the descent, so the reader takes no sum that uses it."""
-    param = draw(st.sampled_from(["mu", "e12"]))
-    terms = [draw(sum_terms(True, param))] + draw(st.lists(sum_terms(False, param), max_size=5))
+    monomial to the descent, so the reader takes no sum that uses it.  Some
+    sums are dense: 20-36 dense terms over param mu, which the reader takes
+    whole and the descent adds pairwise, made from one drawn seed (hundreds
+    of hypothesis draws per sum would take seconds)."""
+    if draw(st.booleans()):
+        param, rng = "mu", random.Random(draw(st.integers(0, 2**32)))
+        terms = [sum_term(rng.choice, n == 0, param, dense=True) for n in range(rng.randint(20, 36))]
+    else:
+        param = draw(st.sampled_from(["mu", "e12"]))
+        pick = lambda options: draw(st.sampled_from(options))
+        terms = [sum_term(pick, n == 0, param) for n in range(draw(st.integers(1, 6)))]
     return param, "".join(t for t, _ in terms), param == "mu" and all(ok for _, ok in terms)
 
 

@@ -11,19 +11,19 @@ from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.parser import parse
 from qcalc.qc import (
     QCFrame,
+    adapt,
     check_bi1,
     check_compatibility,
     d_fundamental_form,
     derive_complex_structures,
     fundamental_form,
-    horizontal_matrix,
     standard_frame,
     standard_omegas,
     vertical_integrable,
 )
 from qcalc.scalars import replace, variable
-from oracles import adapted_shape, apply_endo, bi1_violations, compatible, covector, document, evaluate, hvec, interior, restrict_h
-from test_cli import HEIS_SKEW2
+from oracles import adapted_shape, apply_endo, bi1_violations, compatible, covector, document, evaluate, horizontal_matrix, hvec, interior, restrict_h
+from test_cli import HEIS_SKEW2, PARAM_IN_OMEGA
 from test_conformal import G2_ROTATED
 from test_relabel import NOT_BI1, PERMS, relabel
 
@@ -346,6 +346,18 @@ def test_table_read_verdicts_match_the_form_definitions(pair):
     assert check_compatibility(g, frame) == compatible(g, frame)
     violations = bi1_violations(g, frame)
     assert check_bi1(g, frame) == (not violations, violations)
+
+
+def test_the_gate_rejects_a_parameter_in_an_omega():
+    # a Poly coefficient never equals the table's ints, so the gate names it instead
+    doc = parse(PARAM_IN_OMEGA)
+    message = "heisenberg: omega1 carries parameter 'mu'; substitute a value first"
+    for check in (check_compatibility, adapt):
+        with pytest.raises(ParametricNotSupported, match=f"^{re.escape(message)}$"):
+            check(doc.algebra, doc.frame)
+    for mu, verdict in ((0, True), (1, False)):
+        at = doc.substitute(Fraction(mu))
+        assert check_compatibility(at.algebra, at.frame) is verdict
 
 
 def test_the_gate_rejects_a_parametric_algebra():
