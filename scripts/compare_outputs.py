@@ -47,8 +47,9 @@ two basis elements.
 `prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
 standard library is used; gen.py is imported read-only.
 
-Exits 0 when every document and every run agrees and 1 at the first
-difference, printing the document or the argv and the differing field.
+Every document and every run is compared, and each one that differs is
+printed: the document or the argv, and its first differing field.  Exits 0
+when all agree and 1 when any differs.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ def python(src: str, code: str, stdin: str = "") -> str:
 
 
 def parse_pass(trees: list[str]) -> int:
-    """The parse pass: 0 when both trees agree on every document, else 1."""
+    """The parse pass: prints each document the trees disagree on; 0 when
+    they agree on every one, else 1."""
     rotations = [text for name, (text, _) in documents().items() if "_rot_h" in name]
     bases = json.loads(python(trees[0], CATALOG_SOURCES)) + rotations
     commented = [COMMENTED_RE.sub(r"\g<0>  # dense", text) for text in rotations]
@@ -290,10 +292,14 @@ def parse_pass(trees: list[str]) -> int:
     docs = bases + commented + [edited(rng, rng.choice(bases)) for _ in range(EDITS)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         old, new = pool.map(lambda tree: json.loads(python(tree, PARSE_ALL, json.dumps(docs))), trees)
+    differ = 0
     for text, a, b in zip(docs, old, new):
         if a != b:
+            differ += 1
             print(f"parse of:\n{text}\n  old: {a}\n  new: {b}")
-            return 1
+    if differ:
+        print(f"{differ} of {len(docs)} documents parse differently")
+        return 1
     print(f"{len(docs)} documents, parse results identical")
     return 0
 
@@ -353,8 +359,7 @@ def main(argv: list[str]) -> int:
         if not (Path(tree) / "qcalc" / "cli.py").is_file():
             print(f"{tree} holds no qcalc package", file=sys.stderr)
             return 2
-    if parse_pass(trees):
-        return 1
+    status = parse_pass(trees)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         runs = argvs(workdir)
@@ -362,15 +367,18 @@ def main(argv: list[str]) -> int:
         def both(args: list[str]) -> str | None:
             return first_difference(run(trees[0], args, workdir), run(trees[1], args, workdir))
 
+        differ = 0
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for args, diff in zip(runs, pool.map(both, runs)):
                 if diff is not None:
+                    differ += 1
                     print("qcalc " + " ".join(args))
                     print(diff)
-                    pool.shutdown(cancel_futures=True)
-                    return 1
+    if differ:
+        print(f"{differ} of {len(runs)} runs differ")
+        return 1
     print(f"{len(runs)} runs, stdout, stderr and exit code identical")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

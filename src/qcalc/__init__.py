@@ -29,11 +29,11 @@ _PUBLIC = {
         "derived_and_central_series", "monomials", "rescale_covectors", "search_flag", "substitute_form",
         "verify_flag",
     ),
-    "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "solve_family", "specialize"),
+    "family": ("ALL_VALUES", "fingerprint", "jacobi_constraints", "solve_family"),
     "parser": ("AlgebraDocument", "form_text", "parse", "print_document"),
     "qc": (
         "QCFrame", "adapt", "check_bi1", "check_compatibility", "d_fundamental_form",
-        "derive_complex_structures", "fundamental_form", "standard_frame", "vertical_integrable",
+        "derive_complex_structures", "fundamental_form", "vertical_integrable",
     ),
     "report": ("build_report",),
     "scalars": ("Poly", "Scalar", "is_zero", "poly", "rational_roots", "substitute", "variable"),

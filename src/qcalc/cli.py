@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import catalog
-from .errors import NumberTooLong, ParametricNotSupported, ParseError, QcalcError
+from .errors import NotALieAlgebra, NumberTooLong, ParametricNotSupported, ParseError, QcalcError
 
 
 class _InputError(QcalcError):
@@ -202,7 +202,7 @@ def _load_specialized(args, flag: bool = False) -> AlgebraDocument:
 
 def _require_lie(g: LieAlgebra) -> None:
     if not g.is_valid:
-        raise QcalcError(f"{g.name} does not satisfy the Jacobi identity")
+        raise NotALieAlgebra(f"{g.name} does not satisfy the Jacobi identity")
 
 
 def _bool(x) -> str:

@@ -129,10 +129,6 @@ class Vec(Value):
     def basis(dim: int, i: int) -> Vec:
         return Vec(tuple(Fraction(1 if j == i - 1 else 0) for j in range(dim)))
 
-    @property
-    def dim(self) -> int:
-        return len(self.comps)
-
     def comp(self, i: int) -> Scalar:
         """1-based component along e_i."""
         return self.comps[i - 1]
@@ -563,7 +559,7 @@ def search_flag(g: LieAlgebra) -> Flag | None:
         table = [[[w[i] * p - w[pivot] * u[i] for i in keep] for w in (table[a][b] for b in keep)] for a in keep]
         polys = [polys[k] for k in keep]
         del idx[pivot]
-    levels = [linalg.kernel(lifted[: n - i], n) for i in range(1, n)] + [linalg.identity(n)]
+    levels = [linalg.kernel(lifted[: n - i], n) for i in range(1, n + 1)]
     flag = Flag(n, tuple(tuple(map(tuple, rows)) for rows in levels))
     ok, why = verify_flag(g, flag)
     if not ok:

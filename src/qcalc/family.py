@@ -1,8 +1,8 @@
 """One-parameter families of structure equations.
 
 Collects the polynomial constraints that d^2 = 0 imposes on the parameter,
-solves for the admissible rational values, specializes, and fingerprints the
-resulting algebras by cohomology dimensions and series behaviour.
+solves for the admissible rational values, and fingerprints the algebras at
+those values by cohomology dimensions and series behaviour.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import NotALieAlgebra
 from .exterior import LieAlgebra, betti_numbers, derived_and_central_series, jacobi_sum
 from .scalars import Poly, Scalar, poly, poly_gcd, rational_roots
 
@@ -69,16 +68,6 @@ def solve_family(fam: LieAlgebra) -> set[Fraction] | AllValues:
         return set()  # a nonzero constant constraint admits nothing
     common = poly_gcd(constraints)
     return rational_roots(common) if isinstance(common, Poly) else set()
-
-
-def specialize(fam: LieAlgebra, value: Fraction) -> LieAlgebra:
-    """Substitute the parameter and insist the result is a Lie algebra."""
-    g = fam.substitute(Fraction(value))
-    if not g.is_valid:
-        raise NotALieAlgebra(
-            f"{fam.name} at {fam.param or 'parameter'}={value}: d^2 != 0"
-        )
-    return g
 
 
 def fingerprint(g: LieAlgebra) -> dict:

@@ -115,10 +115,6 @@ def kernel(rows: Matrix, ncols: int) -> Matrix:
     return basis
 
 
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def matmul(x: Matrix, y: Matrix) -> Matrix:
     """Product of matrices of any size, over Fractions or plain ints."""
     cols = list(zip(*y))

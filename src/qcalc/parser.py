@@ -269,7 +269,7 @@ class _LineParser:
 
 def parse(text: str) -> AlgebraDocument:
     """Parse a full .alg document."""
-    header = split = flag = sum_param = None
+    header = split = flag = None
     diffs: dict[int, Form] = {}
     omegas: dict[int, Form] = {}
     last_line = 1
@@ -279,7 +279,7 @@ def parse(text: str) -> AlgebraDocument:
             k, r = sum_head.groups()
             into, key = (diffs, int(k)) if k else (omegas, int(r))
             if (key <= header[1] if k else split is not None) and key not in into:
-                form = _read_sum(raw, sum_head.end(), header[1], sum_param)
+                form = _read_sum(raw, sum_head.end(), header[1], header[2])
                 if form is not None:
                     into[key] = form
                     last_line = lineno
@@ -290,8 +290,6 @@ def parse(text: str) -> AlgebraDocument:
         last_line = lineno
         if header is None:
             header = _parse_header(tokens)
-            # the descent reads a parameter spelled like a monomial (param e12) as one
-            sum_param = None if header[2] is None or _MONO_RE.match(header[2]) else header[2]
             continue
         head = tokens[0]
         p = _LineParser(tokens, header[1], header[2])
@@ -378,7 +376,10 @@ def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:
     param = None
     if p.peek().text == "param":
         p.next()
-        param = p.expect("IDENT").text
+        t = p.expect("IDENT")
+        if _MONO_RE.match(t.text):
+            raise ParseError(f"parameter {t.text!r} is spelled like a monomial", t.line, t.col)
+        param = t.text
     p.expect_end()
     return name, dim, param
 

@@ -39,29 +39,6 @@ class QCFrame(Value):
         return derive_complex_structures(self)
 
 
-def standard_omegas(dim: int, h: tuple[int, int, int, int]) -> tuple[Form, Form, Form]:
-    def two(a: int, b: int, c: int, d: int) -> Form:
-        return Form.monomial(dim, Fraction(1), (a, b)) + Form.monomial(dim, Fraction(1), (c, d))
-
-    return (
-        two(h[0], h[1], h[2], h[3]),
-        two(h[0], h[2], h[3], h[1]),
-        two(h[0], h[3], h[1], h[2]),
-    )
-
-
-def standard_frame(
-    dim: int = 7,
-    horizontal: tuple[int, int, int, int] = (1, 2, 3, 4),
-    vertical: tuple[int, int, int] = (5, 6, 7),
-    scale: Fraction = Fraction(2),
-    omegas: tuple[Form, Form, Form] | None = None,
-) -> QCFrame:
-    if omegas is None:
-        omegas = standard_omegas(dim, horizontal)
-    return QCFrame(dim, tuple(horizontal), tuple(vertical), omegas, Fraction(scale))
-
-
 def derive_complex_structures(frame: QCFrame) -> tuple[Matrix4, Matrix4, Matrix4]:
     """4x4 matrices of I_r on horizontal positions, from g(I_r e_b, e_a) = omega_r(e_b, e_a).
 

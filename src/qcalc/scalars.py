@@ -129,9 +129,6 @@ class Poly(Value):
         q = Fraction(other)
         return _make(self.var, [c / q for c in self.coeffs])
 
-    def __bool__(self) -> bool:
-        return True  # normalized Polys are nonzero by construction
-
     def substitute(self, value: Fraction) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
         acc = ZERO
@@ -183,8 +180,7 @@ def _coerce(x: Scalar | int, var: str) -> Poly:
 
 
 def _make(var: str, coeffs: list[Fraction]) -> Scalar:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _trim(coeffs)
     if not coeffs:
         return ZERO
     if len(coeffs) == 1:
@@ -222,9 +218,7 @@ def rational_roots(p: Poly | list[Fraction] | list[int]) -> set[Fraction]:
     roots are integers (``integer_roots``).  The zero polynomial is rejected
     with ZeroPolynomial since every value would qualify.
     """
-    coeffs = list(p.coeffs) if isinstance(p, Poly) else list(p)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _trim(list(p.coeffs) if isinstance(p, Poly) else list(p))
     if not coeffs:
         raise ZeroPolynomial("every value is a root of 0")
     ints = _primitive(coeffs)
@@ -298,7 +292,8 @@ def poly_gcd(polys: list[Poly]) -> Scalar:
 # rational_roots, poly_gcd, _int_gcd and _squarefree/_sturm give the same for -p.
 
 
-def _trim(p: list[int]) -> list[int]:
+def _trim(p: list) -> list:
+    """p without its trailing zeros, popped in place; also for Fraction lists."""
     while p and p[-1] == 0:
         p.pop()
     return p

@@ -4,6 +4,8 @@ The package runs one integer path: structure tables, matrices on horizontal
 positions and ranks of weight-zero blocks.  This module holds the routes it
 is checked against, none of which the package calls:
 
+- the builders of test inputs: the standard qc frame and its omegas, and
+  the identity matrix;
 - the Form/Vec calculus: alternating evaluation by determinant expansion,
   interior products, the identity metric, coordinate rows, brackets read off
   the differentials, d(d e^k) through `LieAlgebra.d`, the whole E * d_j, the
@@ -21,7 +23,9 @@ is checked against, none of which the package calls:
   quotient, and the flag it gives;
 - the flag check that ranks each covector's d against its level's wedges
   on its own;
-- d Omega as Omega times the whole E * d_4 of each coefficient table.
+- d Omega as Omega times the whole E * d_4 of each coefficient table;
+- the closed form of T0 on g1 and g2, and the wedge powers of a flag's
+  covectors that its degeneracy consequences are read from.
 """
 
 import itertools
@@ -36,12 +40,39 @@ from qcalc.catalog import source
 from qcalc.errors import IndeterminateMismatch, InvalidFlag, ParametricNotSupported, QcalcError
 from qcalc.exterior import Flag, Form, Index, LieAlgebra, Vec, _weight_zero_block, monomials, require_rational
 from qcalc.parser import AlgebraDocument, parse
-from qcalc.qc import CYCLES, Matrix4, QCFrame, adapt, fundamental_form, verdicts
+from qcalc.qc import CYCLES, Matrix4, QCFrame, adapt, derive_complex_structures, fundamental_form, verdicts
 from qcalc.scalars import ZERO, Poly, Scalar, is_zero, poly, rational_roots, variable
 
 
 def document(name: str) -> AlgebraDocument:
     return parse(source(name))
+
+
+def standard_omegas(dim: int, h: tuple[int, int, int, int]) -> tuple[Form, Form, Form]:
+    def two(a: int, b: int, c: int, d: int) -> Form:
+        return Form.monomial(dim, Fraction(1), (a, b)) + Form.monomial(dim, Fraction(1), (c, d))
+
+    return (
+        two(h[0], h[1], h[2], h[3]),
+        two(h[0], h[2], h[3], h[1]),
+        two(h[0], h[3], h[1], h[2]),
+    )
+
+
+def standard_frame(
+    dim: int = 7,
+    horizontal: tuple[int, int, int, int] = (1, 2, 3, 4),
+    vertical: tuple[int, int, int] = (5, 6, 7),
+    scale: Fraction = Fraction(2),
+    omegas: tuple[Form, Form, Form] | None = None,
+) -> QCFrame:
+    if omegas is None:
+        omegas = standard_omegas(dim, horizontal)
+    return QCFrame(dim, tuple(horizontal), tuple(vertical), omegas, Fraction(scale))
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +474,7 @@ def exhaustive_flag(g: LieAlgebra) -> Flag | None:
     levels = []
     for i in range(1, n + 1):
         if i == n:
-            rows = linalg.identity(n)
+            rows = identity(n)
         else:
             rows = linalg.kernel(chain[n - i - 1], n)
         levels.append(tuple(tuple(r) for r in rows))
@@ -491,3 +522,37 @@ def verify_flag_per_covector(g: LieAlgebra, flag: Flag) -> tuple[bool, str | Non
             if any(da) and linalg.rank(wedge_rows + [da]) != wedge_rank:
                 return False, f"d of covector {t + 1} in level {i} leaves Lambda^2 V^{i}"
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def t0_oracle(frame: QCFrame, coeff: Fraction) -> list[list[Scalar]]:
+    """The closed form T0(X, Y) = coeff * (e14 - e23)(X, I3 Y) on horizontal positions."""
+    pattern = Form.monomial(7, Fraction(1), (1, 4)) - Form.monomial(7, Fraction(1), (2, 3))
+    _, _, i3 = derive_complex_structures(frame)
+    out = []
+    for a in range(4):
+        row = []
+        for b in range(4):
+            image = apply_endo(i3, [Fraction(1) if k == b else Fraction(0) for k in range(4)])
+            iy = sum((image[k] * hvec(frame, k) for k in range(4)), Vec.zero(7))
+            row.append(coeff * evaluate(pattern, [hvec(frame, a), iy]))
+        out.append(row)
+    return out
+
+
+def wedge_power(f: Form, k: int) -> Form:
+    out = f
+    for _ in range(k - 1):
+        out = out.wedge(f)
+    return out
+
+
+def level_forms(flag: Flag, i: int) -> list[Form]:
+    """The covectors of level i as 1-forms."""
+    return [
+        Form.make(flag.dim, 1, {(j,): c for j, c in enumerate(row, start=1)})
+        for row in flag.levels[i - 1]
+    ]

@@ -22,7 +22,6 @@ from qcalc.biquard import (
 from qcalc.catalog import names, source
 from qcalc.conformal import kulkarni_nomizu, wqc_tensor
 from qcalc.exterior import (
-    Flag,
     Form,
     LieAlgebra,
     Vec,
@@ -33,13 +32,12 @@ from qcalc.exterior import (
     substitute_form,
     verify_flag,
 )
-from qcalc.family import solve_family, specialize
+from qcalc.family import solve_family
 from qcalc.parser import parse, print_document
 from qcalc.qc import (
     check_bi1,
     d_fundamental_form,
     derive_complex_structures,
-    standard_frame,
     vertical_integrable,
 )
 from qcalc.scalars import substitute
@@ -54,9 +52,13 @@ from oracles import (
     hcomps,
     hvec,
     jacobi_check,
+    level_forms,
     linear_coeffs,
     nabla_vec,
+    standard_frame,
     symbolic,
+    t0_oracle,
+    wedge_power,
 )
 
 PIPELINE_CASES = (
@@ -83,7 +85,7 @@ def algebra(name, mu=None):
     doc = document(name)
     g = doc.algebra
     if mu is not None:
-        g = specialize(g, Fraction(mu))
+        g = g.substitute(Fraction(mu))
     return g, doc.frame
 
 
@@ -99,51 +101,6 @@ def ev(i):
 
 def mono(*idx, c=1):
     return Form.monomial(7, Fraction(c), idx)
-
-
-def wedge_power(f, k):
-    out = f
-    for _ in range(k - 1):
-        out = out.wedge(f)
-    return out
-
-
-def level_forms(flag, i):
-    return [
-        Form.make(flag.dim, 1, {(j,): c for j, c in enumerate(row, start=1) if c})
-        for row in flag.levels[i - 1]
-    ]
-
-
-def catalog_flag(name, mu=None):
-    flag = document(name).flag
-    if mu is not None:
-        levels = tuple(
-            tuple(
-                tuple(
-                    x.substitute(Fraction(mu)) if hasattr(x, "substitute") else x
-                    for x in row
-                )
-                for row in level
-            )
-            for level in flag.levels
-        )
-        flag = Flag(flag.dim, levels)
-    return flag
-
-
-def t0_oracle(frame, coeff):
-    pattern = mono(1, 4) - mono(2, 3)
-    _, _, i3 = derive_complex_structures(frame)
-    out = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            image = apply_endo(i3, [Fraction(1 if k == b else 0) for k in range(4)])
-            iy = sum((image[k] * hvec(frame, k) for k in range(4)), Vec.zero(7))
-            row.append(coeff * evaluate(pattern, [hvec(frame, a), iy]))
-        out.append(row)
-    return out
 
 
 def i_image(frame, m, pos):
@@ -318,7 +275,7 @@ def test_criterion_09():
             (Fraction(-1), "g1", 2),
             (Fraction(-1, 3), "g2", 0),
         ):
-            g = specialize(fam, value)
+            g = fam.substitute(value)
             assert jacobi_check(g) == []
             doubled = rescale_covectors(
                 g, {5: Fraction(2), 6: Fraction(2), 7: Fraction(2)}
@@ -337,11 +294,11 @@ def test_criterion_09():
 def test_criterion_10():
     with criterion(10, "ascending flags verify, degenerate correctly, and are absent for so(3)+R^4"):
         verified = [
-            (algebra("heisenberg")[0], catalog_flag("heisenberg")),
-            (algebra("prop31_family", "-1")[0], catalog_flag("prop31_family", "-1")),
+            (algebra("heisenberg")[0], document("heisenberg").flag),
+            (algebra("prop31_family", "-1")[0], document("prop31_family").substitute(Fraction(-1)).flag),
             (
                 algebra("prop31_family", "-1/3")[0],
-                catalog_flag("prop31_family", "-1/3"),
+                document("prop31_family").substitute(Fraction(-1, 3)).flag,
             ),
         ]
         for g, flag in verified:

@@ -38,6 +38,9 @@ MOVED = [
     ("qcalc.qc", None, "restrict_h"),
     ("qcalc.qc", None, "adapted_shape"),
     ("qcalc.qc", None, "horizontal_matrix"),
+    ("qcalc.qc", None, "standard_omegas"),
+    ("qcalc.qc", None, "standard_frame"),
+    ("qcalc.linalg", None, "identity"),
     ("qcalc.biquard", None, "connection_torsion"),
     ("qcalc.biquard", "Connection", "nabla_vec"),
     ("qcalc.catalog", None, "document"),

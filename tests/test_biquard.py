@@ -14,9 +14,10 @@ from qcalc.biquard import (
     run_pipeline,
     solve_qc_scalar_curvature,
     sp1_connection_forms,
+    t0_tensor,
     audit,
 )
-from qcalc.errors import InconsistentCurvature, NotIntegrable
+from qcalc.errors import InconsistentCurvature, InconsistentTorsion, NotIntegrable
 from qcalc.exterior import Form, LieAlgebra, Vec, rescale_covectors, substitute_form
 from qcalc.parser import parse
 from qcalc.qc import (
@@ -24,8 +25,6 @@ from qcalc.qc import (
     check_bi1,
     check_compatibility,
     derive_complex_structures,
-    standard_frame,
-    standard_omegas,
 )
 from qcalc.scalars import is_zero, replace, substitute
 from oracles import (
@@ -37,13 +36,15 @@ from oracles import (
     covector,
     document,
     dot,
-    evaluate,
     horizontal_matrix,
     hvec,
     nabla_vec,
     symbolic,
     symbolic_connection_forms,
     symbolic_ricci_forms,
+    standard_frame,
+    standard_omegas,
+    t0_oracle,
 )
 from test_conformal import PIPELINE_CASES, pipeline as case_pipeline
 from test_flags import G1_ROTATED_H3
@@ -237,25 +238,26 @@ def test_three_contractions_agree(name):
             image = apply_endo(structures[r], [ea.comp(i) for i in frame.horizontal])
             total += sum(rho[pos][k] * image[k] for k in range(4))
         assert total == -4 * s_value
+    # rho_1 + I_1^t moves the first contraction by -|I_1|^2 / 2 = -2, and only it
+    i1 = structures[0]
+    moved = [[x + i1[b][a] for b, x in enumerate(row)] for a, row in enumerate(at_zero[0])]
+    with pytest.raises(InconsistentCurvature, match="contractions disagree"):
+        solve_qc_scalar_curvature(frame, (moved, *at_zero[1:]))
 
 
 # ---------------------------------------------------------------------------
 # torsion tensor against the closed-form oracle
 
 
-def t0_oracle(frame, coeff):
-    # the closed form: T0(X, Y) = coeff * (e14 - e23)(X, I3 Y)
-    pattern = mono(1, 4) - mono(2, 3)
-    _, _, i3 = derive_complex_structures(frame)
-    out = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            image = apply_endo(i3, [Fraction(1) if k == b else Fraction(0) for k in range(4)])
-            iy = sum((image[k] * hvec(frame, k) for k in range(4)), Vec.zero(7))
-            row.append(coeff * evaluate(pattern, [hvec(frame, a), iy]))
-        out.append(row)
-    return out
+@pytest.mark.parametrize("a, b, message", [(0, 1, "not symmetric"), (0, 0, "nonzero trace")])
+def test_t0_audits_its_symmetry_and_trace(a, b, message):
+    # rho_1 - N I_1 with N = E_ab moves T0 = -Sum_r rho_r I_r - 3S g to T0 - N
+    p = pipeline("g1")
+    assert t0_tensor(p.frame, p.rhos, p.s_value) == p.t0
+    i1 = p.frame.complex_structures[0]
+    moved = [[x - (i1[b][c] if r == a else 0) for c, x in enumerate(row)] for r, row in enumerate(p.rhos[0])]
+    with pytest.raises(InconsistentTorsion, match=message):
+        t0_tensor(p.frame, (moved, *p.rhos[1:]), p.s_value)
 
 
 def test_t0_matches_closed_form_g1():

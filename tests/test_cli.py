@@ -15,7 +15,7 @@ import qcalc
 import qcalc.cli
 import qcalc.report
 from qcalc.catalog import names, source
-from qcalc.errors import NotQuaternionic, NumberTooLong
+from qcalc.errors import NotALieAlgebra, NotQuaternionic, NumberTooLong
 from qcalc.exterior import LieAlgebra, verify_flag
 from qcalc.parser import AlgebraDocument, parse, print_document
 from qcalc.qc import adapt
@@ -141,6 +141,19 @@ def test_check_passes_catalog():
 
 def test_check_fails_bad_algebra(bad_jacobi):
     assert run("check", bad_jacobi).returncode == 1
+
+
+NON_LIE = source("heisenberg").replace("heisenberg", "nonlie", 1).replace("d e7 = e14 + e23", "d e7 = e14 + e23 + e56")
+
+
+@pytest.mark.parametrize("command", ["wqc", "cohomology", "flag verify", "flag search"])
+def test_commands_that_need_a_lie_algebra_refuse_one_that_is_not(command, tmp_path):
+    path = tmp_path / "nonlie.alg"
+    path.write_text(NON_LIE)
+    code, out, err = run_in_process(*command.split(), str(path))
+    assert (code, out, err) == (1, "", "error: nonlie does not satisfy the Jacobi identity\n")
+    with pytest.raises(NotALieAlgebra, match="^nonlie does not satisfy the Jacobi identity$"):
+        qcalc.cli._require_lie(parse(NON_LIE).algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +284,15 @@ def test_family_solve_rejects_param_flag():
 
 def test_family_solve_needs_parameter():
     assert run("family", "solve", "--catalog", "g1").returncode == 2
+
+
+def test_family_solve_refuses_a_parameter_spelled_like_a_monomial(tmp_path):
+    # the parser reads every e12 as the monomial, so no line could use the parameter
+    path = tmp_path / "odd.alg"
+    path.write_text("algebra odd dim 3 param e12\nd e1 = 0\nd e2 = 0\nd e3 = e12\n")
+    code, out, err = run_in_process("family", "solve", str(path))
+    assert (code, out) == (2, "")
+    assert "parameter 'e12' is spelled like a monomial" in err
 
 
 def test_specialized_report():

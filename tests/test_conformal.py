@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 
 from qcalc.biquard import Curvature, run_pipeline
 from qcalc.conformal import is_qc_conformally_flat, kulkarni_nomizu, wqc_tensor
-from qcalc.family import specialize
 from qcalc.parser import parse
-from qcalc.qc import standard_omegas
-from oracles import document, evaluate, hvec
+from oracles import document, evaluate, hvec, standard_omegas
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -61,7 +59,7 @@ def pipeline(name, mu=None):
     doc = parse(G2_ROTATED) if name == "g2_rot" else document(name)
     g = doc.algebra
     if mu is not None:
-        g = specialize(g, Fraction(mu))
+        g = g.substitute(Fraction(mu))
     return run_pipeline(g, doc.frame)
 
 

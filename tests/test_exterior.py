@@ -330,6 +330,17 @@ def test_substitute_form():
     assert out == 2 * Form.monomial(3, Fraction(1), (1, 3))
 
 
+def test_forms_refuse_bad_index_tuples_and_mixed_degrees():
+    with pytest.raises(ValueError, match="bad index tuple"):
+        Form.make(3, 2, {(1, 4): Fraction(1)})
+    with pytest.raises(ValueError, match="bad index tuple"):
+        Form.make(3, 2, {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Form.make(3, 2, {(2, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="degree mismatch 1 != 2"):
+        covector(3, 1) + Form.monomial(3, Fraction(1), (1, 2))
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         LieAlgebra("big", MAX_DIM + 1, tuple(Form.zero(MAX_DIM + 1, 2) for _ in range(MAX_DIM + 1)), None)

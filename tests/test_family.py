@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc.errors import NotALieAlgebra
 from qcalc.family import (
     ALL_VALUES,
     AllValues,
     fingerprint,
     jacobi_constraints,
     solve_family,
-    specialize,
 )
 from qcalc.exterior import Form, LieAlgebra, rescale_covectors
 from qcalc.parser import parse
@@ -142,23 +140,21 @@ def test_solve_family_obstructions(case):
 def test_specialize_at_roots_passes_jacobi():
     fam = family()
     for value in (Fraction(-1), Fraction(-1, 3)):
-        g = specialize(fam, value)
+        g = fam.substitute(value)
         assert jacobi_check(g) == []
         assert g.param is None
 
 
-def test_specialize_off_root_raises():
-    with pytest.raises(NotALieAlgebra):
-        specialize(family(), Fraction(0))
-    with pytest.raises(NotALieAlgebra):
-        specialize(family(), Fraction(1))
+def test_substitute_off_root_is_not_a_lie_algebra():
+    for value in (Fraction(0), Fraction(1)):
+        assert not family().substitute(value).is_valid
 
 
 @pytest.mark.parametrize(
     "value,twin", [(Fraction(-1), "g1"), (Fraction(-1, 3), "g2")]
 )
 def test_rescaled_specializations_match_catalog(value, twin):
-    g = specialize(family(), value)
+    g = family().substitute(value)
     doubled = rescale_covectors(g, {5: Fraction(2), 6: Fraction(2), 7: Fraction(2)})
     target = catalog_algebra(twin)
     for k in range(1, 8):
@@ -187,8 +183,8 @@ def test_rescale_roundtrip():
 
 
 def test_fingerprints_distinguish_the_roots():
-    f1 = fingerprint(specialize(family(), Fraction(-1)))
-    f2 = fingerprint(specialize(family(), Fraction(-1, 3)))
+    f1 = fingerprint(family().substitute(Fraction(-1)))
+    f2 = fingerprint(family().substitute(Fraction(-1, 3)))
     assert f1["betti"] == [1, 1, 2, 4, 2, 1, 1, 0]
     assert f2["betti"] == [1, 1, 0, 0, 0, 1, 1, 0]
     assert f1["betti"][2] == 2 and f2["betti"][2] == 0
@@ -198,7 +194,7 @@ def test_fingerprints_distinguish_the_roots():
 
 
 def test_fingerprint_invariant_under_rescale():
-    g = specialize(family(), Fraction(-1))
+    g = family().substitute(Fraction(-1))
     doubled = rescale_covectors(g, {5: Fraction(2), 6: Fraction(2), 7: Fraction(2)})
     assert fingerprint(doubled) == fingerprint(g)
 

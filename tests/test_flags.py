@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcalc import exterior, linalg
-from qcalc.errors import InvalidFlag
+from qcalc.errors import InvalidFlag, ParametricNotSupported
 from qcalc.exterior import Flag, Form, LieAlgebra, search_flag, verify_flag
 from qcalc.parser import parse
-from oracles import document, exhaustive_flag, verify_flag_per_covector
+from oracles import document, exhaustive_flag, identity, level_forms, verify_flag_per_covector, wedge_power
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's input generator; it never imports qcalc)
@@ -45,21 +45,6 @@ def alg(name, mu=None):
     return g
 
 
-def catalog_flag(name, mu=None):
-    doc = document(name)
-    flag = doc.flag
-    if mu is not None:
-        levels = tuple(
-            tuple(
-                tuple(x.substitute(Fraction(mu)) if hasattr(x, "substitute") else x for x in row)
-                for row in level
-            )
-            for level in flag.levels
-        )
-        flag = Flag(flag.dim, levels)
-    return flag
-
-
 def so3_r4() -> LieAlgebra:
     e = lambda i, j: Form.monomial(7, Fraction(1), (i, j))
     z = Form.zero(7, 2)
@@ -71,33 +56,21 @@ def abelian() -> LieAlgebra:
     return LieAlgebra("abelian", 7, tuple(z for _ in range(7)), None)
 
 
-def wedge_power(f: Form, k: int) -> Form:
-    out = f
-    for _ in range(k - 1):
-        out = out.wedge(f)
-    return out
-
-
-def level_forms(flag: Flag, i: int) -> list[Form]:
-    return [
-        Form.make(flag.dim, 1, {(j,): c for j, c in enumerate(row, start=1)})
-        for row in flag.levels[i - 1]
-    ]
-
-
 # ---------------------------------------------------------------------------
 # verification
 
 
 def test_heisenberg_catalog_flag_verifies():
-    ok, reason = verify_flag(alg("heisenberg"), catalog_flag("heisenberg"))
+    ok, reason = verify_flag(alg("heisenberg"), document("heisenberg").flag)
     assert ok, reason
 
 
 @pytest.mark.parametrize("mu", ["-1", "-1/3"])
 def test_family_catalog_flag_verifies_at_both_roots(mu):
-    ok, reason = verify_flag(alg("prop31_family", mu), catalog_flag("prop31_family", mu))
+    ok, reason = verify_flag(alg("prop31_family", mu), document("prop31_family").substitute(Fraction(mu)).flag)
     assert ok, reason
+    with pytest.raises(ParametricNotSupported, match="flag has parametric covectors"):
+        verify_flag(alg("prop31_family", mu), document("prop31_family").flag)
 
 
 def test_broken_flag_rejected():
@@ -150,7 +123,7 @@ def flag_case(name: str, mu: str | None, h: int | None) -> tuple[LieAlgebra, tup
     adapted = [flag.levels[0][0]]
     for level in flag.levels[1:]:
         adapted.append(next(r for r in level if linalg.rank(adapted + [r]) > len(adapted)))
-    return g, (tuple(map(tuple, linalg.identity(g.dim))), tuple(adapted))
+    return g, (tuple(map(tuple, identity(g.dim))), tuple(adapted))
 
 
 @st.composite
@@ -193,13 +166,16 @@ def test_level_span_check_matches_the_per_covector_one(case):
 
 def test_malformed_flag_raises():
     g = alg("heisenberg")
-    flag = catalog_flag("heisenberg")
+    flag = document("heisenberg").flag
     with pytest.raises(InvalidFlag):
         verify_flag(g, Flag(7, flag.levels[:3]))
     # duplicate rows give a rank defect
     row = (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
     levels = (flag.levels[0], (row, row)) + flag.levels[2:]
     with pytest.raises(InvalidFlag):
+        verify_flag(g, Flag(7, levels))
+    levels = ((row[:6],),) + flag.levels[1:]
+    with pytest.raises(InvalidFlag, match="level 1 must hold 1 covectors of length 7"):
         verify_flag(g, Flag(7, levels))
 
 
@@ -352,8 +328,8 @@ def test_greedy_search_matches_the_exhaustive_one(g):
 def test_flag_covector_degeneracy(name, mu):
     # every covector in an odd level V^{2k-1} satisfies (d a)^k = 0, and
     # every covector in an even level V^{2k} satisfies a ^ (d a)^k = 0
-    g = alg(name, mu)
-    flag = catalog_flag(name, mu)
+    doc = document(name) if mu is None else document(name).substitute(Fraction(mu))
+    g, flag = doc.algebra, doc.flag
     ok, reason = verify_flag(g, flag)
     assert ok, reason
     for i in range(1, 8):

@@ -200,6 +200,12 @@ def test_duplicate_differential():
     e = err("algebra x dim 2\nd e1 = 0\nd e1 = 0\nd e2 = 0\n")
     assert "duplicate differential for e1" in e.message
     assert e.line == 3
+    qc = "qc horizontal 1 2 3 4 vertical 5 6 7\n"
+    e = err(tiny([], dim=7) + qc + qc)
+    assert (e.line, e.col, e.message) == (10, 1, "duplicate qc block")
+    flag = "flag = e1 | e1, e2 | e1, e2, e3 | e1,e2,e3,e4 | e1,e2,e3,e4,e5 | e1,e2,e3,e4,e5,e6 | e1,e2,e3,e4,e5,e6,e7\n"
+    e = err(tiny([], dim=7) + flag + flag)
+    assert (e.line, e.col, e.message) == (10, 1, "duplicate flag block")
 
 
 def test_degree_mismatch():
@@ -341,6 +347,8 @@ def test_the_one_pass_sum_reads_what_the_descent_reads(line, head):
 def test_index_out_of_range():
     e = err(tiny(["d e4 = e15"]))
     assert "out of range" in e.message
+    e = err(tiny([], dim=7) + "qc horizontal 1 2 3 8 vertical 5 6 7\n")
+    assert (e.line, e.col, e.message) == (9, 21, "index 8 out of range for dimension 7")
     for mono in ("e102", "e120"):  # a 0 after the first digit
         e = err(tiny([f"d e4 = e13 + {mono}"]))
         assert e.message == "index 0 out of range for dimension 4"
@@ -350,6 +358,14 @@ def test_index_out_of_range():
 def test_unknown_identifier():
     e = err(tiny(["d e4 = nu e12"]))
     assert "unknown identifier 'nu'" in e.message
+
+
+@pytest.mark.parametrize("name", ["e12", "e1", "e102"])
+def test_a_parameter_spelled_like_a_monomial_is_refused(name):
+    # every e12 on a line is the monomial, so no line could use such a parameter
+    e = err(f"algebra odd dim 3 param {name}\nd e1 = 0\nd e2 = 0\nd e3 = e12\n")
+    assert (e.line, e.col, e.message) == (1, 25, f"parameter {name!r} is spelled like a monomial")
+    assert parse("algebra odd dim 3 param e0\nd e1 = 0\nd e2 = 0\nd e3 = (1 + e0)e12\n").algebra.param == "e0"
 
 
 def test_dimension_cap():
@@ -414,6 +430,8 @@ def test_division_rules():
     assert "divide by a rational" in e.message
     e = err(tiny(["d e4 = e12 / 0"]))
     assert "division by zero" in e.message
+    e = err(tiny([], dim=7) + QC_LINE + "1/0\n")
+    assert (e.line, e.col, e.message) == (9, 46, "division by zero")
     halved = parse(tiny(["d e4 = (1/2)e12 + e13"])).algebra.differential(4)
     for spelling in ("e12/2 + e13", "e12 / 2 + e13", "e1/2 e2 + e13", "e12/(4/2) + e13"):
         assert parse(tiny([f"d e4 = {spelling}"])).algebra.differential(4) == halved

@@ -17,12 +17,24 @@ from qcalc.qc import (
     d_fundamental_form,
     derive_complex_structures,
     fundamental_form,
-    standard_frame,
-    standard_omegas,
     vertical_integrable,
 )
 from qcalc.scalars import replace, variable
-from oracles import adapted_shape, apply_endo, bi1_violations, compatible, covector, document, evaluate, horizontal_matrix, hvec, interior, restrict_h
+from oracles import (
+    adapted_shape,
+    apply_endo,
+    bi1_violations,
+    compatible,
+    covector,
+    document,
+    evaluate,
+    horizontal_matrix,
+    hvec,
+    interior,
+    restrict_h,
+    standard_frame,
+    standard_omegas,
+)
 from test_cli import HEIS_SKEW2, PARAM_IN_OMEGA
 from test_conformal import G2_ROTATED
 from test_relabel import NOT_BI1, PERMS, relabel

@@ -16,7 +16,6 @@ import pytest
 
 from qcalc.catalog import source
 from qcalc.exterior import Form, LieAlgebra
-from qcalc.family import specialize
 from qcalc.parser import AlgebraDocument, parse, print_document
 from qcalc.qc import check_bi1, check_compatibility
 from qcalc.report import build_report
@@ -62,7 +61,7 @@ def case_document(name: str) -> AlgebraDocument:
 
 def algebra(doc: AlgebraDocument, mu):
     g = doc.algebra
-    return specialize(g, Fraction(mu)) if mu is not None else g
+    return g.substitute(Fraction(mu)) if mu is not None else g
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ from qcalc.errors import IndeterminateMismatch, ZeroPolynomial
 from qcalc.exterior import Form, LieAlgebra, Vec
 from qcalc.linalg import char_poly
 from qcalc.parser import AlgebraDocument
-from qcalc.qc import QCFrame, standard_frame
+from qcalc.qc import QCFrame
 from qcalc.scalars import (
     Poly,
     integer_roots,
@@ -21,7 +21,7 @@ from qcalc.scalars import (
     substitute,
     variable,
 )
-from oracles import Inconsistent, Underdetermined, linear_coeffs, solve_linear
+from oracles import Inconsistent, Underdetermined, linear_coeffs, solve_linear, standard_frame
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 small_coeffs = st.lists(rationals, min_size=0, max_size=5)
@@ -173,6 +173,8 @@ def test_integer_roots_specific():
     assert integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
     # (2x - 1)(x - 3): only the integer root
     assert integer_roots([3, -7, 2]) == [3]
+    # (2x - 5)(x - 3): the bisection ends on the interval (2, 3] holding both roots
+    assert integer_roots([15, -11, 2]) == [3]
     # x^2 (x + 4)^3: zero and a repeated root, each once
     assert integer_roots(times([0, 0, 1], times([4, 1], times([4, 1], [4, 1])))) == [-4, 0]
     assert integer_roots([5]) == []

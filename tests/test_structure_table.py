@@ -36,7 +36,7 @@ from qcalc.exterior import (
     verify_flag,
 )
 from qcalc.parser import parse
-from qcalc.qc import d_fundamental_form, standard_frame
+from qcalc.qc import d_fundamental_form
 from qcalc.scalars import variable
 from oracles import (
     bracket,
@@ -46,6 +46,7 @@ from oracles import (
     form_coords,
     full_complex_betti,
     jacobi_check,
+    standard_frame,
 )
 from test_conformal import G2_ROTATED, PIPELINE_CASES
 from test_exterior import bracket_vec
