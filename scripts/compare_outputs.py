@@ -44,8 +44,13 @@ algebras without a flag, where `flag search` must say so: R acting with
 weights 1-6 (dimension 9) or 1-4 (dimension 7) and a rotation on the last
 two basis elements.
 `--param` is also misused: a wrong name, a zero denominator and no `=` on
-`prop31_family`, and a value for the parameter-free `heisenberg`.  Only the
-standard library is used; gen.py is imported read-only.
+`prop31_family`, and a value for the parameter-free `heisenberg`.  Last come
+the command line's own spellings, so that both the one-pass reading of a
+well-formed line and argparse are reached: `--format=json`, `--cat NAME`,
+options before the file, a repeated `--format`, `--k 3`, `--k=-1`, `--k -1`
+and `--k x`, `--`, unknown and abbreviated options, `catalog list` and
+`catalog show`, and `--help` and `-h` after every command and sub-command.
+Only the standard library is used; gen.py is imported read-only.
 
 Every document and every run is compared, and each one that differs is
 printed: the document or the argv, and its first differing field.  Exits 0
@@ -304,6 +309,45 @@ def parse_pass(trees: list[str]) -> int:
     return 0
 
 
+# every command and sub-command, for --help and -h
+HEADS = (
+    [], ["check"], ["report"], ["wqc"], ["cohomology"], ["flag"], ["flag", "verify"], ["flag", "search"],
+    ["family"], ["family", "solve"], ["catalog"], ["catalog", "list"], ["catalog", "show"],
+)
+
+
+def spellings(path: str) -> list[list[str]]:
+    """Command lines that spell options the ways the one-pass reader or only argparse takes, or misuse them."""
+    out = [
+        ["report", "--format=json", "--catalog", "g1"],
+        ["report", "--cat", "g1", "--format", "json"],
+        ["report", "--catalog", "g1", "--form", "json"],
+        ["report", "--format", "json", "--catalog", "g1", "--format", "text"],
+        ["check", "--format", "json", "--param", "mu=-1", path],
+        ["wqc", "--format", "text", path, "--format", "json"],
+        ["cohomology", "--format", "json", "--k", "3", path],
+        ["cohomology", path, "--k=-1"],
+        ["cohomology", path, "--k", "-1"],
+        ["cohomology", path, "--k", "x"],
+        ["cohomology", "--k", "3", "--catalog", "g1", "--k", "2"],
+        ["flag", "search", "--", path],
+        ["flag", "verify", "--catalog", "heisenberg", "--format", "xml"],
+        ["family", "solve", "--catalog", "prop31_family", "--param"],
+        ["family", "solve", "--bogus", path],
+        ["report", path, path],
+        ["report", "--catalog", ""],
+        ["catalog", "list"],
+        ["catalog", "list", "--format", "json"],
+        ["catalog", "list", "g1"],
+        ["catalog", "show", "g1"],
+        ["catalog", "show", "--format", "json", "g1"],
+        ["catalog", "show", "nope", "--format", "json"],
+        ["catalog", "show"],
+        ["bogus"],
+    ]
+    return out + [[*head, flag] for head in HEADS for flag in ("--help", "-h")]
+
+
 def argvs(workdir: Path) -> list[list[str]]:
     inputs = []  # (where, param variants)
     for source in gen.SOURCES:
@@ -320,7 +364,7 @@ def argvs(workdir: Path) -> list[list[str]]:
             for cmd in COMMANDS:
                 for fmt in FORMATS:
                     out.append([*cmd, *where, *extra, "--format", fmt])
-    return out
+    return out + spellings(str(workdir / "prop31_family_rot_h1.alg"))
 
 
 def run(src: str, argv: list[str], cwd: Path) -> tuple:

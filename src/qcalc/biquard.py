@@ -80,32 +80,44 @@ def solve_qc_scalar_curvature(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matr
     return values[0]
 
 
+def _cleared(mats) -> tuple[int, list]:
+    """(D, [D * m for m in mats]) in plain ints, D the least common denominator of every entry."""
+    den = common_denominator(x for m in mats for row in m for x in row)
+    return den, [scaled(m, den) for m in mats]
+
+
 def t0_tensor(frame: QCFrame, rhos: tuple[Matrix4, Matrix4, Matrix4], s_value: Fraction) -> Matrix4:
     """Reconstruct the horizontal torsion 2-tensor from the Ricci 2-forms at S.
 
     T0(X, Y) = Sum_r rho_r(X, -I_r Y) - 3 S g(X, Y), that is
     T0 = -Sum_r R_r I_r - 3 S g with R_r the matrix of rho_r; the result has
-    to come out symmetric and trace-free, which is audited here.
+    to come out symmetric and trace-free, which is audited here.  The products
+    run in ints, on the R_r and I_r cleared to denominators P and Q, over
+    D = lcm(PQ, the denominator of S).
     """
-    prods = [matmul(rho, m) for rho, m in zip(rhos, frame.complex_structures)]
-    t0: Matrix4 = [
-        [-sum(p[a][b] for p in prods) - (3 * s_value if a == b else 0) for b in range(4)]
-        for a in range(4)
-    ]
+    p, rs = _cleared(rhos)
+    q, ms = _cleared(frame.complex_structures)
+    den = lcm(p * q, s_value.denominator)
+    up, s3 = den // (p * q), 3 * s_value.numerator * (den // s_value.denominator)
+    prods = [matmul(r, m) for r, m in zip(rs, ms)]
+    t0 = [[-up * sum(x[a][b] for x in prods) - (s3 if a == b else 0) for b in range(4)] for a in range(4)]
     if any(t0[a][b] != t0[b][a] for a in range(4) for b in range(4)):
         raise InconsistentTorsion("reconstructed tensor is not symmetric")
     if sum(t0[a][a] for a in range(4)) != 0:
         raise InconsistentTorsion("reconstructed tensor has nonzero trace")
-    return t0
+    return [[Fraction(x, den) for x in row] for row in t0]
 
 
 def torsion_endomorphisms(frame: QCFrame, t0: Matrix4) -> tuple[Matrix4, Matrix4, Matrix4]:
-    """g(T_r Z, Y) = (T0(-I_r Z, Y) - T0(Z, I_r Y)) / 4, as matrices on H."""
+    """g(T_r Z, Y) = (T0(-I_r Z, Y) - T0(Z, I_r Y)) / 4, as matrices on H; the
+    products run in ints on T0 and the I_r cleared to denominators P and Q."""
+    p, (t,) = _cleared([t0])
+    q, ms = _cleared(frame.complex_structures)
     endos = []
-    for m in frame.complex_structures:
-        # p[x][y] = T0(e_x, I_r e_y); T0 is symmetric, so T0(I_r e_b, e_a) = p[a][b]
-        p = matmul(t0, m)
-        endos.append([[-(p[a][b] + p[b][a]) / 4 for b in range(4)] for a in range(4)])
+    for m in ms:
+        # x[a][b] = PQ T0(e_a, I_r e_b); T0 is symmetric, so PQ T0(I_r e_b, e_a) = x[a][b]
+        x = matmul(t, m)
+        endos.append([[Fraction(-(x[a][b] + x[b][a]), 4 * p * q) for b in range(4)] for a in range(4)])
     return endos[0], endos[1], endos[2]
 
 

@@ -6,15 +6,17 @@ result with a number too long to print).
 
 Each command is one fresh process, so each handler imports only what it
 runs: `catalog` loads no arithmetic, and only `report` and `wqc` load the
-connection stack (`biquard`, `conformal`, `report`).
+connection stack (`biquard`, `conformal`, `report`).  A well-formed command
+line is read in one pass (`_read_argv`); argparse is imported only for help,
+errors and the spellings that pass declines.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import catalog
 from .errors import NotALieAlgebra, NumberTooLong, ParametricNotSupported, ParseError, QcalcError
@@ -26,7 +28,7 @@ class _InputError(QcalcError):
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     fmt = _resolve_format(args)
     try:
         return args.handler(args, fmt)
@@ -78,21 +80,16 @@ def _emit(obj: dict, fmt: str, text_lines) -> None:
 # argument plumbing
 
 
-COMMANDS = ("check", "report", "wqc", "cohomology", "flag", "family", "catalog")
+def _build_parser():
+    """argparse's parser for every command: it prints help and usage errors,
+    and parses the lines `_read_argv` declines."""
+    import argparse
 
-
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv.  When argv[0] names a command it holds that
-    command's subparser alone, since a process runs one command, and a metavar
-    that keeps the usage line the same; otherwise it holds every subparser,
-    and argparse's errors name the missing or unknown `command`."""
     top = argparse.ArgumentParser(
         prog="qcalc",
         description="Exact invariants of 7-dimensional quaternionic-contact Lie algebras.",
     )
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = top.add_subparsers(dest="command", required=True)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), help="output format (default: QCALC_FORMAT or text)")
@@ -102,47 +99,84 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     src.add_argument("--catalog", dest="catalog_name", metavar="NAME", help="use a built-in algebra")
     src.add_argument("--param", metavar="NAME=VALUE", help="specialize the parameter, e.g. mu=-1")
 
-    if only in (None, "check"):
-        p = sub.add_parser("check", parents=[src], help="validate the Jacobi identity and qc structure")
-        p.set_defaults(handler=_cmd_check)
+    p = sub.add_parser("check", parents=[src], help="validate the Jacobi identity and qc structure")
+    p.set_defaults(handler=_cmd_check)
 
-    if only in (None, "report"):
-        p = sub.add_parser("report", parents=[src], help="compute the full invariant report")
-        p.set_defaults(handler=_cmd_report)
+    p = sub.add_parser("report", parents=[src], help="compute the full invariant report")
+    p.set_defaults(handler=_cmd_report)
 
-    if only in (None, "wqc"):
-        p = sub.add_parser("wqc", parents=[src], help="evaluate the conformal curvature tensor")
-        p.set_defaults(handler=_cmd_wqc)
+    p = sub.add_parser("wqc", parents=[src], help="evaluate the conformal curvature tensor")
+    p.set_defaults(handler=_cmd_wqc)
 
-    if only in (None, "cohomology"):
-        p = sub.add_parser("cohomology", parents=[src], help="Betti numbers of the Chevalley-Eilenberg complex")
-        p.add_argument("--k", type=int, default=None, help="single degree to compute")
-        p.set_defaults(handler=_cmd_cohomology)
+    p = sub.add_parser("cohomology", parents=[src], help="Betti numbers of the Chevalley-Eilenberg complex")
+    p.add_argument("--k", type=int, default=None, help="single degree to compute")
+    p.set_defaults(handler=_cmd_cohomology)
 
-    if only in (None, "flag"):
-        flag = sub.add_parser("flag", help="ascending invariant flags")
-        fsub = flag.add_subparsers(dest="flag_command", required=True)
-        p = fsub.add_parser("verify", parents=[src], help="verify the flag declared in the document")
-        p.set_defaults(handler=_cmd_flag_verify)
-        p = fsub.add_parser("search", parents=[src], help="search for an invariant flag")
-        p.set_defaults(handler=_cmd_flag_search)
+    flag = sub.add_parser("flag", help="ascending invariant flags")
+    fsub = flag.add_subparsers(dest="flag_command", required=True)
+    p = fsub.add_parser("verify", parents=[src], help="verify the flag declared in the document")
+    p.set_defaults(handler=_cmd_flag_verify)
+    p = fsub.add_parser("search", parents=[src], help="search for an invariant flag")
+    p.set_defaults(handler=_cmd_flag_search)
 
-    if only in (None, "family"):
-        family = sub.add_parser("family", help="one-parameter families")
-        fsub = family.add_subparsers(dest="family_command", required=True)
-        p = fsub.add_parser("solve", parents=[src], help="parameter values satisfying the Jacobi identity")
-        p.set_defaults(handler=_cmd_family_solve)
+    family = sub.add_parser("family", help="one-parameter families")
+    fsub = family.add_subparsers(dest="family_command", required=True)
+    p = fsub.add_parser("solve", parents=[src], help="parameter values satisfying the Jacobi identity")
+    p.set_defaults(handler=_cmd_family_solve)
 
-    if only in (None, "catalog"):
-        cat = sub.add_parser("catalog", help="built-in algebras")
-        csub = cat.add_subparsers(dest="catalog_command", required=True)
-        p = csub.add_parser("list", parents=[fmt], help="list catalog names")
-        p.set_defaults(handler=_cmd_catalog_list)
-        p = csub.add_parser("show", parents=[fmt], help="print a catalog source")
-        p.add_argument("name")
-        p.set_defaults(handler=_cmd_catalog_show)
+    cat = sub.add_parser("catalog", help="built-in algebras")
+    csub = cat.add_subparsers(dest="catalog_command", required=True)
+    p = csub.add_parser("list", parents=[fmt], help="list catalog names")
+    p.set_defaults(handler=_cmd_catalog_list)
+    p = csub.add_parser("show", parents=[fmt], help="print a catalog source")
+    p.add_argument("name")
+    p.set_defaults(handler=_cmd_catalog_show)
 
     return top
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line in one pass, equal to what
+    `_build_parser` makes of it, or None.
+
+    It reads a command and its sub-command, at most one positional that is
+    non-empty and does not start with '-', and the exact options of `_LEAVES`,
+    each followed by a separate value that does not start with '-'; the last
+    of a repeated option wins.  Anything else, including help, '--', '='
+    spellings, abbreviations and a value argparse would refuse, gives None,
+    and argparse parses the line and prints its help or error.
+    """
+    words = 2 if argv[:1] in (["flag"], ["family"], ["catalog"]) else 1
+    leaf = _LEAVES.get(tuple(argv[:words]))
+    if leaf is None:
+        return None
+    handler, positional, options = leaf
+    args: dict = {"command": argv[0], "handler": handler, **dict.fromkeys(options.values())}
+    if words == 2:
+        args[f"{argv[0]}_command"] = argv[1]
+    if positional:
+        args[positional] = None
+    rest = iter(argv[words:])
+    for word in rest:
+        if word.startswith("-"):
+            dest, value = options.get(word), next(rest, "-")
+            if dest is None or value.startswith("-"):
+                return None
+            if dest == "format" and value not in ("json", "text"):
+                return None
+            if dest == "k":
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            args[dest] = value
+        elif word and positional and args[positional] is None:
+            args[positional] = word
+        else:
+            return None
+    if positional == "name" and args["name"] is None:
+        return None
+    return SimpleNamespace(**args)
 
 
 def _catalog_source(name: str) -> str:
@@ -408,6 +442,23 @@ def _cmd_catalog_show(args, fmt: str) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+_FORMAT = {"--format": "format"}
+_SOURCE = {**_FORMAT, "--catalog": "catalog_name", "--param": "param"}
+
+# the words of each command line `_read_argv` reads -> (handler, positional, option -> dest)
+_LEAVES = {
+    ("check",): (_cmd_check, "file", _SOURCE),
+    ("report",): (_cmd_report, "file", _SOURCE),
+    ("wqc",): (_cmd_wqc, "file", _SOURCE),
+    ("cohomology",): (_cmd_cohomology, "file", {**_SOURCE, "--k": "k"}),
+    ("flag", "verify"): (_cmd_flag_verify, "file", _SOURCE),
+    ("flag", "search"): (_cmd_flag_search, "file", _SOURCE),
+    ("family", "solve"): (_cmd_family_solve, "file", _SOURCE),
+    ("catalog", "list"): (_cmd_catalog_list, None, _FORMAT),
+    ("catalog", "show"): (_cmd_catalog_show, "name", _FORMAT),
+}
 
 
 if __name__ == "__main__":

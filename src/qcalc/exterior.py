@@ -308,13 +308,15 @@ def derived_and_central_series(g: LieAlgebra) -> dict:
         return linalg.echelon([scaled_bracket(table, u, v) for u, v in pairs])[0]
 
     def run(next_term) -> list[int]:
-        # each term lies in the one before; stop when it is zero or stabilizes
-        dims, current = [g.dim], full
-        while dims[-1] and len(new := next_term(current)) < len(current):
+        # both series start at [g, g]; each term lies in the one before; stop when it stabilizes (at 0 too)
+        dims, current, new = [g.dim], full, commutator
+        while len(new) < len(current):
             dims.append(len(new))
-            current = new
+            current, new = new, next_term(new)
         return dims
 
+    # the brackets of distinct basis vectors span [g, g]
+    commutator = span(itertools.combinations(full, 2))
     derived = run(lambda cur: span(itertools.combinations(cur, 2)))
     lower_central = run(lambda cur: span(itertools.product(full, cur)))
     return {
@@ -457,11 +459,13 @@ def verify_flag(g: LieAlgebra, flag: Flag) -> tuple[bool, str | None]:
     n = g.dim
     if flag.dim != n or len(flag.levels) != n:
         raise InvalidFlag(f"flag must have {n} levels over dimension {n}")
+    # every shape first: the containment check of level i ranks level i + 1's rows
+    for i, level in enumerate(flag.levels, 1):
+        if len(level) != i or any(len(r) != n for r in level):
+            raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
     rank_here = None  # rank of level i, when level i - 1's containment check computed it
     for i in range(1, n + 1):
         rows = flag.level_rows(i)
-        if len(rows) != i or any(len(r) != n for r in rows):
-            raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
         if (linalg.rank(rows) if rank_here is None else rank_here) != i:
             raise InvalidFlag(f"level {i} covectors are linearly dependent")
         if i < n:

@@ -649,27 +649,107 @@ def test_connection_commands_load_the_connection_stack(command):
     assert loaded & {"dataclasses", "inspect", "typing"} == set()
 
 
+# well-formed lines go through `_read_argv`, so argparse and the gettext and locale it
+# imports stay unloaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("catalog", "list", "--format", "json"),
+        ("report", "--catalog", "g2", "--format", "json"),
+        ("cohomology", "FILE", "--format", "json", "--param", "mu=-1"),
+        ("flag", "search", "FILE", "--format", "json", "--param", "mu=-1/3"),
+        ("family", "solve", "--catalog", "prop31_family", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_well_formed_lines_skip_argparse(args, tmp_path):
+    path = tmp_path / "prop31.alg"
+    path.write_text(source("prop31_family"))
+    loaded = loaded_modules(*(str(path) if a == "FILE" else a for a in args))
+    assert loaded & {"argparse", "gettext", "locale"} == set()
+
+
 SUBCOMMANDS = {"flag": ["verify", "search"], "family": ["solve"], "catalog": ["list", "show"]}
-HELP_ARGVS = [[c, *s, "--help"] for c in qcalc.cli.COMMANDS for s in [[]] + [[x] for x in SUBCOMMANDS.get(c, [])]]
+COMMANDS = ["check", "report", "wqc", "cohomology", *SUBCOMMANDS]
+HELP_ARGVS = [[c, *s, "--help"] for c in COMMANDS for s in [[]] + [[x] for x in SUBCOMMANDS.get(c, [])]]
 MISUSE_ARGVS = [
     [], ["--help"], ["bogus"], ["report", "--bogus"], ["flag", "search", "--catalog", "g1", "--bogus"],
     ["flag"], ["family"], ["catalog"], ["flag", "bogus"], ["report", "--format", "xml"],
     ["catalog", "list", "--format", "yaml"], ["cohomology", "--k", "x"], ["report", "a", "b"],
     ["cohomology", "--catalog", "g1", "--k", "3"], ["catalog", "show", "g1"],
 ]
+PARSER = qcalc.cli._build_parser()
 
 
-def parse_outcome(parser, argv):
+def parse_outcome(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code, args = 0, vars(parser.parse_args(argv))
+            code, args = 0, vars(parse(argv))
         except SystemExit as e:
             code, args = e.code, None
     return code, out.getvalue(), err.getvalue(), args
 
 
+def argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of argparse's parse of argv, or None where argparse exits (help or an error)."""
+    return parse_outcome(PARSER.parse_args, argv)[3]
+
+
 @pytest.mark.parametrize("argv", HELP_ARGVS + MISUSE_ARGVS, ids=lambda a: " ".join(a) or "-")
 def test_the_per_command_parser_prints_what_the_full_parser_prints(argv):
-    full = qcalc.cli._build_parser([])
-    assert parse_outcome(qcalc.cli._build_parser(argv), argv) == parse_outcome(full, argv)
+    # the per-command parser is now the one-pass `_read_argv`: `main` reads each line with it
+    # first, and with a fresh full parser where it declines
+    def front_door(argv):
+        return qcalc.cli._read_argv(argv) or qcalc.cli._build_parser().parse_args(argv)
+
+    assert parse_outcome(front_door, argv) == parse_outcome(PARSER.parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "list"],
+        ["catalog", "show", "--format", "json", "g1"],
+        ["report", "--catalog", "g1", "--format", "json", "--format", "text"],
+        ["check", "a.alg", "--param", "mu=-1"],
+        ["cohomology", "--k", "3", "a.alg", "--catalog", ""],
+        ["flag", "verify", "--catalog", "heisenberg"],
+        ["family", "solve", "a.alg"],
+    ],
+    ids=" ".join,
+)
+def test_the_reader_reads_a_well_formed_line_as_argparse_does(argv):
+    read = qcalc.cli._read_argv(argv)
+    assert read is not None
+    assert vars(read) == argparse_vars(argv)
+
+
+# the command and sub-command words of every leaf, and heads argparse refuses
+HEADS = [[c, *s] for c in COMMANDS for s in ([[x] for x in SUBCOMMANDS[c]] if c in SUBCOMMANDS else [[]])]
+HEADS += [[], ["bogus"], ["flag"], ["catalog", "solve"], ["search"], ["report", "list"]]
+OPTION_WORDS = ["--format", "--format=json", "--form", "--catalog", "--cat", "--param", "--k", "-h", "--"]
+VALUE_WORDS = ["json", "text", "xml", "g1", "mu=-1", "-1", "3", "x", "", "a.alg", "dir/b c.alg"]
+WELL_FORMED = [("--format", "json"), ("--format", "text"), ("--catalog", "g1"), ("--param", "mu=-1"), ("--k", "3"), ("a.alg",)]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A head, well-formed pieces, and sometimes one more piece of any spelling."""
+    pieces = draw(st.lists(st.sampled_from(WELL_FORMED), max_size=3))
+    if draw(st.booleans()):
+        odd = st.one_of(
+            st.tuples(st.sampled_from(OPTION_WORDS), st.sampled_from(VALUE_WORDS)),
+            st.tuples(st.sampled_from(OPTION_WORDS + VALUE_WORDS)),
+        )
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(odd))
+    return [*draw(st.sampled_from(HEADS)), *(word for piece in pieces for word in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(command_lines(), st.sampled_from(HELP_ARGVS + MISUSE_ARGVS)))
+def test_the_reader_is_argparse_or_declines(argv):
+    read = qcalc.cli._read_argv(argv)
+    assert read is None or vars(read) == argparse_vars(argv)

@@ -177,6 +177,10 @@ def test_malformed_flag_raises():
     levels = ((row[:6],),) + flag.levels[1:]
     with pytest.raises(InvalidFlag, match="level 1 must hold 1 covectors of length 7"):
         verify_flag(g, Flag(7, levels))
+    # level 1's containment check ranks level 2, so every level's shape is checked before it
+    levels = (flag.levels[0], (flag.levels[1][0], row[:6])) + flag.levels[2:]
+    with pytest.raises(InvalidFlag, match="level 2 must hold 2 covectors of length 7"):
+        verify_flag(g, Flag(7, levels))
 
 
 # ---------------------------------------------------------------------------
