@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 bad input
 (unreadable file, parse error, unknown catalog name, bad parameter use, a
-result with a number too long to print).
+result with a number too long to print) or output that cannot be written.
 
 Each command is one fresh process, so each handler imports only what it
 runs: `catalog` loads no arithmetic, and only `report` and `wqc` load the
 connection stack (`biquard`, `conformal`, `report`).  A well-formed command
 line is read in one pass (`_read_argv`); argparse is imported only for help,
-errors and the spellings that pass declines.
+errors and the spellings that pass declines.  `run` ends the process as
+soon as the output is written, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv) or _build_parser().parse_args(argv)
     fmt = _resolve_format(args)
     try:
-        return args.handler(args, fmt)
+        rc = args.handler(args, fmt)
+        sys.stdout.flush()
+        return rc
     except ParseError as e:
         _emit_error(e.message, fmt, line=e.line, col=e.col)
         return 2
@@ -44,6 +47,18 @@ def main(argv: list[str] | None = None) -> int:
     except QcalcError as e:
         _emit_error(str(e), fmt)
         return 1
+
+
+def run() -> None:
+    """The `qcalc` process: `main`, then `os._exit` with its code, so no
+    interpreter teardown (module cleanup, the last garbage collection) runs
+    once the output is written.  `main` has flushed stdout.  An uncaught
+    exception, argparse's `SystemExit` and `KeyboardInterrupt` pass through
+    and end the interpreter normally.
+    """
+    rc = main()
+    sys.stderr.flush()
+    os._exit(rc)
 
 
 def _resolve_format(args) -> str:
@@ -217,9 +232,10 @@ def _parse_param(args, g: LieAlgebra) -> Fraction | None:
         raise _InputError(f"cannot read {text!r} as a rational number") from None
 
 
-def _load_specialized(args, flag: bool = False) -> AlgebraDocument:
+def _load_specialized(args, frame: bool = False, flag: bool = False) -> AlgebraDocument:
     """Load the document and apply --param, requiring a parameter-free algebra,
-    and with flag=True a declared, parameter-free flag."""
+    with frame=True parameter-free omegas, and with flag=True a declared,
+    parameter-free flag."""
     doc = _load_document(args)
     g = doc.algebra
     value = _parse_param(args, g)
@@ -227,7 +243,8 @@ def _load_specialized(args, flag: bool = False) -> AlgebraDocument:
         raise _InputError(f"{g.name} declares no flag")
     if value is not None:
         doc = doc.substitute(value)
-    if doc.algebra.parametric or (flag and doc.flag.parametric):
+    omegas = doc.frame.omegas if frame and doc.frame is not None else ()
+    if doc.algebra.parametric or any(o.parametric for o in omegas) or (flag and doc.flag.parametric):
         raise ParametricNotSupported(
             f"{g.name} is parametric; specialize it with --param {g.param}=VALUE"
         )
@@ -266,7 +283,7 @@ def _sample_lines(label: str, samples: list[dict]):
 def _cmd_check(args, fmt: str) -> int:
     from .qc import adapt, verdicts
 
-    doc = _load_specialized(args)
+    doc = _load_specialized(args, frame=True)
     g, frame = doc.algebra, doc.frame
     ok = g.is_valid
     out: dict = {"name": g.name, "jacobi": ok, "qc_valid": None, "bi1": None}
@@ -280,7 +297,7 @@ def _cmd_check(args, fmt: str) -> int:
 def _cmd_report(args, fmt: str) -> int:
     from .report import build_report
 
-    doc = _load_specialized(args)
+    doc = _load_specialized(args, frame=True)
     g, frame = doc.algebra, doc.frame
     report, ok = build_report(g, frame)
 
@@ -320,7 +337,7 @@ def _cmd_wqc(args, fmt: str) -> int:
     from .biquard import run_pipeline
     from .report import wqc_block
 
-    doc = _load_specialized(args)
+    doc = _load_specialized(args, frame=True)
     g, frame = doc.algebra, doc.frame
     if frame is None:
         raise _InputError(f"{g.name} has no qc block")
@@ -462,4 +479,4 @@ _LEAVES = {
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -492,11 +492,13 @@ def verify_flag_per_covector(g: LieAlgebra, flag: Flag) -> tuple[bool, str | Non
     n = g.dim
     if flag.dim != n or len(flag.levels) != n:
         raise InvalidFlag(f"flag must have {n} levels over dimension {n}")
+    # every shape first: the containment check of level i ranks level i + 1's rows
+    for i, level in enumerate(flag.levels, 1):
+        if len(level) != i or any(len(r) != n for r in level):
+            raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
     rank_here = None  # rank of level i, when level i - 1's containment check computed it
     for i in range(1, n + 1):
         rows = flag.level_rows(i)
-        if len(rows) != i or any(len(r) != n for r in rows):
-            raise InvalidFlag(f"level {i} must hold {i} covectors of length {n}")
         if (linalg.rank(rows) if rank_here is None else rank_here) != i:
             raise InvalidFlag(f"level {i} covectors are linearly dependent")
         if i < n:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -46,6 +47,7 @@ REPORT_KEYS = [
 def run(*args, env_extra=None, timeout=None):
     env = os.environ.copy()
     env.pop("QCALC_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as from a shell
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -459,7 +461,7 @@ PARAM_IN_OMEGA = source("heisenberg").replace(" dim 7\n", " dim 7 param mu\n").r
 def test_a_parameter_only_in_an_omega_exits_2(command, fmt, tmp_path):
     path = tmp_path / "param_in_omega.alg"
     path.write_text(PARAM_IN_OMEGA)
-    message = "heisenberg: omega1 carries parameter 'mu'; substitute a value first"
+    message = "heisenberg is parametric; specialize it with --param mu=VALUE"
     assert_input_error(run(command, str(path), "--format", fmt), fmt, message)
 
 
@@ -515,6 +517,70 @@ def test_check_and_report_reject_a_triple_that_is_not_quaternionic(tmp_path):
         assert "qc structure: false\nvertical duality conditions: n/a\n" in r.stdout
     r = run("wqc", str(path))
     assert (r.returncode, r.stdout, r.stderr) == (1, "", "error: I_1^2 != -id\n")
+
+
+# each case: the arguments, the text of the document FILE names, the exit code
+FRESH_PROCESS_CASES = {
+    "success": (["check", "--catalog", "g1"], None, 0),
+    "failed check": (["check", "FILE"], HEIS_SKEW2, 1),
+    "parse error": (["check", "FILE", "--format", "json"], "algebra a dim 2\nd e1 = e12 +\n", 2),
+    "usage error": (["report", "--format", "xml"], None, 2),
+    "help": (["report", "--help"], None, 0),
+    "report g2": (["report", "--catalog", "g2"], None, 0),
+    "catalog show g1": (["catalog", "show", "g1"], None, 0),
+    # 85 KB of text, more than a 64 KiB pipe buffer holds
+    "long report": (["report", "FILE"], g1_times(10**2000), 0),
+}
+
+
+@pytest.mark.parametrize("case", FRESH_PROCESS_CASES)
+def test_a_fresh_process_writes_all_of_its_output(case, tmp_path, monkeypatch):
+    # `python -m qcalc.cli` ends in os._exit or, for help and usage errors, in SystemExit
+    argv, text, code = FRESH_PROCESS_CASES[case]
+    if text is not None:
+        path = tmp_path / "doc.alg"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to this width
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            expected = qcalc.cli.main(argv)
+        except SystemExit as e:
+            expected = e.code
+    r = run(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (code, out.getvalue(), err.getvalue())
+    assert expected == code
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("args", [("catalog", "list"), ("report", "--catalog", "g1")], ids=" ".join)
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+def test_output_that_cannot_be_written_exits_2(sink, args, fmt):
+    # with buffered stdout the write fails only when main flushes it
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "QCALC_FORMAT")}
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+        code = errno.EPIPE
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "qcalc.cli", *args, "--format", fmt],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(fd)
+    message = f"[Errno {code}] {os.strerror(code)}"
+    assert r.returncode == 2, r.stderr
+    assert "Exception ignored" not in r.stderr
+    if fmt == "json":
+        assert json.loads(r.stderr) == {"error": {"message": message}}
+    else:
+        assert r.stderr == f"error: {message}\n"
 
 
 # every base splits horizontal 1 2 3 4 | vertical 5 6 7
@@ -589,7 +655,8 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
 
 # what a fresh `python -S -m qcalc.cli ARGS` process has imported when it exits
 RUN_AND_LIST_MODULES = """
-import runpy, sys
+import os, runpy, sys
+os._exit = sys.exit  # cli.run ends the process with os._exit, which would skip the print below
 code = None
 try:
     runpy.run_module("qcalc.cli", run_name="__main__")

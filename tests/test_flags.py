@@ -130,7 +130,8 @@ def flag_case(name: str, mu: str | None, h: int | None) -> tuple[LieAlgebra, tup
 def basis_order_flags(draw):
     """(g, flag): level i holds the first i covectors of an order of a basis,
     either a few adjacent swaps away from the basis order or any order, and
-    now and then an off-chain level of i covectors, repeats allowed."""
+    now and then an off-chain level of i covectors, repeats allowed, or a
+    level with one row cut short."""
     g, bases = flag_case(*draw(st.sampled_from(
         [("heisenberg", None, None), ("g1", None, None), ("g2", None, None),
          ("prop31_family", "-1/3", None), ("g1", None, 1), ("g2", None, 2)]
@@ -147,6 +148,10 @@ def basis_order_flags(draw):
         off = draw(st.integers(0, 9)) == 0
         picks = draw(st.lists(st.integers(0, n - 1), min_size=i, max_size=i)) if off else order[:i]
         levels.append(tuple(basis[k] for k in picks))
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, i))
+        levels[i] = levels[i][:j] + (levels[i][j][:-1],) + levels[i][j + 1:]
     return g, Flag(n, tuple(levels))
 
 
