@@ -21,8 +21,9 @@ the `print_document` text, or on the ParseError message, line and column, or
 on the type of any other exception.
 
 Then the command line: each run is one `python -m qcalc.cli` process per
-tree, with PYTHONPATH set to that tree, and stdout, stderr and the exit code
-must be identical.
+tree, with PYTHONPATH set to that tree and QCALC_FORMAT and PYTHONUNBUFFERED
+unset (so stdout is block-buffered, as from a shell), and stdout, stderr and
+the exit code must be identical.
 
 Every input goes through `report`, `wqc`, `check`, `cohomology` (all degrees
 and `--k 3`), `flag search`, `flag verify` and `family solve`, in JSON and in
@@ -368,7 +369,7 @@ def argvs(workdir: Path) -> list[list[str]]:
 
 
 def run(src: str, argv: list[str], cwd: Path) -> tuple:
-    env = {k: v for k, v in os.environ.items() if k != "QCALC_FORMAT"}
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "QCALC_FORMAT")}
     env["PYTHONPATH"] = src
     try:
         done = subprocess.run(

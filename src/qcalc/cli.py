@@ -8,8 +8,10 @@ Each command is one fresh process, so each handler imports only what it
 runs: `catalog` loads no arithmetic, and only `report` and `wqc` load the
 connection stack (`biquard`, `conformal`, `report`).  A well-formed command
 line is read in one pass (`_read_argv`); argparse is imported only for help,
-errors and the spellings that pass declines.  `run` ends the process as
-soon as the output is written, skipping the interpreter's teardown.
+errors and the spellings that pass declines.  Both readers take the command
+line from one declaration, `_LEAVES`, with its `_GROUPS` and `_ARGUMENTS`.
+`run` ends the process as soon as the output is written, skipping the
+interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -38,10 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         _emit_error(e.message, fmt, line=e.line, col=e.col)
         return 2
-    except (_InputError, ParametricNotSupported, NumberTooLong) as e:
-        _emit_error(str(e), fmt)
-        return 2
-    except OSError as e:
+    except (_InputError, ParametricNotSupported, NumberTooLong, OSError) as e:
         _emit_error(str(e), fmt)
         return 2
     except QcalcError as e:
@@ -66,7 +65,7 @@ def _resolve_format(args) -> str:
     if fmt:
         return fmt
     env = os.environ.get("QCALC_FORMAT", "")
-    if env in ("json", "text"):
+    if env in _ARGUMENTS["--format"]["choices"]:
         return env
     return "text"
 
@@ -96,57 +95,26 @@ def _emit(obj: dict, fmt: str, text_lines) -> None:
 
 
 def _build_parser():
-    """argparse's parser for every command: it prints help and usage errors,
-    and parses the lines `_read_argv` declines."""
+    """argparse's parser for every command, built from `_LEAVES`: it prints
+    help and usage errors, and parses the lines `_read_argv` declines."""
     import argparse
 
     top = argparse.ArgumentParser(
         prog="qcalc",
         description="Exact invariants of 7-dimensional quaternionic-contact Lie algebras.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "text"), help="output format (default: QCALC_FORMAT or text)")
-
-    src = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    src.add_argument("file", nargs="?", help="structure-equation file")
-    src.add_argument("--catalog", dest="catalog_name", metavar="NAME", help="use a built-in algebra")
-    src.add_argument("--param", metavar="NAME=VALUE", help="specialize the parameter, e.g. mu=-1")
-
-    p = sub.add_parser("check", parents=[src], help="validate the Jacobi identity and qc structure")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("report", parents=[src], help="compute the full invariant report")
-    p.set_defaults(handler=_cmd_report)
-
-    p = sub.add_parser("wqc", parents=[src], help="evaluate the conformal curvature tensor")
-    p.set_defaults(handler=_cmd_wqc)
-
-    p = sub.add_parser("cohomology", parents=[src], help="Betti numbers of the Chevalley-Eilenberg complex")
-    p.add_argument("--k", type=int, default=None, help="single degree to compute")
-    p.set_defaults(handler=_cmd_cohomology)
-
-    flag = sub.add_parser("flag", help="ascending invariant flags")
-    fsub = flag.add_subparsers(dest="flag_command", required=True)
-    p = fsub.add_parser("verify", parents=[src], help="verify the flag declared in the document")
-    p.set_defaults(handler=_cmd_flag_verify)
-    p = fsub.add_parser("search", parents=[src], help="search for an invariant flag")
-    p.set_defaults(handler=_cmd_flag_search)
-
-    family = sub.add_parser("family", help="one-parameter families")
-    fsub = family.add_subparsers(dest="family_command", required=True)
-    p = fsub.add_parser("solve", parents=[src], help="parameter values satisfying the Jacobi identity")
-    p.set_defaults(handler=_cmd_family_solve)
-
-    cat = sub.add_parser("catalog", help="built-in algebras")
-    csub = cat.add_subparsers(dest="catalog_command", required=True)
-    p = csub.add_parser("list", parents=[fmt], help="list catalog names")
-    p.set_defaults(handler=_cmd_catalog_list)
-    p = csub.add_parser("show", parents=[fmt], help="print a catalog source")
-    p.add_argument("name")
-    p.set_defaults(handler=_cmd_catalog_show)
-
+    commands = {(): top.add_subparsers(dest="command", required=True)}
+    for words, (text, handler, positional, options) in _LEAVES.items():
+        group = words[:-1]
+        if group not in commands:
+            p = commands[()].add_parser(group[0], help=_GROUPS[group[0]])
+            commands[group] = p.add_subparsers(dest=f"{group[0]}_command", required=True)
+        p = commands[group].add_parser(words[-1], help=text)
+        for option, dest in options.items():
+            p.add_argument(option, dest=dest, **_ARGUMENTS[option])
+        if positional:
+            p.add_argument(positional, **_ARGUMENTS[positional])
+        p.set_defaults(handler=handler)
     return top
 
 
@@ -156,16 +124,17 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
     It reads a command and its sub-command, at most one positional that is
     non-empty and does not start with '-', and the exact options of `_LEAVES`,
-    each followed by a separate value that does not start with '-'; the last
-    of a repeated option wins.  Anything else, including help, '--', '='
+    each followed by a separate value that does not start with '-' and that
+    the option's `type` and `choices` in `_ARGUMENTS` take; the last of a
+    repeated option wins.  Anything else, including help, '--', '='
     spellings, abbreviations and a value argparse would refuse, gives None,
     and argparse parses the line and prints its help or error.
     """
-    words = 2 if argv[:1] in (["flag"], ["family"], ["catalog"]) else 1
+    words = 2 if argv and argv[0] in _GROUPS else 1
     leaf = _LEAVES.get(tuple(argv[:words]))
     if leaf is None:
         return None
-    handler, positional, options = leaf
+    _, handler, positional, options = leaf
     args: dict = {"command": argv[0], "handler": handler, **dict.fromkeys(options.values())}
     if words == 2:
         args[f"{argv[0]}_command"] = argv[1]
@@ -177,19 +146,19 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             dest, value = options.get(word), next(rest, "-")
             if dest is None or value.startswith("-"):
                 return None
-            if dest == "format" and value not in ("json", "text"):
+            rules = _ARGUMENTS[word]
+            try:
+                value = rules.get("type", str)(value)
+            except ValueError:
                 return None
-            if dest == "k":
-                try:
-                    value = int(value)
-                except ValueError:
-                    return None
+            if value not in rules.get("choices", (value,)):
+                return None
             args[dest] = value
         elif word and positional and args[positional] is None:
             args[positional] = word
         else:
             return None
-    if positional == "name" and args["name"] is None:
+    if positional and args[positional] is None and _ARGUMENTS[positional].get("nargs") != "?":
         return None
     return SimpleNamespace(**args)
 
@@ -461,20 +430,35 @@ def _cmd_catalog_show(args, fmt: str) -> int:
     return 0
 
 
+# argparse's keywords for each option and positional of `_LEAVES`
+_ARGUMENTS = {
+    "--format": {"choices": ("json", "text"), "help": "output format (default: QCALC_FORMAT or text)"},
+    "--catalog": {"metavar": "NAME", "help": "use a built-in algebra"},
+    "--param": {"metavar": "NAME=VALUE", "help": "specialize the parameter, e.g. mu=-1"},
+    "--k": {"type": int, "help": "single degree to compute"},
+    "file": {"nargs": "?", "help": "structure-equation file"},
+    "name": {},
+}
 _FORMAT = {"--format": "format"}
 _SOURCE = {**_FORMAT, "--catalog": "catalog_name", "--param": "param"}
 
-# the words of each command line `_read_argv` reads -> (handler, positional, option -> dest)
+# the first word of each two-word command -> its help
+_GROUPS = {"flag": "ascending invariant flags", "family": "one-parameter families", "catalog": "built-in algebras"}
+
+# the one declaration of the command line, read by `_build_parser` and `_read_argv`:
+# the words of each command -> (help, handler, positional, option -> dest), in help order
 _LEAVES = {
-    ("check",): (_cmd_check, "file", _SOURCE),
-    ("report",): (_cmd_report, "file", _SOURCE),
-    ("wqc",): (_cmd_wqc, "file", _SOURCE),
-    ("cohomology",): (_cmd_cohomology, "file", {**_SOURCE, "--k": "k"}),
-    ("flag", "verify"): (_cmd_flag_verify, "file", _SOURCE),
-    ("flag", "search"): (_cmd_flag_search, "file", _SOURCE),
-    ("family", "solve"): (_cmd_family_solve, "file", _SOURCE),
-    ("catalog", "list"): (_cmd_catalog_list, None, _FORMAT),
-    ("catalog", "show"): (_cmd_catalog_show, "name", _FORMAT),
+    ("check",): ("validate the Jacobi identity and qc structure", _cmd_check, "file", _SOURCE),
+    ("report",): ("compute the full invariant report", _cmd_report, "file", _SOURCE),
+    ("wqc",): ("evaluate the conformal curvature tensor", _cmd_wqc, "file", _SOURCE),
+    ("cohomology",): (
+        "Betti numbers of the Chevalley-Eilenberg complex", _cmd_cohomology, "file", {**_SOURCE, "--k": "k"}
+    ),
+    ("flag", "verify"): ("verify the flag declared in the document", _cmd_flag_verify, "file", _SOURCE),
+    ("flag", "search"): ("search for an invariant flag", _cmd_flag_search, "file", _SOURCE),
+    ("family", "solve"): ("parameter values satisfying the Jacobi identity", _cmd_family_solve, "file", _SOURCE),
+    ("catalog", "list"): ("list catalog names", _cmd_catalog_list, None, _FORMAT),
+    ("catalog", "show"): ("print a catalog source", _cmd_catalog_show, "name", _FORMAT),
 }
 
 

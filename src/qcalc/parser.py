@@ -293,12 +293,10 @@ def parse(text: str) -> AlgebraDocument:
             continue
         head = tokens[0]
         p = _LineParser(tokens, header[1], header[2])
-        if head.text == "d":
-            _parse_differential(p, diffs)
+        if head.text in ("d", "omega1", "omega2", "omega3"):
+            _parse_two_form(p, split, diffs, omegas)
         elif head.text == "qc":
             split = _parse_qc(p, split)
-        elif head.text in ("omega1", "omega2", "omega3"):
-            _parse_omega(p, split, omegas)
         elif head.text == "flag":
             flag = _parse_flag(p, flag)
         else:
@@ -384,17 +382,24 @@ def _parse_header(tokens: list[Token]) -> tuple[str, int, str | None]:
     return name, dim, param
 
 
-def _parse_differential(p: _LineParser, diffs: dict[int, Form]) -> None:
-    p.expect("IDENT", "d")
-    t = p.expect("IDENT")
-    m = re.match(r"^e([1-9])$", t.text)
-    if not m or int(m.group(1)) > p.dim:
-        raise ParseError(f"expected a covector e1..e{p.dim}", t.line, t.col)
-    k = int(m.group(1))
-    if k in diffs:
-        raise ParseError(f"duplicate differential for e{k}", t.line, t.col)
+def _parse_two_form(p: _LineParser, split: tuple | None, diffs: dict[int, Form], omegas: dict[int, Form]) -> None:
+    """A `d eK = ...` line into diffs[K], or an `omegaR = ...` line into omegas[R]."""
+    t = p.next()
+    if t.text == "d":
+        t = p.expect("IDENT")
+        m = re.match(r"^e([1-9])$", t.text)
+        if not m or int(m.group(1)) > p.dim:
+            raise ParseError(f"expected a covector e1..e{p.dim}", t.line, t.col)
+        into, key, what, duplicate = diffs, int(m.group(1)), f"d {t.text}", f"differential for {t.text}"
+    else:
+        if split is None:
+            raise ParseError("omega lines must follow the qc line", t.line, t.col)
+        into, key, what = omegas, int(t.text[-1]), t.text
+        duplicate = what
+    if key in into:
+        raise ParseError(f"duplicate {duplicate}", t.line, t.col)
     p.expect("SYM", "=")
-    diffs[k] = p.form_expression(2, f"d e{k}")
+    into[key] = p.form_expression(2, what)
     p.expect_end()
 
 
@@ -418,18 +423,6 @@ def _parse_qc(p: _LineParser, split: tuple | None) -> tuple:
         scale = p.rational()
     p.expect_end()
     return horizontal, vertical, scale
-
-
-def _parse_omega(p: _LineParser, split: tuple | None, omegas: dict[int, Form]) -> None:
-    t = p.expect("IDENT")
-    r = int(t.text[-1])
-    if split is None:
-        raise ParseError("omega lines must follow the qc line", t.line, t.col)
-    if r in omegas:
-        raise ParseError(f"duplicate omega{r}", t.line, t.col)
-    p.expect("SYM", "=")
-    omegas[r] = p.form_expression(2, f"omega{r}")
-    p.expect_end()
 
 
 def _parse_flag(p: _LineParser, flag: Flag | None) -> Flag:

@@ -775,6 +775,19 @@ def test_the_per_command_parser_prints_what_the_full_parser_prints(argv):
     assert parse_outcome(front_door, argv) == parse_outcome(PARSER.parse_args, argv)
 
 
+# each `$ qcalc ARGS` line is followed by the help argparse prints for ARGS at 80 columns
+# (Python 3.11), so a changed help string or option order shows here
+with open(os.path.join(os.path.dirname(__file__), "cli_help.txt"), encoding="utf-8") as fh:
+    _, *pieces = re.split(r"^\$ qcalc (.*)\n", fh.read(), flags=re.M)
+HELP_SCREENS = dict(zip(pieces[::2], pieces[1::2]))
+
+
+@pytest.mark.parametrize("argv", [["--help"], *HELP_ARGVS], ids=" ".join)
+def test_help_prints_the_recorded_screen(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(qcalc.cli.main, argv) == (0, HELP_SCREENS[" ".join(argv)], "", None)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
